@@ -310,11 +310,16 @@ def _cmd_analyze(cfg: RunConfig, args) -> int:
         for i, t_win in enumerate(hom.t_list):
             fh.write(f"{t_win * 1e6:.3f},{hom.t_effective[i] * 1e6:.3f},"
                      f"{hom.visibility[i]:.6f}\n")
-    log = netsim.AttemptLog(n_requested=clicks.n_attempts,
-                            n_executed=clicks.n_attempts,
-                            block_size=cfg.sequence.max_iterations,
-                            herald_mode=False,
-                            herald_attempts=np.empty(0, dtype=np.int64))
+    # the run as ``simulate`` logged it: executed attempts from the file
+    # header, heralds re-selected in the window simulate_attempts uses
+    log = netsim.AttemptLog(
+        n_requested=clicks.n_attempts,
+        n_executed=(clicks.n_attempts if clicks.n_executed is None
+                    else clicks.n_executed),
+        block_size=cfg.sequence.max_iterations,
+        herald_mode=clicks.herald_mode,
+        herald_attempts=netsim.herald_attempts(
+            clicks, cfg.detectors, (0.0, cfg.sequence.detection_span)))
     metrics = netsim.success_metrics(clicks, log, cfg.detectors,
                                      window=cfg.analysis_window)
     print(f"wrote {hist_path}")

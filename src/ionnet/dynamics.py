@@ -13,14 +13,15 @@ rule: the exact matrix exponential of the generator frozen at each step
 midpoint.  Because the only time dependence inside the pulse is the
 bichromatic beat phase, grids built with :meth:`TimeGrid.for_node` make the
 step commensurate with the beat period and the per-step propagators reduce
-to a small reusable set of matrix exponentials.
+to a small reusable set of matrix exponentials.  :func:`propagate` is the one
+step loop; the restricted and full density operators here and the no-noise
+pure state in :mod:`ionnet.purebranch` all run through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -178,9 +179,7 @@ def _nonhermitian_generator(params, delta_omega, beat_phase):
     """Generator -D of the no-noise branch on the four-level manifold."""
     h = hilbert.hamiltonian_with_phase(params, delta_omega, beat_phase)
     h4 = h[:RESTRICTED_DIM, :RESTRICTED_DIM]
-    decay = np.zeros(RESTRICTED_DIM)
-    for op in hilbert.noise_operators(params):
-        decay += np.einsum("ij,ij->j", op.conj(), op).real[:RESTRICTED_DIM]
+    decay = hilbert.decay_diagonal(params)[:RESTRICTED_DIM]
     return -(1j * h4 + 0.5 * np.diag(decay.astype(np.complex128)))
 
 
@@ -233,8 +232,13 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
                            n_pulse_steps=pulse_steps)
 
 
-def _run_steps(props: StepPropagators, v0: np.ndarray,
-               n_steps: int) -> np.ndarray:
+def propagate(props: StepPropagators, v0: np.ndarray,
+              n_steps: int) -> np.ndarray:
+    """States ``v0, M_0 v0, M_1 M_0 v0, ...`` for ``n_steps`` steps, stacked.
+
+    ``v0`` is a vectorized density operator or a pure amplitude vector,
+    matching the flavor the propagators were built for.
+    """
     out = np.empty((n_steps + 1, v0.size), dtype=np.complex128)
     out[0] = v0
     v = v0
@@ -258,7 +262,7 @@ def evolve_restricted(params: NodeParams, grid: TimeGrid,
     props = step_propagators(params, grid, delta_omega, "restricted")
     rho0 = np.zeros(RESTRICTED_DIM * RESTRICTED_DIM, dtype=np.complex128)
     rho0[0] = 1.0
-    vecs = _run_steps(props, rho0, grid.n_steps)
+    vecs = propagate(props, rho0, grid.n_steps)
     states = vecs.reshape(-1, RESTRICTED_DIM, RESTRICTED_DIM)
     traces = np.einsum("kii->k", states).real
     if np.any(np.diff(traces) > _TRACE_INCREASE_TOL):
@@ -272,7 +276,7 @@ def evolve_full(params: NodeParams, grid: TimeGrid,
     props = step_propagators(params, grid, delta_omega, "full")
     rho0 = np.zeros(hilbert.DIM * hilbert.DIM, dtype=np.complex128)
     rho0[0] = 1.0
-    vecs = _run_steps(props, rho0, grid.n_steps)
+    vecs = propagate(props, rho0, grid.n_steps)
     states = vecs.reshape(-1, hilbert.DIM, hilbert.DIM)
     traces = np.einsum("kii->k", states).real
     if np.any(np.abs(np.diff(traces)) > _FULL_TRACE_TOL):
@@ -309,13 +313,6 @@ def averaged_curves(params: NodeParams, grid: TimeGrid,
         p_h += weight * ph_k
         p_s += weight * ps_k
     return p_v, p_h, p_s, per_offset
-
-
-def averaged_envelopes(params: NodeParams, grid: TimeGrid,
-                       ensemble: JitterEnsemble):
-    """Jitter-weighted photon envelopes (convex combination per offset)."""
-    p_v, p_h, _, _ = averaged_curves(params, grid, ensemble)
-    return p_v, p_h
 
 
 def write_envelope_csv(path, grid: TimeGrid, p_v, p_h, p_s,

@@ -111,22 +111,6 @@ def rho_with_background(budget: BackgroundBudget, sign: int,
     return rho
 
 
-def background_block_matrix(budget: BackgroundBudget, sign: int,
-                            phi: float) -> np.ndarray:
-    """The same state written entry by entry from the outcome probabilities."""
-    total = budget.total
-    if total == 0.0:
-        raise DegenerateInputError("all coincidence probabilities vanish")
-    p_bgq = budget.p_tot_bg / 4.0
-    p_same = p_bgq  # D'D' and DD rows carry background weight only
-    p_cross = budget.p_ph_ph / 2.0 + p_bgq
-    coher = sign * np.exp(1j * phi) * budget.p_ph_ph / 2.0
-    rho = np.diag([p_same, p_cross, p_cross, p_same]).astype(np.complex128)
-    rho[_IDX_DPRIME_D, _IDX_D_DPRIME] = coher
-    rho[_IDX_D_DPRIME, _IDX_DPRIME_D] = np.conj(coher)
-    return rho / total
-
-
 def apply_dephasing(rho_bg: np.ndarray, visibility: float) -> np.ndarray:
     """Dephasing channel parameterized by the interference visibility.
 

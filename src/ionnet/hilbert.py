@@ -1,4 +1,4 @@
-"""Six-level ion--cavity Hilbert space, node parameters, and operator builders.
+"""Six-level ion--cavity Hilbert space, node parameters, and the operator builder.
 
 Every module in the package shares one basis ordering for the joint
 ion--cavity state:
@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
 
 import numpy as np
 
@@ -91,6 +90,20 @@ class NodeParams:
             raise ValueError("detuning_convention must be 'primed' or 'unprimed'")
 
 
+def _stark_sum(omega1: float, delta1: float, omega2: float,
+               delta2: float) -> float:
+    """omega1**2/(4*delta1) + omega2**2/(4*delta2), skipping tones that are off."""
+    total = 0.0
+    for omega, delta, name in ((omega1, delta1, "delta1"),
+                               (omega2, delta2, "delta2")):
+        if omega == 0.0:
+            continue
+        if delta == 0.0:
+            raise ZeroDetuningError(f"{name} is zero while its drive tone is on")
+        total += omega * omega / (4.0 * delta)
+    return total
+
+
 def stark_shift(params: NodeParams) -> float:
     """AC Stark shift of the driven transition from the two drive tones.
 
@@ -98,15 +111,8 @@ def stark_shift(params: NodeParams) -> float:
     when its Rabi frequency is zero, and a zero detuning under a nonzero
     drive raises :class:`ZeroDetuningError`.
     """
-    total = 0.0
-    for omega, delta, name in ((params.omega1, params.delta1, "delta1"),
-                               (params.omega2, params.delta2, "delta2")):
-        if omega == 0.0:
-            continue
-        if delta == 0.0:
-            raise ZeroDetuningError(f"{name} is zero while its drive tone is on")
-        total += omega * omega / (4.0 * delta)
-    return total
+    return _stark_sum(params.omega1, params.delta1, params.omega2,
+                      params.delta2)
 
 
 def calibrated_detunings(params: NodeParams) -> tuple[float, float]:
@@ -156,66 +162,22 @@ def noise_operators(params: NodeParams) -> tuple[np.ndarray, ...]:
     )
 
 
-@dataclass(frozen=True)
-class OperatorSet:
-    """Time-dependent Hamiltonian closure plus the six noise operators."""
-
-    hamiltonian_at: Callable[[float], np.ndarray]
-    noise_ops: tuple[np.ndarray, ...]
-    labels: tuple[str, ...] = NOISE_LABELS
-
-    @property
-    def decay_diagonal(self) -> np.ndarray:
-        """Diagonal of sum_i L_i^dag L_i (real, length 6)."""
-        total = np.zeros(DIM)
-        for op in self.noise_ops:
-            total += np.einsum("ij,ij->j", op.conj(), op).real
-        return total
-
-
-def build_operators(params: NodeParams, delta_omega: float = 0.0) -> OperatorSet:
-    """Assemble the rotating-frame Hamiltonian and noise operators.
-
-    The returned Hamiltonian closure carries the bichromatic drive only
-    inside the pulse window ``[0, pulse_duration)``; the cavity and frame
-    terms persist afterwards.  ``delta_omega`` offsets both cavity detunings
-    (static per attempt).
-    """
-    eps_p, eps_v, eps_h = frame_energies(params, delta_omega)
-    d1, d2 = calibrated_detunings(params)
-    nu = d2 - d1
-    omega1, omega2 = params.omega1, params.omega2
-    g1, g2 = params.g1, params.g2
-    pulse = params.pulse_duration
-
-    base = np.zeros((DIM, DIM), dtype=np.complex128)
-    base[P0, P0] = eps_p
-    base[D1, D1] = eps_v
-    base[DP1, DP1] = eps_h
-    base[D0, D0] = eps_v
-    base[DP0, DP0] = eps_h
-    base[P0, D1] = base[D1, P0] = g1
-    base[P0, DP1] = base[DP1, P0] = g2
-
-    def hamiltonian_at(t: float) -> np.ndarray:
-        h = base.copy()
-        if 0.0 <= t < pulse:
-            drive = 0.5 * (omega1 + omega2 * np.exp(1j * nu * t))
-            h[S0, P0] = drive
-            h[P0, S0] = np.conj(drive)
-        return h
-
-    return OperatorSet(hamiltonian_at=hamiltonian_at,
-                       noise_ops=noise_operators(params))
+def decay_diagonal(params: NodeParams) -> np.ndarray:
+    """Diagonal of sum_i L_i^dag L_i over the noise operators (real, length 6)."""
+    total = np.zeros(DIM)
+    for op in noise_operators(params):
+        total += np.einsum("ij,ij->j", op.conj(), op).real
+    return total
 
 
 def hamiltonian_with_phase(params: NodeParams, delta_omega: float,
                            beat_phase: float | None) -> np.ndarray:
-    """Hamiltonian evaluated at a given beat phase (``None`` = drive off).
+    """Rotating-frame Hamiltonian at a given beat phase (``None`` = drive off).
 
-    Equivalent to ``build_operators(...).hamiltonian_at(t)`` with
-    ``beat_phase = beat_frequency * t``; used by integrators that cache
-    propagators per beat phase.
+    Inside the pulse the drive at time t has ``beat_phase = beat_frequency *
+    t``; after the pulse the drive is off and the cavity and frame terms
+    persist.  ``delta_omega`` offsets both cavity detunings (static per
+    attempt).
     """
     eps_p, eps_v, eps_h = frame_energies(params, delta_omega)
     h = np.zeros((DIM, DIM), dtype=np.complex128)
@@ -285,12 +247,7 @@ def node_params_from_dict(doc: dict) -> NodeParams:
         raise ValueError("dp_split must lie in [0, 1]")
     gamma_dp_total = mhz(doc["gamma_dp_plus_dprimep"])
 
-    shift = 0.0
-    if omega1 != 0.0:
-        shift += omega1 ** 2 / (4.0 * delta1)
-    if omega2 != 0.0:
-        shift += omega2 ** 2 / (4.0 * delta2)
-    shift = abs(shift)
+    shift = abs(_stark_sum(omega1, delta1, omega2, delta2))
     if convention == "primed":
         d1_eff, d2_eff = delta1, delta2
     else:

@@ -122,23 +122,18 @@ class SequenceConfig:
             raise ValueError("max_iterations must be positive")
 
 
-@dataclass(frozen=True)
-class ClickEvent:
-    """One detector click (scalar view of :class:`ClickRecords`)."""
-
-    attempt: int
-    detector: str
-    t: float
-    origin: str  # "photon", "background", or "unknown"
-
-
 ORIGIN_CODES = {"photon": 0, "background": 1, "unknown": -1}
 ORIGIN_NAMES = {v: k for k, v in ORIGIN_CODES.items()}
 
 
 @dataclass
 class ClickRecords:
-    """Columnar click storage: one row per detector click."""
+    """Columnar click storage: one row per detector click.
+
+    ``n_executed`` and ``herald_mode`` describe the run that made the clicks;
+    they are read back from a file's ``n_executed=`` and ``herald_mode=``
+    header lines, and ``n_executed`` is ``None`` where it was not recorded.
+    """
 
     attempt: np.ndarray  # int64
     detector: np.ndarray  # int16 index into detector_names
@@ -146,16 +141,11 @@ class ClickRecords:
     origin: np.ndarray  # int8 per ORIGIN_CODES
     detector_names: tuple
     n_attempts: int
+    n_executed: int | None = None
+    herald_mode: bool = False
 
     def __len__(self):
         return self.attempt.size
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield ClickEvent(attempt=int(self.attempt[i]),
-                             detector=self.detector_names[self.detector[i]],
-                             t=float(self.t[i]),
-                             origin=ORIGIN_NAMES[int(self.origin[i])])
 
     def to_csv(self, path, header_lines=()) -> None:
         with open(path, "w", newline="") as fh:
@@ -173,6 +163,8 @@ class ClickRecords:
     @classmethod
     def from_csv(cls, path) -> "ClickRecords":
         n_attempts = 0
+        n_executed = None
+        herald_mode = False
         names: tuple = ()
         rows = []
         with open(path) as fh:
@@ -185,6 +177,10 @@ class ClickRecords:
                     body = line[1:].strip()
                     if body.startswith("n_attempts="):
                         n_attempts = int(body.split("=", 1)[1])
+                    elif body.startswith("n_executed="):
+                        n_executed = int(body.split("=", 1)[1])
+                    elif body.startswith("herald_mode="):
+                        herald_mode = body.split("=", 1)[1] == "True"
                     elif body.startswith("detectors="):
                         names = tuple(body.split("=", 1)[1].split(","))
                     continue
@@ -206,7 +202,8 @@ class ClickRecords:
             origin = np.full(len(rows), -1, dtype=np.int8)
         return cls(attempt=attempt, detector=detector, t=t, origin=origin,
                    detector_names=names, n_attempts=n_attempts or
-                   (int(attempt.max()) + 1 if attempt.size else 0))
+                   (int(attempt.max()) + 1 if attempt.size else 0),
+                   n_executed=n_executed, herald_mode=herald_mode)
 
 
 @dataclass(frozen=True)
@@ -621,15 +618,15 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                           detector_names=model.detector_names,
                           n_attempts=n_attempts)
 
-    herald_attempts = _herald_attempts(clicks, model,
-                                       window=(0.0, seq.detection_span))
+    heralds = herald_attempts(clicks, model.detectors,
+                              window=(0.0, seq.detection_span))
     n_executed = n_attempts
     if herald_mode:
-        clicks, herald_attempts, n_executed = _truncate_blocks(
-            clicks, herald_attempts, seq.max_iterations, n_attempts)
+        clicks, heralds, n_executed = _truncate_blocks(
+            clicks, heralds, seq.max_iterations, n_attempts)
     log = AttemptLog(n_requested=n_attempts, n_executed=n_executed,
                      block_size=seq.max_iterations, herald_mode=herald_mode,
-                     herald_attempts=herald_attempts)
+                     herald_attempts=heralds)
     return clicks, log
 
 
@@ -681,8 +678,8 @@ def _port_maps(clicks: ClickRecords, table: DetectorTable):
     return np.array(outputs), np.array(pols)
 
 
-def _herald_attempts(clicks: ClickRecords, model: DetectionModel,
-                     window) -> np.ndarray:
+def herald_attempts(clicks: ClickRecords, table: DetectorTable,
+                    window) -> np.ndarray:
     """Attempts with a heralding coincidence inside ``window``.
 
     Heralds are orthogonal-polarization pairs at the pairings actually used
@@ -693,7 +690,7 @@ def _herald_attempts(clicks: ClickRecords, model: DetectionModel,
     att, d1, d2, _, _ = _pairs_in_window(clicks, window)
     if att.size == 0:
         return np.empty(0, dtype=np.int64)
-    outputs, pols = _port_maps(clicks, model.detectors)
+    outputs, pols = _port_maps(clicks, table)
     opposite = pols[d1] != pols[d2]
     bare_pair = (outputs[d1] == "r") & (outputs[d2] == "r")
     herald = opposite & ~bare_pair
@@ -893,14 +890,7 @@ def success_metrics(clicks: ClickRecords, log: AttemptLog,
                     wall_clock: WallClockModel | None = None) -> SuccessMetrics:
     """Coincidence count, per-attempt success probability, and herald rate."""
     wall_clock = wall_clock or WallClockModel()
-    att, d1, d2, _, _ = _pairs_in_window(clicks, window)
-    if att.size:
-        outputs, pols = _port_maps(clicks, table)
-        opposite = pols[d1] != pols[d2]
-        bare_pair = (outputs[d1] == "r") & (outputs[d2] == "r")
-        n_coinc = int(np.unique(att[opposite & ~bare_pair]).size)
-    else:
-        n_coinc = 0
+    n_coinc = int(herald_attempts(clicks, table, window).size)
     attempts = max(log.n_executed, 1)
     total = wall_clock.total_time(log)
     return SuccessMetrics(n_coincidences=n_coinc,

@@ -11,17 +11,14 @@ V(T) compares the two classes inside a coincidence window of width T.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from importlib import resources
-import json
 
 import numpy as np
 
 from . import purebranch
 from .dynamics import (DEFAULT_TARGET_DT, JitterEnsemble, TimeGrid,
                        jitter_ensemble)
-from .errors import (NumericalConsistencyError, PresetNotFoundError,
-                     UndefinedVisibilityError)
-from .hilbert import NodeParams
+from .errors import NumericalConsistencyError, UndefinedVisibilityError
+from .hilbert import NodeParams, load_preset
 
 DETECTOR_NAMES = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2")
 
@@ -109,11 +106,7 @@ class DetectorTable:
 
     @classmethod
     def from_preset(cls, name: str = "detectors") -> "DetectorTable":
-        try:
-            path = resources.files(__package__).joinpath(f"presets/{name}.json")
-            return cls.from_dict(json.loads(path.read_text()))
-        except FileNotFoundError as exc:
-            raise PresetNotFoundError(f"no preset named {name!r}") from exc
+        return cls.from_dict(load_preset(name))
 
 
 # -- coincidence-rate arrays -------------------------------------------------
@@ -255,8 +248,6 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
     ``pure`` additionally drops the scattering contributions, leaving the
     no-scattering pure wavepackets.
     """
-    from .dynamics import evolve_restricted, photon_envelopes
-
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     node_a = _mode_params(node_a, mode)
@@ -276,14 +267,12 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
     kernels_a = []
     envelopes_a = []
     for offset in ensemble_a.offsets:
-        kernels_a.append(purebranch.node_kernels(
-            node_a, grid_a, offset, idx_a, include_scattering))
-        traj = evolve_restricted(node_a, grid_a, offset)
-        envelopes_a.append(photon_envelopes(traj, node_a))
-    kernels_b = purebranch.node_kernels(node_b, grid_b, 0.0, idx_b,
-                                        include_scattering)
-    traj_b = evolve_restricted(node_b, grid_b, 0.0)
-    envelopes_b = photon_envelopes(traj_b, node_b)
+        kernels, envelopes = purebranch.node_kernels(
+            node_a, grid_a, offset, idx_a, include_scattering)
+        kernels_a.append(kernels)
+        envelopes_a.append(envelopes)
+    kernels_b, envelopes_b = purebranch.node_kernels(
+        node_b, grid_b, 0.0, idx_b, include_scattering)
 
     return InterferenceModel(
         node_a=node_a, node_b=node_b, mode=mode, coarse_times=coarse_times,

@@ -7,7 +7,9 @@ explicit pure-state decomposition of the emitted photon's (generally mixed)
 single-photon state.  The two-time coherence kernel built here is the object
 the interference model consumes: its diagonal reproduces the photon
 envelope, and its off-diagonal decay encodes how distinguishable restarted
-emission attempts have made the photon.
+emission attempts have made the photon.  Restarts are propagated exactly,
+under the same absolute-time propagators as the forward run, by one backward
+sweep per node and offset (:func:`exact_coherence_kernels`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .dynamics import StepPropagators, TimeGrid, step_propagators
+from .dynamics import (DEFAULT_TARGET_DT, TimeGrid, evolve_restricted,
+                       photon_envelopes, propagate, scattering_rate,
+                       step_propagators)
 from .errors import IntegratorError
 from .hilbert import D1, DP1, NodeParams, RESTRICTED_DIM
 
@@ -34,36 +38,6 @@ class PureTrajectory:
 
     def norms_squared(self) -> np.ndarray:
         return np.einsum("ki,ki->k", self.psi.conj(), self.psi).real
-
-
-@dataclass(frozen=True)
-class AmplitudeTable:
-    """Photon emission amplitudes for restarts at any scattering time.
-
-    ``alpha0``/``beta0`` are the amplitudes for a start at t = 0; a restart
-    at time s shifts the waveform and multiplies it by a unit-modulus phase,
-    so only the t = 0 arrays are stored:
-
-        a(t | s) = exp(i * s * phase_rate) * a(t - s | 0)   for t >= s,
-        a(t | s) = 0                                        for t < s.
-    """
-
-    grid: TimeGrid
-    alpha0: np.ndarray
-    beta0: np.ndarray
-    phase_rate_v: float
-    phase_rate_h: float
-
-    def shifted(self, pol: str, shift_steps: int) -> np.ndarray:
-        """a(.|s) on the grid for a restart ``shift_steps`` grid points in."""
-        base = self.alpha0 if pol == "v" else self.beta0
-        rate = self.phase_rate_v if pol == "v" else self.phase_rate_h
-        s = shift_steps * self.grid.dt
-        out = np.zeros_like(base)
-        if shift_steps <= 0:
-            return base * np.exp(1j * rate * s)
-        out[shift_steps:] = base[:base.size - shift_steps]
-        return out * np.exp(1j * rate * s)
 
 
 @dataclass(frozen=True)
@@ -101,63 +75,26 @@ def propagate_no_noise(params: NodeParams, grid: TimeGrid,
     """
     props = step_propagators(params, grid, delta_omega, "nonhermitian")
     psi0 = hilbert.ground_state(RESTRICTED_DIM)
-    psi = _run_pure(props, psi0, grid.n_steps)
+    psi = propagate(props, psi0, grid.n_steps)
     norms = np.einsum("ki,ki->k", psi.conj(), psi).real
     if np.any(np.diff(norms) > _NORM_INCREASE_TOL):
         raise IntegratorError("no-noise branch norm increased beyond tolerance")
     return PureTrajectory(grid=grid, psi=psi, delta_omega=delta_omega)
 
 
-def propagate_no_noise_restart(params: NodeParams, grid: TimeGrid,
-                               restart_step: int,
-                               delta_omega: float = 0.0) -> np.ndarray:
-    """Exact re-propagation for a restart at grid point ``restart_step``.
-
-    Returns the (n_steps + 1, 4) trajectory that is zero before the restart
-    and solves the time-dependent equation from ``|S,0>`` afterwards, with
-    the true drive phase at the restart time (no start-time-shift
-    approximation).  Used to bound the shift approximation's error.
-    """
-    props = step_propagators(params, grid, delta_omega, "nonhermitian")
-    out = np.zeros((grid.n_steps + 1, RESTRICTED_DIM), dtype=np.complex128)
-    psi = hilbert.ground_state(RESTRICTED_DIM)
-    out[restart_step] = psi
-    for n in range(restart_step, grid.n_steps):
-        psi = props.matrix(n) @ psi
-        out[n + 1] = psi
-    return out
-
-
-def _run_pure(props: StepPropagators, psi0, n_steps):
-    out = np.empty((n_steps + 1, psi0.size), dtype=np.complex128)
-    out[0] = psi0
-    psi = psi0
-    pulse, slots, n_pulse, free = (props.pulse, props.slots,
-                                   props.n_pulse_steps, props.free)
-    for n in range(n_steps):
-        m = pulse[n % slots] if n < n_pulse else free
-        psi = m @ psi
-        out[n + 1] = psi
-    return out
-
-
-def build_amplitudes(traj: PureTrajectory, params: NodeParams,
-                     delta_omega: float | None = None) -> AmplitudeTable:
-    """Photon amplitudes alpha(t|0), beta(t|0) with their phase rates.
+def build_amplitudes(traj: PureTrajectory, params: NodeParams):
+    """Photon amplitudes (alpha, beta) of a start at t = 0.
 
     The phase factor converts the rotating-frame photon-level amplitude
     into the amplitude of the emitted field relative to the reference cavity
     frequency; at zero jitter and the shipped resonance calibration both
     amplitudes are slowly varying.
     """
-    if delta_omega is None:
-        delta_omega = traj.delta_omega
-    _, eps_v, eps_h = hilbert.frame_energies(params, delta_omega)
+    _, eps_v, eps_h = hilbert.frame_energies(params, traj.delta_omega)
     t = traj.grid.times()
-    alpha0 = np.exp(1j * eps_v * t) * traj.psi[:, D1]
-    beta0 = np.exp(1j * eps_h * t) * traj.psi[:, DP1]
-    return AmplitudeTable(grid=traj.grid, alpha0=alpha0, beta0=beta0,
-                          phase_rate_v=eps_v, phase_rate_h=eps_h)
+    alpha = np.exp(1j * eps_v * t) * traj.psi[:, D1]
+    beta = np.exp(1j * eps_h * t) * traj.psi[:, DP1]
+    return alpha, beta
 
 
 def coarse_indices(grid: TimeGrid, coarse_dt: float = 0.25e-6) -> np.ndarray:
@@ -172,50 +109,19 @@ def coarse_indices(grid: TimeGrid, coarse_dt: float = 0.25e-6) -> np.ndarray:
     return idx[idx <= grid.n_steps]
 
 
-def coherence_kernels(table: AmplitudeTable, scattering: np.ndarray,
-                      coarse_idx: np.ndarray, kappa: float,
-                      include_scattering: bool = True,
-                      chunk: int = 8192):
-    """Coherence kernels (G_v, G_h) accumulated on a coarse two-time grid.
-
-    The no-scattering (delta) term enters as an explicit rank-1 addition;
-    restart contributions are accumulated over every fine grid point with
-    left-endpoint weights ``scattering[s] * dt``.  The phase factors of the
-    restart rule cancel inside a(t1|s) conj(a(t2|s)), so only shifted copies
-    of the t = 0 amplitudes are needed.
-    """
-    kernels = []
-    dt = table.grid.dt
-    for base in (table.alpha0, table.beta0):
-        a_c = base[coarse_idx]
-        g = np.outer(a_c, a_c.conj())
-        if include_scattering:
-            weights = scattering[:-1].astype(float) * dt
-            n_fine = base.size
-            for start in range(0, n_fine - 1, chunk):
-                js = np.arange(start, min(start + chunk, n_fine - 1))
-                idx = coarse_idx[None, :] - js[:, None]
-                block = np.where(idx >= 0, base[np.clip(idx, 0, None)], 0.0)
-                g += (block * weights[js, None]).T @ block.conj()
-        g = 0.5 * (g + g.conj().T)
-        kernels.append(CoherenceKernel(times=table.grid.times()[coarse_idx],
-                                       matrix=g, kappa=kappa))
-    return kernels[0], kernels[1]
-
-
 def exact_coherence_kernels(params: NodeParams, grid: TimeGrid,
                             delta_omega: float, scattering: np.ndarray,
                             coarse_idx: np.ndarray, chunk: int = 4096):
     """Coherence kernels from exact per-restart waveforms (G_v, G_h).
 
-    The start-time-shift rule of :class:`AmplitudeTable` mis-phases the
-    beat-locked ripple that the bichromatic drive imprints on the
-    amplitudes, which shows up at the percent level on kernel diagonals.
-    This builder avoids the approximation entirely: every restart trajectory
-    evolves under the same absolute-time propagator sequence, so one
-    backward sweep per node and offset yields the exact amplitudes
-    ``<D,1| U(t_c, s) |S,0>`` for all coarse output times t_c and all fine
-    restart times s.  Cost matches the shifted builder (one GEMM pass).
+    A restart at time s does not replay the t = 0 waveform shifted by s: the
+    bichromatic drive imprints a beat-locked ripple on the amplitudes whose
+    phase depends on s.  Every restart trajectory therefore evolves under the
+    same absolute-time propagator sequence, so one backward sweep per node
+    and offset yields the exact amplitudes ``<D,1| U(t_c, s) |S,0>`` for all
+    coarse output times t_c and all fine restart times s.  ``scattering``
+    is the restart rate on the fine grid; the kernel adds the restart at
+    s = 0 (the no-scattering term) as a rank-1 outer product.
     """
     props = step_propagators(params, grid, delta_omega, "nonhermitian")
     _, eps_v, eps_h = hilbert.frame_energies(params, delta_omega)
@@ -302,17 +208,14 @@ def residual_chirp(params: NodeParams, target_dt: float | None = None,
     a residual reflects miscalibration of the cavity detunings relative to
     the dressed drive resonance.
     """
-    from .dynamics import DEFAULT_TARGET_DT, TimeGrid as _TimeGrid
-
     if target_dt is None:
         target_dt = DEFAULT_TARGET_DT
-    grid = _TimeGrid.for_node(params, t_end=t_end, target_dt=target_dt)
+    grid = TimeGrid.for_node(params, t_end=t_end, target_dt=target_dt)
     traj = propagate_no_noise(params, grid)
-    table = build_amplitudes(traj, params)
     t = grid.times()
     sel = (t > 0.1 * t_end) & (t < 0.95 * t_end)
     rates = []
-    for amp in (table.alpha0, table.beta0):
+    for amp in build_amplitudes(traj, params):
         a = amp[sel]
         # per-step phase increments weighted by local power; immune to
         # unwrap glitches where the amplitude rings near zero
@@ -360,24 +263,26 @@ def calibrate_cavity_detunings(params: NodeParams, iterations: int = 6,
 
 def node_kernels(params: NodeParams, grid: TimeGrid, delta_omega: float,
                  coarse_idx: np.ndarray, include_scattering: bool = True):
-    """Full per-offset pipeline: trajectories to exact (G_v, G_h) kernels.
+    """Full per-offset pipeline: ((G_v, G_h), (p_v, p_h)) for one node.
 
-    Without scattering the photon state is pure and the kernels reduce to
-    rank-1 outer products of the forward amplitudes.
+    One restricted trajectory gives the fine-grid photon envelopes and the
+    scattering rate that weights the exact kernel sweep.  Without scattering
+    the photon state is pure and the kernels reduce to rank-1 outer products
+    of the forward amplitudes.
     """
-    from .dynamics import evolve_restricted, scattering_rate
-
-    if not include_scattering:
-        ptraj = propagate_no_noise(params, grid, delta_omega)
-        table = build_amplitudes(ptraj, params)
-        kernels = []
-        t_c = grid.times()[coarse_idx]
-        for base in (table.alpha0, table.beta0):
-            a_c = base[coarse_idx]
-            kernels.append(CoherenceKernel(times=t_c,
-                                           matrix=np.outer(a_c, a_c.conj()),
-                                           kappa=params.kappa))
-        return kernels[0], kernels[1]
     traj = evolve_restricted(params, grid, delta_omega)
-    p_s = scattering_rate(traj, params)
-    return exact_coherence_kernels(params, grid, delta_omega, p_s, coarse_idx)
+    envelopes = photon_envelopes(traj, params)
+    if include_scattering:
+        kernels = exact_coherence_kernels(params, grid, delta_omega,
+                                          scattering_rate(traj, params),
+                                          coarse_idx)
+        return kernels, envelopes
+    t_c = grid.times()[coarse_idx]
+    kernels = []
+    for amp in build_amplitudes(propagate_no_noise(params, grid, delta_omega),
+                                params):
+        a_c = amp[coarse_idx]
+        kernels.append(CoherenceKernel(times=t_c,
+                                       matrix=np.outer(a_c, a_c.conj()),
+                                       kappa=params.kappa))
+    return tuple(kernels), envelopes

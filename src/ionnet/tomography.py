@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .empirical import bell_state
+from .empirical import state_fidelity
 from .errors import EstimationError
 
 PAULI_LABELS = ("X", "Y", "Z")
@@ -198,12 +198,6 @@ def mle_reconstruct(counts: CountsRecord, max_iterations: int = 2000,
     return rho / np.real(np.trace(rho))
 
 
-def bell_fidelity(rho: np.ndarray, sign: int, phi: float) -> float:
-    """Overlap of a state with the maximally entangled target."""
-    psi = bell_state(sign, phi)
-    return float(np.real(psi.conj() @ rho @ psi))
-
-
 def optimize_phase(rho: np.ndarray, sign: int) -> tuple[float, float]:
     """Bell-state phase maximizing the fidelity, with the achieved value.
 
@@ -257,7 +251,7 @@ def resample_uncertainty(counts: CountsRecord, target: tuple[int, float],
         raise ValueError("need at least two resamples")
     sign, phi = target
     rho = mle_reconstruct(counts)
-    value = bell_fidelity(rho, sign, phi)
+    value = state_fidelity(rho, sign, phi)
 
     flat = counts.stacked().reshape(9, 4)
     totals = flat.sum(axis=1)
@@ -270,7 +264,7 @@ def resample_uncertainty(counts: CountsRecord, target: tuple[int, float],
         for i in range(9):
             redraw[i] = rng.multinomial(totals[i], freqs[i])
         rho_trial = mle_reconstruct(CountsRecord.from_stacked(redraw))
-        fidelities[trial] = bell_fidelity(rho_trial, sign, phi)
+        fidelities[trial] = state_fidelity(rho_trial, sign, phi)
     mean = float(fidelities.mean())
     std = float(fidelities.std(ddof=1))
     upper = mean + std - value

@@ -373,7 +373,7 @@ def test_criterion_08_fidelity_reproduction(full_model, table):
 def test_criterion_09_tomography_round_trip():
     psi = empirical.bell_state(+1, 0.9)
     counts = tomo.exact_counts(np.outer(psi, psi.conj()), 10 ** 6)
-    fidelity = tomo.bell_fidelity(tomo.mle_reconstruct(counts), +1, 0.9)
+    fidelity = empirical.state_fidelity(tomo.mle_reconstruct(counts), +1, 0.9)
 
     noisy = tomo.sample_counts(0.8 * np.outer(psi, psi.conj())
                                + 0.2 * np.eye(4) / 4.0, 500,

@@ -14,6 +14,9 @@ FAST_CONFIG = {
     "simulate": {"n_attempts": 400_000},
 }
 
+HERALD_CONFIG = {**FAST_CONFIG,
+                 "simulate": {"n_attempts": 400_000, "herald_mode": True}}
+
 
 @pytest.fixture(scope="module")
 def fast_config_path(tmp_path_factory):
@@ -74,6 +77,13 @@ class TestExitCodes:
         code = run_cli(["--config", str(cfg), "envelope", "--node", "b"])
         assert code == cli.EXIT_PRESET
 
+    def test_zero_drive_detuning(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"node_b": {"preset": "nodeB",
+                                              "overrides": {"Delta1": 0.0}}}))
+        code = run_cli(["--config", str(cfg), "envelope", "--node", "b"])
+        assert code == cli.EXIT_CONFIG
+
     def test_tomography_requires_input(self, tmp_path):
         code = run_cli(["--out", str(tmp_path), "tomography"])
         assert code == cli.EXIT_CONFIG
@@ -115,6 +125,24 @@ class TestArtifacts:
                if ln and not ln.startswith("#")]
         assert vis[0] == "T_us,T_effective_us,V"
         assert vis[1].startswith("0.250,")
+
+    def test_herald_mode_analyze_matches_simulate(self, tmp_path, capsys):
+        cfg = tmp_path / "herald.json"
+        cfg.write_text(json.dumps(HERALD_CONFIG))
+        metrics = ("coincidences:", "success probability:", "herald rate:")
+        printed = []
+        for command in (["simulate"],
+                        ["analyze", "--clicks", str(tmp_path / "clicks.csv")]):
+            code = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                            "--seed", "5", *command])
+            assert code == 0
+            printed.append(capsys.readouterr().out.splitlines())
+        simulated, analyzed = printed
+        # a herald ended some blocks early, so executed < requested
+        assert "attempts executed: 400000" not in simulated
+        assert [ln for ln in analyzed if ln.startswith(metrics)] == \
+            [ln for ln in simulated if ln.startswith(metrics)]
+        assert len([ln for ln in simulated if ln.startswith(metrics)]) == 3
 
     def test_visibility_mode_ordering(self, fast_config_path, tmp_path):
         code = run_cli(["--config", fast_config_path, "--out", str(tmp_path),

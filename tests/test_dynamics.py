@@ -163,7 +163,7 @@ class TestJitter:
     def test_single_sample_average_equals_plain(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=10e-6, target_dt=1e-9)
         ens = dynamics.jitter_ensemble(0.0)
-        avg_v, avg_h = dynamics.averaged_envelopes(node_b, grid, ens)
+        avg_v, avg_h, _, _ = dynamics.averaged_curves(node_b, grid, ens)
         traj = dynamics.evolve_restricted(node_b, grid)
         p_v, p_h = dynamics.photon_envelopes(traj, node_b)
         assert np.array_equal(avg_v, p_v) and np.array_equal(avg_h, p_h)
@@ -181,7 +181,7 @@ class TestJitter:
 
         def arrival_variance(gamma_clj):
             ens = dynamics.jitter_ensemble(gamma_clj, k_max=3)
-            p_v, p_h = dynamics.averaged_envelopes(p, grid, ens)
+            p_v, p_h, _, _ = dynamics.averaged_curves(p, grid, ens)
             w = p_v + p_h
             t = grid.times()
             mean = np.sum(t * w) / np.sum(w)

@@ -13,6 +13,23 @@ def table():
     return pbsm.DetectorTable.from_preset()
 
 
+def background_block_matrix(budget, sign, phi):
+    """Oracle: the background-mixed Bell state written entry by entry.
+
+    The D'D' and DD rows carry background weight only; the D'D and DD' rows
+    add half the photon-photon weight, which also sets the coherence.
+    """
+    p_bgq = budget.p_tot_bg / 4.0
+    p_cross = budget.p_ph_ph / 2.0 + p_bgq
+    i_dprime_d = empirical.BASIS_LABELS.index("D'D")
+    i_d_dprime = empirical.BASIS_LABELS.index("DD'")
+    coher = sign * np.exp(1j * phi) * budget.p_ph_ph / 2.0
+    rho = np.diag([p_bgq, p_cross, p_cross, p_bgq]).astype(np.complex128)
+    rho[i_dprime_d, i_d_dprime] = coher
+    rho[i_d_dprime, i_dprime_d] = np.conj(coher)
+    return rho / budget.total
+
+
 budgets = st.builds(
     BackgroundBudget,
     p_ph_ph=st.floats(1e-7, 1e-2),
@@ -67,7 +84,7 @@ class TestBackgroundState:
     @settings(max_examples=60, deadline=None)
     def test_block_form_equals_white_noise_form(self, budget, phi, sign):
         white = empirical.rho_with_background(budget, sign, phi)
-        block = empirical.background_block_matrix(budget, sign, phi)
+        block = background_block_matrix(budget, sign, phi)
         assert np.abs(white - block).max() < 1e-15
         empirical.assert_physical(white)
 

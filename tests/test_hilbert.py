@@ -51,16 +51,16 @@ class TestStarkShift:
 class TestOperators:
     def test_diagonal_when_couplings_zero(self):
         p = make_params(omega1=0.0, omega2=0.0, g1=0.0, g2=0.0)
-        ops = hilbert.build_operators(p)
-        for t in (0.0, 3.7e-6, 42e-6):
-            h = ops.hamiltonian_at(t)
+        for beat_phase in (0.0, 2.1, None):
+            h = hilbert.hamiltonian_with_phase(p, 0.0, beat_phase)
             assert np.allclose(h, np.diag(np.diag(h)))
 
-    @given(t_us=st.floats(0.0, 60.0), delta_omega=st.floats(-1.0, 1.0))
+    @given(beat_phase=st.one_of(st.none(), st.floats(-100.0, 100.0)),
+           delta_omega=st.floats(-1.0, 1.0))
     @settings(max_examples=40, deadline=None)
-    def test_hermitian_everywhere(self, t_us, delta_omega):
-        ops = hilbert.build_operators(make_params(), delta_omega=mhz(delta_omega))
-        h = ops.hamiltonian_at(t_us * 1e-6)
+    def test_hermitian_everywhere(self, beat_phase, delta_omega):
+        h = hilbert.hamiltonian_with_phase(make_params(), mhz(delta_omega),
+                                           beat_phase)
         assert np.abs(h - h.conj().T).max() < 1e-12 * max(np.abs(h).max(), 1.0)
 
     def test_node_a_beat_period(self):
@@ -69,24 +69,29 @@ class TestOperators:
         assert period_us == pytest.approx(0.1421, abs=1e-4)
 
     def test_drive_off_outside_pulse(self):
-        p = make_params(pulse_duration=10e-6)
-        ops = hilbert.build_operators(p)
-        assert ops.hamiltonian_at(5e-6)[0, 1] != 0.0
-        assert ops.hamiltonian_at(15e-6)[0, 1] == 0.0
+        # after the pulse the propagators use the beat_phase=None matrix
+        # (StepPropagators.free): no drive, same cavity and frame terms
+        p = make_params()
+        on = hilbert.hamiltonian_with_phase(p, 0.0, 0.7)
+        off = hilbert.hamiltonian_with_phase(p, 0.0, None)
+        assert on[hilbert.S0, hilbert.P0] != 0.0
+        assert off[hilbert.S0, hilbert.P0] == 0.0
+        assert off[hilbert.P0, hilbert.S0] == 0.0
+        on[[hilbert.S0, hilbert.P0], [hilbert.P0, hilbert.S0]] = 0.0
+        assert np.array_equal(on, off)
 
     def test_noise_ops_single_entry(self):
-        ops = hilbert.build_operators(make_params())
-        assert ops.labels == hilbert.NOISE_LABELS
-        for op in ops.noise_ops:
+        ops = hilbert.noise_operators(make_params())
+        assert len(ops) == len(hilbert.NOISE_LABELS)
+        for op in ops:
             nonzero = np.abs(op) > 0
             assert nonzero.sum() == 1
             assert np.isreal(op[nonzero][0])
 
     def test_photon_decay_structure(self):
         p = make_params()
-        ops = hilbert.build_operators(p)
-        for op, level in ((ops.noise_ops[4], hilbert.D1),
-                          (ops.noise_ops[5], hilbert.DP1)):
+        ops = hilbert.noise_operators(p)
+        for op, level in ((ops[4], hilbert.D1), (ops[5], hilbert.DP1)):
             ldl = op.conj().T @ op
             expected = np.zeros((6, 6))
             expected[level, level] = 2.0 * p.kappa
@@ -94,19 +99,28 @@ class TestOperators:
 
     def test_decay_diagonal(self):
         p = make_params()
-        diag = hilbert.build_operators(p).decay_diagonal
+        diag = hilbert.decay_diagonal(p)
         assert diag[hilbert.S0] == pytest.approx(2 * p.gamma_ss)
         assert diag[hilbert.P0] == pytest.approx(
             2 * (p.gamma_sp + p.gamma_dp + p.gamma_dprime_p))
         assert diag[hilbert.D1] == diag[hilbert.DP1] == pytest.approx(2 * p.kappa)
 
     def test_phase_form_matches_time_form(self):
+        # the drive at time t inside the pulse is (omega1 + omega2 e^{i nu t})/2
         p = make_params()
-        ops = hilbert.build_operators(p, delta_omega=mhz(0.05))
+        dw = mhz(0.05)
         nu = hilbert.beat_frequency(p)
+        eps_p, eps_v, eps_h = hilbert.frame_energies(p, dw)
         for t in (0.0, 1.3e-6, 20e-6):
-            h_phase = hilbert.hamiltonian_with_phase(p, mhz(0.05), nu * t)
-            assert np.allclose(ops.hamiltonian_at(t), h_phase, atol=1e-9)
+            h = hilbert.hamiltonian_with_phase(p, dw, nu * t)
+            drive = 0.5 * (p.omega1 + p.omega2 * np.exp(1j * nu * t))
+            assert h[hilbert.S0, hilbert.P0] == pytest.approx(drive, rel=1e-12)
+            assert h[hilbert.P0, hilbert.S0] == pytest.approx(np.conj(drive),
+                                                             rel=1e-12)
+            assert np.allclose(np.diag(h).real,
+                               [0.0, eps_p, eps_v, eps_h, eps_v, eps_h])
+            assert h[hilbert.P0, hilbert.D1] == h[hilbert.D1, hilbert.P0] == p.g1
+            assert h[hilbert.P0, hilbert.DP1] == p.g2
 
 
 class TestIngestion:
@@ -146,6 +160,11 @@ class TestIngestion:
         shift = abs(hilbert.stark_shift(p))
         assert p.deltac1 == pytest.approx(p.delta1 + 2 * shift)
         assert p.deltac2 == pytest.approx(p.delta2 + 2 * shift)
+
+    def test_zero_drive_detuning_raises(self):
+        doc = dict(hilbert.load_preset("nodeB"), Delta1=0.0)
+        with pytest.raises(ZeroDetuningError):
+            hilbert.node_params_from_dict(doc)
 
     def test_eta_range_enforced(self):
         with pytest.raises(ValueError):

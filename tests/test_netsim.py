@@ -170,9 +170,12 @@ class TestClickRecords:
         clicks, _ = netsim.simulate_attempts(SequenceConfig(), model, 2000,
                                              seed=6)
         path = tmp_path / "clicks.csv"
-        clicks.to_csv(path, header_lines=["config_sha256=abc"])
+        clicks.to_csv(path, header_lines=["config_sha256=abc",
+                                          "n_executed=1500",
+                                          "herald_mode=True"])
         loaded = ClickRecords.from_csv(path)
         assert loaded.n_attempts == clicks.n_attempts
+        assert loaded.n_executed == 1500 and loaded.herald_mode is True
         assert np.array_equal(loaded.attempt, clicks.attempt)
         assert np.array_equal(loaded.detector, clicks.detector)
         assert np.abs(loaded.t - clicks.t).max() < 1e-12
@@ -184,16 +187,9 @@ class TestClickRecords:
                         "attempt,detector,t_us\n3,SNSPD1,6.25\n3,SNSPD2,7.5\n")
         loaded = ClickRecords.from_csv(path)
         assert len(loaded) == 2
+        assert loaded.n_executed is None and loaded.herald_mode is False
         assert np.all(loaded.origin == -1)
         assert loaded.t[1] == pytest.approx(7.5e-6)
-
-    def test_iteration_yields_events(self, table):
-        model = toy_detection_model(table, tau=0.5)
-        clicks, _ = netsim.simulate_attempts(SequenceConfig(), model, 500,
-                                             seed=7)
-        event = next(iter(clicks))
-        assert isinstance(event, netsim.ClickEvent)
-        assert event.detector in clicks.detector_names
 
 
 def make_clicks(rows, table, n_attempts):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionnet import dynamics, hilbert, pbsm
+from ionnet import dynamics, hilbert, pbsm, purebranch
 from ionnet.errors import NumericalConsistencyError, UndefinedVisibilityError
 from ionnet.purebranch import CoherenceKernel
 
@@ -250,6 +250,24 @@ class TestModelVisibility:
                                       target_dt=1e-9)
         best = np.nanmax(curve.per_offset_visibility, axis=0)
         assert np.all(curve.visibility <= best + 1e-12)
+
+    def test_one_restricted_run_per_node_and_offset(self, monkeypatch):
+        node_a = hilbert.node_from_preset("nodeA")
+        node_b = hilbert.node_from_preset("nodeB")
+        ens = dynamics.jitter_ensemble(node_a.gamma_clj, k_max=1)
+        original = dynamics.evolve_restricted
+        offsets = []
+
+        def counting(params, grid, delta_omega=0.0):
+            offsets.append(delta_omega)
+            return original(params, grid, delta_omega)
+
+        for module in (dynamics, purebranch, pbsm):
+            if getattr(module, "evolve_restricted", None) is original:
+                monkeypatch.setattr(module, "evolve_restricted", counting)
+        pbsm.build_interference_model(node_a, node_b, ens, "full",
+                                      target_dt=2e-9, t_end=2e-6)
+        assert offsets == [*ens.offsets, 0.0]
 
     def test_visibility_bounded(self, pure_identical_curve):
         v = pure_identical_curve.visibility

@@ -62,7 +62,7 @@ class TestMLE:
     def test_bell_round_trip(self):
         counts = tomo.exact_counts(bell_rho(sign=+1, phi=0.9), 10 ** 6)
         rho = tomo.mle_reconstruct(counts)
-        assert tomo.bell_fidelity(rho, +1, 0.9) > 0.999
+        assert empirical.state_fidelity(rho, +1, 0.9) > 0.999
 
     def test_uniform_counts_give_maximally_mixed(self):
         counts = tomo.CountsRecord.from_stacked(
@@ -95,23 +95,23 @@ class TestMLE:
 
 class TestBellFidelity:
     def test_pure_state(self):
-        assert tomo.bell_fidelity(bell_rho(+1, 0.4), +1, 0.4) == pytest.approx(1.0)
+        assert empirical.state_fidelity(bell_rho(+1, 0.4), +1, 0.4) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
-        assert tomo.bell_fidelity(np.eye(4) / 4.0, -1, 1.0) == pytest.approx(0.25)
+        assert empirical.state_fidelity(np.eye(4) / 4.0, -1, 1.0) == pytest.approx(0.25)
 
     def test_dephased_mixture(self):
         vis = 0.73
         plus = bell_rho(+1, 0.2)
         minus = bell_rho(-1, 0.2)
         rho = 0.5 * (1 + vis) * plus + 0.5 * (1 - vis) * minus
-        assert tomo.bell_fidelity(rho, +1, 0.2) == pytest.approx((1 + vis) / 2)
+        assert empirical.state_fidelity(rho, +1, 0.2) == pytest.approx((1 + vis) / 2)
 
     def test_sinusoidal_in_phase(self):
         rng = np.random.default_rng(4)
         rho = random_full_rank_state(rng)
         phis = np.linspace(0.0, 2 * np.pi, 60, endpoint=False)
-        vals = np.array([tomo.bell_fidelity(rho, +1, p) for p in phis])
+        vals = np.array([empirical.state_fidelity(rho, +1, p) for p in phis])
         # fit c0 + c1 cos(phi - phi0)
         design = np.column_stack([np.ones_like(phis), np.cos(phis),
                                   np.sin(phis)])
@@ -130,7 +130,7 @@ class TestOptimizePhase:
         phi0 = 0.5
         phi, fid = tomo.optimize_phase(bell_rho(-1, phi0), -1)
         assert fid == pytest.approx(1.0)
-        assert tomo.bell_fidelity(bell_rho(-1, phi0), -1, phi) == pytest.approx(1.0)
+        assert empirical.state_fidelity(bell_rho(-1, phi0), -1, phi) == pytest.approx(1.0)
 
     def test_diagonal_state_convention(self):
         phi, fid = tomo.optimize_phase(np.diag([0.1, 0.4, 0.4, 0.1]), +1)
@@ -142,7 +142,7 @@ class TestOptimizePhase:
         rho = random_full_rank_state(rng)
         phi, fid = tomo.optimize_phase(rho, +1)
         grid = np.linspace(0.0, 2 * np.pi, 10_000, endpoint=False)
-        best = max(tomo.bell_fidelity(rho, +1, g) for g in grid)
+        best = max(empirical.state_fidelity(rho, +1, g) for g in grid)
         assert fid == pytest.approx(best, abs=1e-6)
         assert fid >= best - 1e-12
 
