@@ -99,8 +99,13 @@ def _node_from_section(section) -> hilbert.NodeParams:
         raise ConfigError(f"bad node parameters: {exc}") from exc
 
 
-def load_config(path: str | None, seed_override: int | None = None) -> RunConfig:
-    """Load, default-fill, validate, and hash a run configuration."""
+def load_config(path: str | None, seed_override: int | None = None,
+                attempts_override: int | None = None) -> RunConfig:
+    """Load, default-fill, validate, and hash a run configuration.
+
+    The overrides (``--seed``, ``simulate --attempts``) enter the document
+    before it is hashed.
+    """
     doc = {}
     if path is not None:
         try:
@@ -114,6 +119,9 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
     merged = _merge(_DEFAULT_CONFIG, doc, replace=_REPLACE_SECTIONS)
     if seed_override is not None:
         merged["seed"] = seed_override
+    if attempts_override is not None:
+        merged["simulate"] = {**merged["simulate"],
+                              "n_attempts": attempts_override}
 
     node_a = _node_from_section(merged["node_a"])
     node_b = _node_from_section(merged["node_b"])
@@ -270,7 +278,7 @@ def _detection_model(cfg: RunConfig) -> netsim.DetectionModel:
 
 def _cmd_simulate(cfg: RunConfig, args) -> int:
     opts = cfg.simulate_options
-    n_attempts = int(args.attempts or opts["n_attempts"])
+    n_attempts = int(opts["n_attempts"])
     model = _detection_model(cfg)
     clicks, log = netsim.simulate_attempts(
         cfg.sequence, model, n_attempts, seed=cfg.seed,
@@ -393,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_env = sub.add_parser("envelope", help="photon envelopes and scattering")
     p_env.add_argument("--node", choices=("a", "b", "both"), default="both")
-    p_env.add_argument("--preset", help="node preset shortcut for node A")
 
     sub.add_parser("visibility", help="model V(T), three noise modes")
 
@@ -435,10 +442,8 @@ def run_command(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, seed_override=args.seed)
-        if getattr(args, "preset", None):
-            doc = dict(hilbert.load_preset(args.preset))
-            cfg.node_a = hilbert.node_params_from_dict(doc)
+        cfg = load_config(args.config, seed_override=args.seed,
+                          attempts_override=getattr(args, "attempts", None))
         return _COMMANDS[args.command](cfg, args)
     except PresetNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

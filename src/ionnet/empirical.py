@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .pbsm import DetectorTable
+from .pbsm import HERALD_PORTS, DetectorTable
 
 BASIS_LABELS = ("D'D'", "D'D", "DD'", "DD")
 _IDX_DPRIME_D = 1  # |D'_A D_B>
@@ -153,26 +153,15 @@ def background_window_fraction(t_window: float,
     return 2.0 * x - x * x
 
 
-_PLUS_PAIR = ("u", "v"), ("u", "h")
-_MINUS_PAIRS = ((("u", "v"), ("r", "h")), (("u", "h"), ("r", "v")))
-
-
 def herald_budget(table: DetectorTable, sign: int) -> BackgroundBudget:
     """Coincidence budget of the detector pairing that heralds each state.
 
-    The same-output pair on the low-background side heralds the + state; the
-    two mixed cross-output pairs herald the - state and enter as an
-    arithmetic mean.
+    The pairings are ``pbsm.HERALD_PORTS[sign]``: one pair for the + state,
+    two for the - state, which enter as an arithmetic mean.
     """
-    if sign == +1:
-        d1 = table.by_port(*_PLUS_PAIR[0]).name
-        d2 = table.by_port(*_PLUS_PAIR[1]).name
-        return coincidence_probs(table, d1, d2)
-    budgets = []
-    for (o1, p1), (o2, p2) in _MINUS_PAIRS:
-        budgets.append(coincidence_probs(table, table.by_port(o1, p1).name,
-                                         table.by_port(o2, p2).name))
-    return mean_budget(budgets)
+    return mean_budget(coincidence_probs(table, table.by_port(*port1).name,
+                                         table.by_port(*port2).name)
+                       for port1, port2 in HERALD_PORTS[sign])
 
 
 def model_fidelity_curve(t_list, visibility, table: DetectorTable,

@@ -5,7 +5,9 @@ stochastic click generation at the four Bell-state-measurement detectors,
 including two-photon interference correlations for same-polarization pairs
 and Poisson detector backgrounds.  The analysis side turns click records
 (real or synthetic) into coincidence histograms, a measured interference
-visibility, and success metrics.
+visibility, and success metrics.  The detector pairs that herald are
+``pbsm.HERALD_PORTS``, and each detector is looked up by its port in the
+``DetectorTable``.
 
 Click timestamps are seconds from the start of each attempt's detection
 window; backgrounds extend to 100 us, past the photon envelopes.
@@ -14,14 +16,15 @@ window; backgrounds extend to 100 us, past the photon envelopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import JitterEnsemble, jitter_ensemble
+from .dynamics import DEFAULT_TARGET_DT, JitterEnsemble, jitter_ensemble
 from .errors import HandshakeTimeoutError, UndefinedVisibilityError
 from .hilbert import NodeParams
-from .pbsm import DetectorTable, InterferenceModel, build_interference_model
+from .pbsm import (HERALD_PORTS, DetectorTable, InterferenceModel,
+                   build_interference_model)
 
 BG_SPAN = 100e-6  # background-generation span per attempt
 
@@ -250,16 +253,10 @@ class DetectionModel:
     interference_num: np.ndarray  # (n_offsets, 2, C, C) Re[G_A G_B^T]
     diag_a: np.ndarray  # (n_offsets, 2, C)
     diag_b: np.ndarray  # (2, C)
-    acceptance: np.ndarray  # per detector, aligned with detector order
-    detector_names: tuple
-    detector_ports: tuple  # (output, polarization) per detector
-    background_rates: np.ndarray
     photon_scale: float
 
     def rescaled(self, factor: float) -> "DetectionModel":
         """Copy with all photon click probabilities scaled by ``factor``."""
-        from dataclasses import replace
-
         tau_a = self.tau_a * factor
         tau_b = self.tau_b * factor
         if np.any(tau_a.sum(axis=1) > 1.0) or np.any(tau_b.sum(axis=1) > 1.0):
@@ -281,7 +278,7 @@ def _window_fraction(times, cdf_rows, window):
 def expected_herald_probability(model: DetectionModel) -> float:
     """Per-attempt probability of a heralding coincidence under the model.
 
-    Orthogonal-polarization pairs at the three heralding detector pairings;
+    Coincidences at the ``pbsm.HERALD_PORTS`` pairings of both Bell states;
     photon-photon, photon-background and background-background terms
     included, all restricted to the detection window.
     """
@@ -295,27 +292,24 @@ def expected_herald_probability(model: DetectionModel) -> float:
         model.times_b, model.cdf_b.reshape(-1, model.cdf_b.shape[-1]),
         window).reshape(-1, 2)
 
-    port_index = {port: i for i, port in enumerate(model.detector_ports)}
-    q = {}  # (node, detector index) -> in-window click probability
+    table = model.detectors
+    q_a, q_b, p_bg = {}, {}, {}  # per port: in-window click probabilities
     for pol, pol_idx in _POL_INDEX.items():
         for output in ("u", "r"):
-            det = port_index[(output, pol)]
-            share = 0.5 * model.acceptance[det]
-            q[("A", det)] = float((model.offset_weights
-                                   * model.tau_a[:, pol_idx]
-                                   * wfrac_a[:, pol_idx]).sum()) * share
-            q[("B", det)] = float(model.tau_b[0, pol_idx]
-                                  * wfrac_b[0, pol_idx]) * share
-    p_bg = model.background_rates * span
+            rec = table.by_port(output, pol)
+            share = 0.5 * table.acceptance(rec.name)
+            q_a[output, pol] = float((model.offset_weights
+                                      * model.tau_a[:, pol_idx]
+                                      * wfrac_a[:, pol_idx]).sum()) * share
+            q_b[output, pol] = float(model.tau_b[0, pol_idx]
+                                     * wfrac_b[0, pol_idx]) * share
+            p_bg[output, pol] = rec.background_rate * span
 
-    herald_pairs = [(port_index[("u", "v")], port_index[("u", "h")]),
-                    (port_index[("u", "v")], port_index[("r", "h")]),
-                    (port_index[("u", "h")], port_index[("r", "v")])]
     total = 0.0
-    for r1, r2 in herald_pairs:
-        ph_ph = q[("A", r1)] * q[("B", r2)] + q[("B", r1)] * q[("A", r2)]
-        ph_bg = ((q[("A", r1)] + q[("B", r1)]) * p_bg[r2]
-                 + (q[("A", r2)] + q[("B", r2)]) * p_bg[r1])
+    for r1, r2 in HERALD_PORTS[+1] + HERALD_PORTS[-1]:
+        ph_ph = q_a[r1] * q_b[r2] + q_b[r1] * q_a[r2]
+        ph_bg = ((q_a[r1] + q_b[r1]) * p_bg[r2]
+                 + (q_a[r2] + q_b[r2]) * p_bg[r1])
         total += ph_ph + ph_bg + p_bg[r1] * p_bg[r2]
     return total
 
@@ -358,8 +352,6 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
                           coarse_dt: float = 0.25e-6,
                           target_dt: float | None = None) -> DetectionModel:
     """Assemble the stochastic click model from physics and detector data."""
-    from .dynamics import DEFAULT_TARGET_DT
-
     seq = seq or SequenceConfig()
     if ensemble_a is None:
         ensemble_a = jitter_ensemble(node_a.gamma_clj)
@@ -367,12 +359,6 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
         model = build_interference_model(
             node_a, node_b, ensemble_a, mode="full", coarse_dt=coarse_dt,
             target_dt=target_dt or DEFAULT_TARGET_DT)
-
-    names = tuple(detectors.names())
-    ports = tuple((detectors[n].output, detectors[n].polarization)
-                  for n in names)
-    acceptance = np.array([detectors.acceptance(n) for n in names])
-    bg_rates = np.array([detectors[n].background_rate for n in names])
 
     w0, w1 = seq.detection_window
 
@@ -399,8 +385,8 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
             denom += 0.5 * accept_pair * float((weights * win[:, pol_idx]).sum())
         return photon_scale * table_total * full / denom
 
-    total_a = sum(detectors[n].p_a for n in names)
-    total_b = sum(detectors[n].p_b for n in names)
+    total_a = sum(rec.p_a for rec in detectors.records.values())
+    total_b = sum(rec.p_b for rec in detectors.records.values())
     tau_a = node_tau(model.fine_times_a, model.fine_envelopes_a,
                      model.weights_a, total_a)
     tau_b = node_tau(model.fine_times_b, [model.fine_envelopes_b],
@@ -432,8 +418,7 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
         times_b=model.fine_times_b, cdf_b=cdf_b,
         coarse_dt=float(model.coarse_times[1] - model.coarse_times[0]),
         interference_num=num, diag_a=diag_a, diag_b=diag_b,
-        acceptance=acceptance, detector_names=names, detector_ports=ports,
-        background_rates=bg_rates, photon_scale=photon_scale)
+        photon_scale=photon_scale)
 
 
 def _sample_times(times, cdf_rows, group_idx, uniforms):
@@ -445,24 +430,30 @@ def _sample_times(times, cdf_rows, group_idx, uniforms):
     return out
 
 
-def _bilinear(grid: np.ndarray, x: np.ndarray, y: np.ndarray, dt: float):
-    n = grid.shape[0]
+def _bilinear(grid: np.ndarray, lead: tuple, x: np.ndarray, y: np.ndarray,
+              dt: float):
+    """Per-draw bilinear lookup of ``grid[lead][x / dt, y / dt]``.
+
+    ``lead`` holds one index array per leading axis of ``grid``.
+    """
+    n = grid.shape[-1]
     fx = np.clip(x / dt, 0.0, n - 1.000001)
     fy = np.clip(y / dt, 0.0, n - 1.000001)
     ix, iy = fx.astype(np.int64), fy.astype(np.int64)
     ax, ay = fx - ix, fy - iy
-    return ((1 - ax) * (1 - ay) * grid[ix, iy]
-            + ax * (1 - ay) * grid[ix + 1, iy]
-            + (1 - ax) * ay * grid[ix, iy + 1]
-            + ax * ay * grid[ix + 1, iy + 1])
+    return ((1 - ax) * (1 - ay) * grid[(*lead, ix, iy)]
+            + ax * (1 - ay) * grid[(*lead, ix + 1, iy)]
+            + (1 - ax) * ay * grid[(*lead, ix, iy + 1)]
+            + ax * ay * grid[(*lead, ix + 1, iy + 1)])
 
 
-def _interp_rows(rows: np.ndarray, x: np.ndarray, dt: float):
+def _interp_rows(rows: np.ndarray, lead: tuple, x: np.ndarray, dt: float):
+    """Per-draw linear lookup of ``rows[lead][x / dt]``."""
     n = rows.shape[-1]
     fx = np.clip(x / dt, 0.0, n - 1.000001)
     ix = fx.astype(np.int64)
     ax = fx - ix
-    return (1 - ax) * rows[..., ix] + ax * rows[..., ix + 1]
+    return (1 - ax) * rows[(*lead, ix)] + ax * rows[(*lead, ix + 1)]
 
 
 def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
@@ -476,25 +467,25 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     correlation of the underlying kernels, so downstream analysis recovers
     the model's coincidence statistics.  Backgrounds are Poisson per
     detector over the full 100 us span.  In herald mode a heralding
-    coincidence (two clicks of orthogonal polarization, not the bare-SPCM
-    pair, inside the detection span) terminates the remaining attempts of
-    its block.
+    coincidence (a ``pbsm.HERALD_PORTS`` pair inside the detection span)
+    terminates the remaining attempts of its block.
     """
     rng = np.random.default_rng(seed)
-    n_det = len(model.detector_names)
-    port_index = {port: i for i, port in enumerate(model.detector_ports)}
-    det_for = np.array([[port_index[("u", "v")], port_index[("u", "h")]],
-                        [port_index[("r", "v")], port_index[("r", "h")]]])
-    pol_of_det = np.array([_POL_INDEX[p] for _, p in model.detector_ports])
+    table = model.detectors
+    names = table.names()
+    ports = table.port_index(names)
+    det_for = np.array([[ports["u", "v"], ports["u", "h"]],
+                        [ports["r", "v"], ports["r", "h"]]])
+    acceptance = np.array([table.acceptance(n) for n in names])
 
-    chunks = {"attempt": [], "detector": [], "t": [], "origin": []}
+    chunks = []  # (attempt, detector, t, origin) per emission
 
     def emit(attempt, detector, t, origin_code):
-        chunks["attempt"].append(attempt)
-        chunks["detector"].append(detector.astype(np.int16))
-        chunks["t"].append(t)
-        chunks["origin"].append(np.full(attempt.size, origin_code,
-                                        dtype=np.int8))
+        chunks.append((attempt, detector.astype(np.int16), t,
+                       np.full(attempt.size, origin_code, dtype=np.int8)))
+
+    # a typed empty chunk, so that a run without clicks concatenates
+    emit(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 0)
 
     tau_a_tot = model.tau_a.sum(axis=1)
     tau_b_tot = model.tau_b.sum(axis=1)
@@ -533,29 +524,14 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
         same = both & (pol_a == pol_b)
         idx_s = np.flatnonzero(same)
         if idx_s.size:
-            pol = pol_a[idx_s]
-            k = k_off[idx_s]
-            num = np.empty(idx_s.size)
-            d_a = np.empty(idx_s.size)
-            d_a2 = np.empty(idx_s.size)
-            d_b = np.empty(idx_s.size)
-            d_b2 = np.empty(idx_s.size)
-            for kk in np.unique(k):
-                for pp in (0, 1):
-                    msk = (k == kk) & (pol == pp)
-                    if not np.any(msk):
-                        continue
-                    num[msk] = _bilinear(model.interference_num[kk, pp],
-                                         t_a[idx_s][msk], t_b[idx_s][msk],
-                                         model.coarse_dt)
-                    d_a[msk] = _interp_rows(model.diag_a[kk, pp],
-                                            t_a[idx_s][msk], model.coarse_dt)
-                    d_a2[msk] = _interp_rows(model.diag_a[kk, pp],
-                                             t_b[idx_s][msk], model.coarse_dt)
-                    d_b[msk] = _interp_rows(model.diag_b[pp],
-                                            t_b[idx_s][msk], model.coarse_dt)
-                    d_b2[msk] = _interp_rows(model.diag_b[pp],
-                                             t_a[idx_s][msk], model.coarse_dt)
+            lead = (k_off[idx_s], pol_a[idx_s])
+            ts_a, ts_b = t_a[idx_s], t_b[idx_s]
+            dt = model.coarse_dt
+            num = _bilinear(model.interference_num, lead, ts_a, ts_b, dt)
+            d_a = _interp_rows(model.diag_a, lead, ts_a, dt)
+            d_a2 = _interp_rows(model.diag_a, lead, ts_b, dt)
+            d_b = _interp_rows(model.diag_b, lead[1:], ts_b, dt)
+            d_b2 = _interp_rows(model.diag_b, lead[1:], ts_a, dt)
             denom = d_a * d_b + d_a2 * d_b2
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_corr = np.where(denom > 0, 2.0 * num / denom, 0.0)
@@ -565,37 +541,28 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
             p_uu = 0.25 * (1.0 + x_corr)
             both_u = u < p_uu
             both_r = (~both_u) & (u < 2.0 * p_uu)
-            split = ~(both_u | both_r)
             swap = rng.random(idx_s.size) < 0.5
-            oa = np.where(both_u, 0, np.where(both_r, 1,
-                                              np.where(swap, 1, 0)))
-            ob = np.where(both_u, 0, np.where(both_r, 1,
-                                              np.where(swap, 0, 1)))
-            oa = np.where(split, np.where(swap, 1, 0), oa)
-            ob = np.where(split, np.where(swap, 0, 1), ob)
-            out_a[idx_s] = oa
-            out_b[idx_s] = ob
+            out_a[idx_s] = np.where(both_u, 0, np.where(both_r, 1, swap))
+            out_b[idx_s] = np.where(both_u, 0, np.where(both_r, 1, ~swap))
 
-        accept_a = has_a & (rng.random(n)
-                            < model.acceptance[det_for[out_a, pol_a]])
-        accept_b = has_b & (rng.random(n)
-                            < model.acceptance[det_for[out_b, pol_b]])
         det_a = det_for[out_a, pol_a]
         det_b = det_for[out_b, pol_b]
+        accept_a = has_a & (rng.random(n) < acceptance[det_a])
+        accept_b = has_b & (rng.random(n) < acceptance[det_b])
 
-        # photons landing on the same detector produce a single click
+        # photons landing on the same detector produce a single click, the
+        # earlier one
         merged = accept_a & accept_b & (det_a == det_b)
-        drop_b = merged  # keep the earlier click
-        keep_b = accept_b & ~(drop_b & (t_b >= t_a))
-        keep_a = accept_a & ~(drop_b & (t_b < t_a))
+        keep_b = accept_b & ~(merged & (t_b >= t_a))
+        keep_a = accept_a & ~(merged & (t_b < t_a))
 
         ia = np.flatnonzero(keep_a)
         emit(attempts[ia], det_a[ia], t_a[ia], ORIGIN_CODES["photon"])
         ib = np.flatnonzero(keep_b)
         emit(attempts[ib], det_b[ib], t_b[ib], ORIGIN_CODES["photon"])
 
-        for d in range(n_det):
-            lam = model.background_rates[d] * BG_SPAN
+        for d, name in enumerate(names):
+            lam = table[name].background_rate * BG_SPAN
             count = rng.poisson(lam * n)
             if count == 0:
                 continue
@@ -604,22 +571,13 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
             emit(at, np.full(count, d, dtype=np.int16), tt,
                  ORIGIN_CODES["background"])
 
-    attempt = np.concatenate(chunks["attempt"]) if chunks["attempt"] else \
-        np.empty(0, dtype=np.int64)
-    detector = np.concatenate(chunks["detector"]) if chunks["detector"] else \
-        np.empty(0, dtype=np.int16)
-    t_arr = np.concatenate(chunks["t"]) if chunks["t"] else np.empty(0)
-    origin = np.concatenate(chunks["origin"]) if chunks["origin"] else \
-        np.empty(0, dtype=np.int8)
-
+    attempt, detector, t_arr, origin = map(np.concatenate, zip(*chunks))
     order = np.lexsort((t_arr, attempt))
     clicks = ClickRecords(attempt=attempt[order], detector=detector[order],
                           t=t_arr[order], origin=origin[order],
-                          detector_names=model.detector_names,
-                          n_attempts=n_attempts)
+                          detector_names=names, n_attempts=n_attempts)
 
-    heralds = herald_attempts(clicks, model.detectors,
-                              window=(0.0, seq.detection_span))
+    heralds = herald_attempts(clicks, table, window=(0.0, seq.detection_span))
     n_executed = n_attempts
     if herald_mode:
         clicks, heralds, n_executed = _truncate_blocks(
@@ -635,94 +593,69 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
 def _pairs_in_window(clicks: ClickRecords, window):
     """All same-attempt pairs of clicks at distinct detectors in a window.
 
-    Returns (attempt, det1, det2, t1, t2) arrays; pair order is by
-    ascending detector index.
+    Returns (attempt, det1, det2, t1, t2) arrays with ``det1 < det2``.  The
+    clicks are sorted by attempt, so the pairs ``lag`` places apart are
+    collected for lag 1, 2, ... until no attempt spans that many clicks.
     """
     w0, w1 = window
     mask = (clicks.t >= w0) & (clicks.t <= w1)
-    att = clicks.attempt[mask]
-    det = clicks.detector[mask]
-    tt = clicks.t[mask]
-    order = np.argsort(att, kind="stable")
-    att, det, tt = att[order], det[order], tt[order]
-    uniq, starts, counts = np.unique(att, return_index=True,
-                                     return_counts=True)
-    rows = []
-    for a, s, c in zip(uniq, starts, counts):
-        if c < 2:
-            continue
-        for i in range(s, s + c):
-            for j in range(i + 1, s + c):
-                if det[i] == det[j]:
-                    continue
-                if det[i] < det[j]:
-                    rows.append((a, det[i], det[j], tt[i], tt[j]))
-                else:
-                    rows.append((a, det[j], det[i], tt[j], tt[i]))
-    if not rows:
-        return (np.empty(0, dtype=np.int64),) + \
-            tuple(np.empty(0, dtype=int) for _ in range(2)) + \
-            tuple(np.empty(0) for _ in range(2))
-    arr = np.array(rows, dtype=float)
-    return (arr[:, 0].astype(np.int64), arr[:, 1].astype(int),
-            arr[:, 2].astype(int), arr[:, 3], arr[:, 4])
-
-
-def _port_maps(clicks: ClickRecords, table: DetectorTable):
-    outputs = []
-    pols = []
-    for name in clicks.detector_names:
-        rec = table[name]
-        outputs.append(rec.output)
-        pols.append(rec.polarization)
-    return np.array(outputs), np.array(pols)
+    order = np.argsort(clicks.attempt[mask], kind="stable")
+    att = clicks.attempt[mask][order]
+    det = clicks.detector[mask][order].astype(int)
+    tt = clicks.t[mask][order]
+    first, second = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    lag = 1
+    same = att[lag:] == att[:-lag]
+    while same.any():
+        i = np.flatnonzero(same & (det[lag:] != det[:-lag]))
+        first.append(i)
+        second.append(i + lag)
+        lag += 1
+        same = att[lag:] == att[:-lag]
+    i, j = np.concatenate(first), np.concatenate(second)
+    swap = det[i] > det[j]
+    i, j = np.where(swap, j, i), np.where(swap, i, j)
+    return att[i], det[i], det[j], tt[i], tt[j]
 
 
 def herald_attempts(clicks: ClickRecords, table: DetectorTable,
                     window) -> np.ndarray:
     """Attempts with a heralding coincidence inside ``window``.
 
-    Heralds are orthogonal-polarization pairs at the pairings actually used
-    to post-select entangled states: the same-output pair on the
-    low-background arm and the two cross-output pairs.  The remaining
-    same-output orthogonal pair is excluded.
+    Heralds are the ``pbsm.HERALD_PORTS`` pairings of either Bell state.
     """
     att, d1, d2, _, _ = _pairs_in_window(clicks, window)
-    if att.size == 0:
-        return np.empty(0, dtype=np.int64)
-    outputs, pols = _port_maps(clicks, table)
-    opposite = pols[d1] != pols[d2]
-    bare_pair = (outputs[d1] == "r") & (outputs[d2] == "r")
-    herald = opposite & ~bare_pair
-    return np.unique(att[herald])
+    ports = table.port_index(clicks.detector_names)
+    n_det = len(clicks.detector_names)
+    heralding = np.zeros((n_det, n_det), dtype=bool)
+    for port1, port2 in HERALD_PORTS[+1] + HERALD_PORTS[-1]:
+        if port1 in ports and port2 in ports:
+            heralding[ports[port1], ports[port2]] = True
+            heralding[ports[port2], ports[port1]] = True
+    return np.unique(att[heralding[d1, d2]])
 
 
 def _truncate_blocks(clicks: ClickRecords, heralds: np.ndarray,
                      block_size: int, n_attempts: int):
-    """Drop attempts following a herald within each handshake block."""
-    if heralds.size == 0:
-        return clicks, heralds, n_attempts
-    blocks = heralds // block_size
-    first = {}
-    for b, a in zip(blocks, heralds):
-        if b not in first or a < first[b]:
-            first[b] = a
+    """Drop attempts following a herald within each handshake block.
+
+    ``heralds`` is sorted, so each block's first herald is where its block
+    index first appears.
+    """
+    blocks, first_idx = np.unique(heralds // block_size, return_index=True)
+    first = heralds[first_idx]
     cutoff = np.full(math.ceil(n_attempts / block_size) + 1,
                      np.iinfo(np.int64).max, dtype=np.int64)
-    for b, a in first.items():
-        cutoff[b] = a
+    cutoff[blocks] = first
     keep = clicks.attempt <= cutoff[clicks.attempt // block_size]
     clicks = ClickRecords(attempt=clicks.attempt[keep],
                           detector=clicks.detector[keep], t=clicks.t[keep],
                           origin=clicks.origin[keep],
                           detector_names=clicks.detector_names,
                           n_attempts=clicks.n_attempts)
-    skipped = 0
-    for b, a in first.items():
-        block_end = min((b + 1) * block_size, n_attempts)
-        skipped += block_end - (a + 1)
-    return clicks, np.array(sorted(first.values()), dtype=np.int64), \
-        n_attempts - skipped
+    block_end = np.minimum((blocks + 1) * block_size, n_attempts)
+    skipped = int((block_end - (first + 1)).sum())
+    return clicks, first, n_attempts - skipped
 
 
 @dataclass(frozen=True)
@@ -758,14 +691,14 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
     """Interference visibility from click records.
 
     Coincidences are sorted by detector identity into same-polarization
-    pairs and the two cross-output orthogonal pairs (the matching
-    no-interference reference).  Expected photon-background coincidences
-    are subtracted bin by bin, classes are corrected for relative detector
-    acceptance, and V(T) sums the bins whose centers lie within
-    ``T - delta/2``.
+    cross-output pairs and the two cross-output orthogonal pairs of
+    ``pbsm.HERALD_PORTS[-1]`` (the matching no-interference reference).
+    Expected photon-background coincidences are subtracted bin by bin,
+    classes are corrected for relative detector acceptance, and V(T) sums
+    the bins whose centers lie within ``T - delta/2``.
     """
-    att, d1, d2, t1, t2 = _pairs_in_window(clicks, window)
-    outputs, pols = _port_maps(clicks, table)
+    _, d1, d2, t1, t2 = _pairs_in_window(clicks, window)
+    ports = table.port_index(clicks.detector_names)
     acceptance = np.array([table.acceptance(n) for n in clicks.detector_names])
     rates = np.array([table[n].background_rate for n in clicks.detector_names])
 
@@ -802,28 +735,21 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
         out += n_att * rates[det_u] * rates[det_r] * delta * overlap
         return out
 
-    def class_hist(mask, tau):
-        return np.histogram(tau[mask], bins=edges)[0].astype(float)
+    def class_hist(det_u, det_r):
+        """Pair counts per tau bin, tau = t(u-side click) - t(r-side click)."""
+        mask = (d1 == min(det_u, det_r)) & (d2 == max(det_u, det_r))
+        tau = t1[mask] - t2[mask] if det_u < det_r else t2[mask] - t1[mask]
+        return np.histogram(tau, bins=edges)[0].astype(float)
 
-    pol1, pol2 = pols[d1], pols[d2]
-    out1, out2_ = outputs[d1], outputs[d2]
-    # tau = t(u-side click) - t(r-side click)
-    tau_ur = np.where(out1 == "u", t1 - t2, t2 - t1)
-
+    parallel = tuple((("u", pol), ("r", pol)) for pol in ("v", "h"))
     classes = {}
-    for key, want_same_pol in (("parallel", True), ("perp", False)):
+    for key, pairs in (("parallel", parallel), ("perp", HERALD_PORTS[-1])):
         total_raw = np.zeros(centers.size)
         total_corr = np.zeros(centers.size)
         total_var = np.zeros(centers.size)
-        for pol_u, pol_r in ((("v", "v") if want_same_pol else ("v", "h")),
-                             (("h", "h") if want_same_pol else ("h", "v"))):
-            det_u = next(i for i, nm in enumerate(clicks.detector_names)
-                         if outputs[i] == "u" and pols[i] == pol_u)
-            det_r = next(i for i, nm in enumerate(clicks.detector_names)
-                         if outputs[i] == "r" and pols[i] == pol_r)
-            lo, hi = min(det_u, det_r), max(det_u, det_r)
-            mask = (d1 == lo) & (d2 == hi)
-            raw = class_hist(mask, tau_ur)
+        for port_u, port_r in pairs:
+            det_u, det_r = ports[port_u], ports[port_r]
+            raw = class_hist(det_u, det_r)
             bg = expected_bg(det_u, det_r)
             a_prod = acceptance[det_u] * acceptance[det_r]
             total_raw += raw

@@ -22,6 +22,13 @@ from .hilbert import NodeParams, load_preset
 
 DETECTOR_NAMES = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2")
 
+# Detector pairs, as (output, polarization) ports, whose coincidence heralds
+# each Bell state: the same-output orthogonal pair on the low-background u
+# arm heralds Psi+, the two cross-output orthogonal pairs herald Psi-.  The
+# remaining orthogonal pair (both on the r arm) heralds nothing.
+HERALD_PORTS = {+1: ((("u", "v"), ("u", "h")),),
+                -1: ((("u", "v"), ("r", "h")), (("u", "h"), ("r", "v")))}
+
 
 def beamsplitter() -> np.ndarray:
     """Balanced beamsplitter mode transform ((u, r) from (a, b))."""
@@ -74,6 +81,11 @@ class DetectorTable:
             if rec.output == output and rec.polarization == polarization:
                 return rec
         raise KeyError((output, polarization))
+
+    def port_index(self, names) -> dict:
+        """Position in ``names`` of the detector at each (output, polarization)."""
+        return {(self[n].output, self[n].polarization): i
+                for i, n in enumerate(names)}
 
     def acceptance(self, name: str) -> float:
         """Relative detector acceptance within its polarization pair.

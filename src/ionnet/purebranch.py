@@ -14,7 +14,7 @@ sweep per node and offset (:func:`exact_coherence_kernels`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -242,8 +242,6 @@ def calibrate_cavity_detunings(params: NodeParams, iterations: int = 6,
     iteration on a common detuning shift suffices.  ``tol`` is the residual
     winding target in rad/s.
     """
-    from dataclasses import replace
-
     shift = 0.0
     wind = residual_chirp(params, target_dt)[0]
     slope = 1.0

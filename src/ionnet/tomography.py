@@ -356,8 +356,7 @@ def counts_to_json(counts: CountsRecord) -> dict:
 
 
 def reconstruction_to_json(rho: np.ndarray,
-                           estimate: FidelityEstimate | None = None,
-                           resample_values=None) -> dict:
+                           estimate: FidelityEstimate | None = None) -> dict:
     doc = {
         "rho_real": np.real(rho).tolist(),
         "rho_imag": np.imag(rho).tolist(),
@@ -374,6 +373,4 @@ def reconstruction_to_json(rho: np.ndarray,
             "n_resamples": estimate.n_resamples,
             "negative_width": estimate.negative_width,
         }
-    if resample_values is not None:
-        doc["resample_fidelities"] = [float(x) for x in resample_values]
     return doc

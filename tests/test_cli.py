@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -16,6 +17,17 @@ FAST_CONFIG = {
 
 HERALD_CONFIG = {**FAST_CONFIG,
                  "simulate": {"n_attempts": 400_000, "herald_mode": True}}
+
+# sha256 of the FAST_CONFIG --seed 7 artifacts; refactors of the click
+# pipeline keep these bytes
+FAST_SEED7_SHA256 = {
+    "clicks.csv":
+        "5ee04ac4c97ff53580356d6011ad5edfb25d73ea611321ca7d418c233d00fd84",
+    "hom_histogram.csv":
+        "ee114827cede83f89a6c07935a3b7473a593b241821059b853e681c1bb560716",
+    "visibility_data.csv":
+        "87f08ea860906c6d8dea21e74eca31e20098859765d46cb1aee42dbe5a6624e5",
+}
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +119,24 @@ class TestArtifacts:
             assert code == 0
         assert (out1 / "clicks.csv").read_bytes() == \
             (out2 / "clicks.csv").read_bytes()
+        code = run_cli(["--config", fast_config_path, "--out", str(out1),
+                        "--seed", "7", "analyze",
+                        "--clicks", str(out1 / "clicks.csv")])
+        assert code == 0
+        digests = {name: hashlib.sha256((out1 / name).read_bytes()).hexdigest()
+                   for name in FAST_SEED7_SHA256}
+        assert digests == FAST_SEED7_SHA256
+
+    def test_attempts_enter_config_digest(self, fast_config_path, tmp_path):
+        headers = []
+        for attempts in ("1000", "2000"):
+            out = tmp_path / attempts
+            code = run_cli(["--config", fast_config_path, "--out", str(out),
+                            "simulate", "--attempts", attempts])
+            assert code == 0
+            headers.append((out / "clicks.csv").read_text().splitlines()[0])
+        assert all(h.startswith("# config_sha256=") for h in headers)
+        assert headers[0] != headers[1]
 
     def test_simulate_then_analyze(self, fast_config_path, tmp_path):
         code = run_cli(["--config", fast_config_path, "--out", str(tmp_path),

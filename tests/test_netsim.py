@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ionnet import netsim, pbsm
@@ -67,6 +71,16 @@ class TestSequenceConfig:
             SequenceConfig(detection_window=(5.5e-6, 80e-6))
 
 
+def scaled_background_table(table, scale):
+    """The detector table with every background figure times ``scale``."""
+    doc = {name: {"background_per_s": rec.background_rate * scale,
+                  "p_bg_pct": rec.p_bg * 100 * scale,
+                  "p_A_pct": rec.p_a * 100, "p_B_pct": rec.p_b * 100,
+                  "output": rec.output, "polarization": rec.polarization}
+           for name, rec in table.records.items()}
+    return pbsm.DetectorTable.from_dict(doc)
+
+
 def toy_detection_model(table, tau=0.25, bg_scale=1.0, n_times=2001,
                         span=50e-6, interference=1.0):
     """Hand-built model: flat-top envelopes, uniform kernels."""
@@ -78,23 +92,16 @@ def toy_detection_model(table, tau=0.25, bg_scale=1.0, n_times=2001,
     coarse_dt = span / (n_c - 1)
     num = np.full((1, 2, n_c, n_c), interference)
     diag = np.ones((1, 2, n_c))
-    names = tuple(table.names())
     return netsim.DetectionModel(
-        detectors=table, seq=SequenceConfig(),
+        detectors=scaled_background_table(table, bg_scale),
+        seq=SequenceConfig(),
         offsets=np.zeros(1), offset_weights=np.ones(1),
         tau_a=np.array([[tau / 2, tau / 2]]),
         tau_b=np.array([[tau / 2, tau / 2]]),
         times_a=times, cdf_a=np.array([[cdf, cdf]]),
         times_b=times, cdf_b=np.array([[cdf, cdf]]),
         coarse_dt=coarse_dt, interference_num=num, diag_a=diag,
-        diag_b=np.ones((2, n_c)),
-        acceptance=np.array([table.acceptance(n) for n in names]),
-        detector_names=names,
-        detector_ports=tuple((table[n].output, table[n].polarization)
-                             for n in names),
-        background_rates=bg_scale * np.array(
-            [table[n].background_rate for n in names]),
-        photon_scale=1.0)
+        diag_b=np.ones((2, n_c)), photon_scale=1.0)
 
 
 class TestSimulation:
@@ -114,7 +121,9 @@ class TestSimulation:
         assert clicks.t.min() >= 0.0 and clicks.t.max() <= netsim.BG_SPAN
         observed = np.bincount(clicks.detector,
                                minlength=len(clicks.detector_names))
-        expected = model.background_rates * netsim.BG_SPAN * n_attempts
+        rates = np.array([model.detectors[n].background_rate
+                          for n in clicks.detector_names])
+        expected = rates * netsim.BG_SPAN * n_attempts
         chi2 = np.sum((observed - expected) ** 2 / expected)
         p_value = 1.0 - stats.chi2.cdf(chi2, df=len(expected))
         assert p_value > 0.01
@@ -150,11 +159,15 @@ class TestSimulation:
         assert log.n_executed < log.n_requested
         blocks = log.herald_attempts // seq.max_iterations
         assert np.unique(blocks).size == log.herald_attempts.size
+        skipped = 0
         for herald in log.herald_attempts:
             block = herald // seq.max_iterations
             later_same_block = (clicks.attempt > herald) & \
                 (clicks.attempt // seq.max_iterations == block)
             assert not np.any(later_same_block)
+            block_end = min((block + 1) * seq.max_iterations, 4000)
+            skipped += block_end - (herald + 1)
+        assert log.n_executed == 4000 - skipped
 
     def test_seed_determinism(self, table):
         model = toy_detection_model(table, tau=0.4)
@@ -204,17 +217,67 @@ def make_clicks(rows, table, n_attempts):
                         n_attempts=n_attempts)
 
 
-def zero_background_table(table):
-    doc = {name: {"background_per_s": 0.0, "p_bg_pct": 0.0,
-                  "p_A_pct": rec.p_a * 100, "p_B_pct": rec.p_b * 100,
-                  "output": rec.output, "polarization": rec.polarization}
-           for name, rec in table.records.items()}
-    return pbsm.DetectorTable.from_dict(doc)
+def pairs_oracle(clicks, window):
+    """Per-attempt double loop over the clicks, as sorted pair tuples."""
+    w0, w1 = window
+    mask = (clicks.t >= w0) & (clicks.t <= w1)
+    att = clicks.attempt[mask]
+    det = clicks.detector[mask]
+    tt = clicks.t[mask]
+    order = np.argsort(att, kind="stable")
+    att, det, tt = att[order], det[order], tt[order]
+    uniq, starts, counts = np.unique(att, return_index=True,
+                                     return_counts=True)
+    rows = []
+    for a, s, c in zip(uniq, starts, counts):
+        for i in range(s, s + c):
+            for j in range(i + 1, s + c):
+                if det[i] == det[j]:
+                    continue
+                if det[i] < det[j]:
+                    rows.append((a, det[i], det[j], tt[i], tt[j]))
+                else:
+                    rows.append((a, det[j], det[i], tt[j], tt[i]))
+    return sorted((int(a), int(d1), int(d2), float(t1), float(t2))
+                  for a, d1, d2, t1, t2 in rows)
+
+
+_click_rows = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3),
+                                 st.sampled_from([0.0, 5e-6, 10e-6, 20e-6,
+                                                  40e-6])),
+                       max_size=25)
+_windows = st.sampled_from([(0.0, 50e-6), (5.5e-6, 23e-6), (30e-6, 35e-6),
+                            (25e-6, 1e-6)])
+
+
+class TestPairExtraction:
+    @given(rows=_click_rows, window=_windows)
+    @settings(max_examples=300, deadline=None)
+    # unsorted attempts; a detector twice in one attempt; three and four
+    # clicks in one attempt; windows that hold no click
+    @example(rows=[(3, 0, 10e-6), (1, 2, 10e-6), (3, 1, 5e-6),
+                   (1, 2, 20e-6), (1, 0, 5e-6)], window=(0.0, 50e-6))
+    @example(rows=[(0, 3, 5e-6), (0, 1, 10e-6), (0, 2, 20e-6),
+                   (0, 0, 40e-6)], window=(0.0, 50e-6))
+    @example(rows=[(2, 0, 5e-6), (2, 1, 10e-6)], window=(30e-6, 35e-6))
+    @example(rows=[], window=(0.0, 50e-6))
+    def test_matches_per_attempt_loop(self, rows, window):
+        names = pbsm.DETECTOR_NAMES
+        clicks = ClickRecords(
+            attempt=np.array([r[0] for r in rows], dtype=np.int64),
+            detector=np.array([r[1] for r in rows], dtype=np.int16),
+            t=np.array([r[2] for r in rows], dtype=float),
+            origin=np.full(len(rows), -1, dtype=np.int8),
+            detector_names=names, n_attempts=6)
+        got = netsim._pairs_in_window(clicks, window)
+        assert got[0].dtype == np.int64
+        assert sorted(zip(*(arr.tolist() for arr in got))) == \
+            pairs_oracle(clicks, window)
 
 
 class TestHomAnalysis:
     def test_no_parallel_pairs_unit_visibility(self, table):
-        clean = zero_background_table(table)
+        clean = scaled_background_table(table, 0.0)
         rows = []
         for i in range(200):
             rows.append((i, "SNSPD1", 10e-6))
@@ -285,14 +348,25 @@ class TestSuccessMetrics:
         assert metrics.herald_rate == 0.0
 
     def test_bare_spcm_pair_not_a_herald(self, table):
-        rows = [(0, "SPCM1", 10e-6), (0, "SPCM2", 10.1e-6),
-                (1, "SNSPD1", 10e-6), (1, "SNSPD2", 10.1e-6)]
+        # one attempt per detector pairing, six in all
+        pairings = list(itertools.combinations(table.names(), 2))
+        rows = []
+        for i, (n1, n2) in enumerate(pairings):
+            rows += [(i, n1, 10e-6), (i, n2, 10.1e-6)]
         clicks = make_clicks(rows, table, 100)
         log = netsim.AttemptLog(n_requested=100, n_executed=100,
                                 block_size=20, herald_mode=False,
                                 herald_attempts=np.empty(0, dtype=np.int64))
         metrics = netsim.success_metrics(clicks, log, table)
-        assert metrics.n_coincidences == 1
+        assert metrics.n_coincidences == 3
+        heralded = {frozenset(pairings[i]) for i in
+                    netsim.herald_attempts(clicks, table, (5.5e-6, 23e-6))}
+        herald_ports = {frozenset(table.by_port(*port).name for port in pair)
+                        for pairs in pbsm.HERALD_PORTS.values()
+                        for pair in pairs}
+        assert heralded == herald_ports == {
+            frozenset({"SNSPD1", "SNSPD2"}), frozenset({"SNSPD1", "SPCM2"}),
+            frozenset({"SNSPD2", "SPCM1"})}
 
     def test_wall_clock_model(self):
         log = netsim.AttemptLog(n_requested=13_656_928, n_executed=13_656_928,
