@@ -100,11 +100,11 @@ def _node_from_section(section) -> hilbert.NodeParams:
 
 
 def load_config(path: str | None, seed_override: int | None = None,
-                attempts_override: int | None = None) -> RunConfig:
+                overrides: dict | None = None) -> RunConfig:
     """Load, default-fill, validate, and hash a run configuration.
 
-    The overrides (``--seed``, ``simulate --attempts``) enter the document
-    before it is hashed.
+    ``--seed`` and the command's ``overrides`` (see :func:`_command_inputs`)
+    enter the document before it is hashed.
     """
     doc = {}
     if path is not None:
@@ -119,9 +119,8 @@ def load_config(path: str | None, seed_override: int | None = None,
     merged = _merge(_DEFAULT_CONFIG, doc, replace=_REPLACE_SECTIONS)
     if seed_override is not None:
         merged["seed"] = seed_override
-    if attempts_override is not None:
-        merged["simulate"] = {**merged["simulate"],
-                              "n_attempts": attempts_override}
+    if overrides:
+        merged = _merge(merged, overrides)
 
     node_a = _node_from_section(merged["node_a"])
     node_b = _node_from_section(merged["node_b"])
@@ -179,6 +178,26 @@ def load_config(path: str | None, seed_override: int | None = None,
         simulate_options=dict(merged["simulate"]),
         fidelity_options=dict(merged["fidelity"]),
         digest=digest, document=merged)
+
+
+# tomography flags that change tomography.json
+_TOMOGRAPHY_FLAGS = ("synthetic", "sign", "phi", "optimize_phase",
+                     "t_window_us", "resamples")
+
+
+def _command_inputs(args) -> dict:
+    """Command flags that change outputs, as document entries to hash.
+
+    ``simulate --attempts`` overrides ``simulate.n_attempts``; the tomography
+    flags go under ``tomography``.  Other commands add nothing, so their
+    digests depend on the config and seed alone.
+    """
+    if args.command == "simulate" and args.attempts is not None:
+        return {"simulate": {"n_attempts": args.attempts}}
+    if args.command == "tomography":
+        return {"tomography": {name: getattr(args, name)
+                               for name in _TOMOGRAPHY_FLAGS}}
+    return {}
 
 
 def _headers(cfg: RunConfig, extra=()):
@@ -443,7 +462,7 @@ def run_command(argv) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed,
-                          attempts_override=getattr(args, "attempts", None))
+                          overrides=_command_inputs(args))
         return _COMMANDS[args.command](cfg, args)
     except PresetNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

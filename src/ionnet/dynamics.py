@@ -237,7 +237,8 @@ def propagate(props: StepPropagators, v0: np.ndarray,
     """States ``v0, M_0 v0, M_1 M_0 v0, ...`` for ``n_steps`` steps, stacked.
 
     ``v0`` is a vectorized density operator or a pure amplitude vector,
-    matching the flavor the propagators were built for.
+    matching the flavor the propagators were built for.  Raises
+    ``IntegratorError`` if any propagated state is not finite.
     """
     out = np.empty((n_steps + 1, v0.size), dtype=np.complex128)
     out[0] = v0
@@ -247,6 +248,8 @@ def propagate(props: StepPropagators, v0: np.ndarray,
         m = pulse[n % slots] if n < n_pulse else free
         v = m @ v
         out[n + 1] = v
+    if not np.isfinite(out).all():
+        raise IntegratorError("propagated state is not finite")
     return out
 
 

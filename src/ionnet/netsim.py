@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import DEFAULT_TARGET_DT, JitterEnsemble, jitter_ensemble
-from .errors import HandshakeTimeoutError, UndefinedVisibilityError
+from .errors import (ConfigError, HandshakeTimeoutError,
+                     UndefinedVisibilityError)
 from .hilbert import NodeParams
 from .pbsm import (HERALD_PORTS, DetectorTable, InterferenceModel,
                    build_interference_model)
@@ -695,10 +696,18 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
     ``pbsm.HERALD_PORTS[-1]`` (the matching no-interference reference).
     Expected photon-background coincidences are subtracted bin by bin,
     classes are corrected for relative detector acceptance, and V(T) sums
-    the bins whose centers lie within ``T - delta/2``.
+    the bins whose centers lie within ``T - delta/2``.  Raises
+    ``ConfigError`` if the records name no detector at some port.
     """
-    _, d1, d2, t1, t2 = _pairs_in_window(clicks, window)
     ports = table.port_index(clicks.detector_names)
+    missing = [port for port in (("u", "v"), ("u", "h"), ("r", "v"),
+                                 ("r", "h")) if port not in ports]
+    if missing:
+        raise ConfigError(
+            "click records name no detector at port(s) "
+            + ", ".join(f"{out}/{pol}" for out, pol in missing)
+            + "; write the file with a '# detectors=' header")
+    _, d1, d2, t1, t2 = _pairs_in_window(clicks, window)
     acceptance = np.array([table.acceptance(n) for n in clicks.detector_names])
     rates = np.array([table[n].background_rate for n in clicks.detector_names])
 

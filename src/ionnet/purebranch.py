@@ -8,8 +8,11 @@ single-photon state.  The two-time coherence kernel built here is the object
 the interference model consumes: its diagonal reproduces the photon
 envelope, and its off-diagonal decay encodes how distinguishable restarted
 emission attempts have made the photon.  Restarts are propagated exactly,
-under the same absolute-time propagators as the forward run, by one backward
-sweep per node and offset (:func:`exact_coherence_kernels`).
+under the same absolute-time propagators as the forward run
+(:func:`exact_coherence_kernels`).  The coarse output times split the fine
+grid into blocks, and the kernel is assembled as ``G = sum_b R_b S_b R_b^H``:
+a 4x4 restart Gramian ``S_b`` per block, from batched intra-block backward
+products, sandwiched by the rows ``R_b`` at the block's upper edge.
 """
 
 from __future__ import annotations
@@ -111,84 +114,93 @@ def coarse_indices(grid: TimeGrid, coarse_dt: float = 0.25e-6) -> np.ndarray:
 
 def exact_coherence_kernels(params: NodeParams, grid: TimeGrid,
                             delta_omega: float, scattering: np.ndarray,
-                            coarse_idx: np.ndarray, chunk: int = 4096):
+                            coarse_idx: np.ndarray):
     """Coherence kernels from exact per-restart waveforms (G_v, G_h).
 
     A restart at time s does not replay the t = 0 waveform shifted by s: the
     bichromatic drive imprints a beat-locked ripple on the amplitudes whose
-    phase depends on s.  Every restart trajectory therefore evolves under the
-    same absolute-time propagator sequence, so one backward sweep per node
-    and offset yields the exact amplitudes ``<D,1| U(t_c, s) |S,0>`` for all
-    coarse output times t_c and all fine restart times s.  ``scattering``
-    is the restart rate on the fine grid; the kernel adds the restart at
-    s = 0 (the no-scattering term) as a rank-1 outer product.
+    phase depends on s.  Every restart therefore evolves under the same
+    absolute-time propagators, giving the exact amplitudes
+    ``u_s = <D,1| U(t_c, s) |S,0>`` (and ``<D',1|``) for all coarse output
+    times t_c.  ``scattering`` is the restart rate on the fine grid; step
+    [s, s+1) adds ``w_s m_s m_s^H`` with the mid-step column
+    ``m_s = (u_s + u_{s+1})/2`` and ``w_s = (gamma_s + gamma_{s+1}) dt/2``,
+    and the restart at s = 0 (the no-scattering term) adds ``u_0 u_0^H``.
+
+    The coarse points split the fine grid into blocks.  For s in block b,
+    below coarse point ``idx_b``, ``u_s = R_b U(idx_b, s) e_0`` with ``R_b``
+    the ``(2 n_c, 4)`` rows at the block's upper edge, so
+
+        G = sum_b R_b S_b R_b^H
+
+    with the 4x4 restart Gramian ``S_b`` of the block's midpoint columns
+    ``U(idx_b, s) e_0``.  Steps after the last coarse point reach no output
+    time.  Raises ``IntegratorError`` if the rate or the kernel is not
+    finite.
     """
+    scattering = np.asarray(scattering).real
+    if not np.isfinite(scattering).all():
+        raise IntegratorError("restart rate is not finite")
     props = step_propagators(params, grid, delta_omega, "nonhermitian")
     _, eps_v, eps_h = hilbert.frame_energies(params, delta_omega)
     t_c = grid.times()[coarse_idx]
     n_c = coarse_idx.size
-    n_steps = grid.n_steps
-    dt = grid.dt
+    dim = RESTRICTED_DIM
 
-    # rows[c] tracks <D,1| U(t_c, t_s) and rows[n_c + c] tracks <D',1| U(t_c, t_s)
-    rows = np.zeros((2 * n_c, RESTRICTED_DIM), dtype=np.complex128)
-    start_of = {int(idx): c for c, idx in enumerate(coarse_idx)}
+    # block b covers the fine steps [lo[b], hi[b]); position k in a block is
+    # the step hi[b] - 1 - k, so every block starts its backward product at
+    # its own upper edge and shorter blocks pad with the identity
+    hi = np.asarray(coarse_idx, dtype=int)
+    lo = np.concatenate(([0], hi[:-1]))
+    n_pos = int((hi - lo).max())
+    stack = np.concatenate((props.pulse, props.free[None],
+                            np.eye(dim, dtype=np.complex128)[None]))
+    step = hi[None, :] - 1 - np.arange(n_pos)[:, None]  # (n_pos, n_c)
+    inside = step >= lo[None, :]
+    which = np.where(step < props.n_pulse_steps, step % props.slots,
+                     props.slots)
+    which = np.where(inside, which, props.slots + 1)
 
-    g_v = np.zeros((n_c, n_c), dtype=np.complex128)
-    g_h = np.zeros((n_c, n_c), dtype=np.complex128)
-    buf_v = np.empty((chunk, n_c), dtype=np.complex128)
-    buf_h = np.empty((chunk, n_c), dtype=np.complex128)
-    buf_w = np.empty(chunk)
-    fill = 0
+    # cols[b, k] = U(hi_b, hi_b - k) e_0; q ends as the block product
+    # U(hi_b, lo_b)
+    q = np.broadcast_to(np.eye(dim, dtype=np.complex128), (n_c, dim, dim))
+    cols = np.empty((n_c, n_pos + 1, dim), dtype=np.complex128)
+    cols[:, 0] = q[:, :, 0]
+    for k in range(n_pos):
+        q = q @ stack[which[k]]
+        cols[:, k + 1] = q[:, :, 0]
 
-    def flush():
-        nonlocal fill
-        if fill == 0:
-            return
-        wv = buf_v[:fill] * buf_w[:fill, None]
-        wh = buf_h[:fill] * buf_w[:fill, None]
-        g_v[...] += wv.T @ buf_v[:fill].conj()
-        g_h[...] += wh.T @ buf_h[:fill].conj()
-        fill = 0
+    s = np.clip(step, 0, None)
+    weight = np.where(inside, 0.5 * (scattering[s] + scattering[s + 1])
+                      * grid.dt, 0.0).T  # (n_c, n_pos)
+    mid = 0.5 * (cols[:, :-1] + cols[:, 1:])
+    gram = (mid * weight[:, :, None]).transpose(0, 2, 1) @ mid.conj()
 
-    # Restart events inside a step effectively occur mid-step, so each step
-    # [s, s+dt) contributes the averaged restart row with a midpoint weight
-    # (second-order quadrature of the restart-time integral).
-    prev_v = prev_h = None
-    for s in range(n_steps, -1, -1):
-        c = start_of.get(s)
-        if c is not None:
-            rows[c] = 0.0
-            rows[c, hilbert.D1] = 1.0
-            rows[n_c + c] = 0.0
-            rows[n_c + c, hilbert.DP1] = 1.0
-        cur_v = rows[:n_c, 0].copy()
-        cur_h = rows[n_c:, 0].copy()
-        if prev_v is not None:
-            weight = 0.5 * (scattering[s].real + scattering[s + 1].real) * dt
-            if weight != 0.0:
-                buf_v[fill] = 0.5 * (cur_v + prev_v)
-                buf_h[fill] = 0.5 * (cur_h + prev_h)
-                buf_w[fill] = weight
-                fill += 1
-                if fill == chunk:
-                    flush()
-        prev_v, prev_h = cur_v, cur_h
-        if s > 0:
-            rows = rows @ props.matrix(s - 1)
-    flush()
-    # delta(s) term: exact restart at s = 0 (prev_* now hold the s = 0 rows)
-    g_v[...] += np.outer(prev_v, prev_v.conj())
-    g_h[...] += np.outer(prev_h, prev_h.conj())
+    # rows[b] = R_b: <D,1| and <D',1| start at coarse point b, and every
+    # later row is carried down through the block product above it
+    rows = np.zeros((n_c, 2 * n_c, dim), dtype=np.complex128)
+    c = np.arange(n_c)
+    rows[c, c, hilbert.D1] = 1.0
+    rows[c, n_c + c, hilbert.DP1] = 1.0
+    for b in range(n_c - 2, -1, -1):
+        rows[b] += rows[b + 1] @ q[b + 1]
+    # restart at s = 0: the lower end of block 0
+    u_0 = rows[0] @ q[0, :, 0]
 
-    phase_v = np.exp(1j * eps_v * t_c)
-    phase_h = np.exp(1j * eps_h * t_c)
-    g_v = (phase_v[:, None] * g_v) * phase_v.conj()[None, :]
-    g_h = (phase_h[:, None] * g_h) * phase_h.conj()[None, :]
-    g_v = 0.5 * (g_v + g_v.conj().T)
-    g_h = 0.5 * (g_h + g_h.conj().T)
-    return (CoherenceKernel(times=t_c, matrix=g_v, kappa=params.kappa),
-            CoherenceKernel(times=t_c, matrix=g_h, kappa=params.kappa))
+    weighted = (rows @ gram).transpose(1, 0, 2).reshape(2 * n_c, n_c * dim)
+    flat = rows.transpose(1, 0, 2).reshape(2 * n_c, n_c * dim).conj()
+    kernels = []
+    for half, eps in ((slice(0, n_c), eps_v), (slice(n_c, 2 * n_c), eps_h)):
+        g = weighted[half] @ flat[half].T + np.outer(u_0[half],
+                                                     u_0[half].conj())
+        if not np.isfinite(g).all():
+            raise IntegratorError("coherence kernel is not finite")
+        phase = np.exp(1j * eps * t_c)
+        g = (phase[:, None] * g) * phase.conj()[None, :]
+        g = 0.5 * (g + g.conj().T)
+        kernels.append(CoherenceKernel(times=t_c, matrix=g,
+                                       kappa=params.kappa))
+    return tuple(kernels)
 
 
 def photon_emission_probabilities(kernels, params: NodeParams):

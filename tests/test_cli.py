@@ -100,6 +100,17 @@ class TestExitCodes:
         code = run_cli(["--out", str(tmp_path), "tomography"])
         assert code == cli.EXIT_CONFIG
 
+    def test_click_file_missing_detectors(self, tmp_path, capsys):
+        # no '# detectors=' header, and the rows name two of four detectors
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text("attempt,detector,t_us\n3,SNSPD1,6.25\n"
+                          "3,SPCM2,7.5\n")
+        code = run_cli(["--out", str(tmp_path), "analyze",
+                        "--clicks", str(clicks)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "u/h" in err and "r/v" in err
+
 
 class TestArtifacts:
     def test_envelope_headers_and_columns(self, fast_config_path, tmp_path):
@@ -137,6 +148,20 @@ class TestArtifacts:
             headers.append((out / "clicks.csv").read_text().splitlines()[0])
         assert all(h.startswith("# config_sha256=") for h in headers)
         assert headers[0] != headers[1]
+
+    def test_resamples_enter_tomography_digest(self, fast_config_path,
+                                               tmp_path):
+        digests = []
+        for resamples in ("3", "4"):
+            out = tmp_path / resamples
+            code = run_cli(["--config", fast_config_path, "--out", str(out),
+                            "--seed", "2", "tomography",
+                            "--synthetic", "500", "--t-window-us", "1.0",
+                            "--resamples", resamples])
+            assert code == 0
+            doc = json.loads((out / "tomography.json").read_text())
+            digests.append(doc["config_sha256"])
+        assert digests[0] != digests[1]
 
     def test_simulate_then_analyze(self, fast_config_path, tmp_path):
         code = run_cli(["--config", fast_config_path, "--out", str(tmp_path),

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ionnet import dynamics, hilbert
 from ionnet.dynamics import TimeGrid
+from ionnet.errors import IntegratorError
 from ionnet.hilbert import mhz
 
 from test_hilbert import make_params
@@ -91,6 +94,23 @@ class TestRestrictedEvolution:
             p_v, p_h = dynamics.photon_envelopes(traj, node_b)
             totals.append(np.sum((p_v + p_h)[:-1]) * grid.dt)
         assert abs(totals[1] - totals[0]) / totals[1] < 1e-4
+
+
+class TestNumericalFaults:
+    def test_nan_rate_raises(self, node_b):
+        grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
+        with pytest.raises(IntegratorError):
+            dynamics.evolve_restricted(replace(node_b, gamma_sp=np.nan), grid)
+
+    def test_nan_propagator_raises(self, node_b):
+        grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
+        props = dynamics.step_propagators(node_b, grid, 0.0, "nonhermitian")
+        pulse = props.pulse.copy()
+        pulse[-1, 0, 0] = np.nan
+        with pytest.raises(IntegratorError):
+            dynamics.propagate(replace(props, pulse=pulse),
+                               hilbert.ground_state(hilbert.RESTRICTED_DIM),
+                               grid.n_steps)
 
 
 class TestFullEvolution:

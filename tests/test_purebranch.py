@@ -1,11 +1,91 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionnet import dynamics, hilbert, purebranch
 from ionnet.dynamics import TimeGrid
+from ionnet.errors import IntegratorError
 from ionnet.hilbert import mhz
 
 from test_hilbert import make_params
+
+
+def sweep_kernels_oracle(params, grid, delta_omega, scattering, coarse_idx):
+    """Reference (G_v, G_h): one backward sweep over every fine step.
+
+    ``rows[c]`` tracks ``<D,1| U(t_c, s)`` and ``rows[n_c + c]`` tracks
+    ``<D',1| U(t_c, s)``; each row starts at its own coarse point.  Step
+    [s, s+1) contributes its mid-step restart column ``(u_s + u_{s+1})/2``
+    with weight ``(gamma_s + gamma_{s+1}) dt/2``, and the restart at s = 0
+    adds ``u_0 u_0^H``.
+    """
+    props = dynamics.step_propagators(params, grid, delta_omega,
+                                      "nonhermitian")
+    _, eps_v, eps_h = hilbert.frame_energies(params, delta_omega)
+    t_c = grid.times()[coarse_idx]
+    n_c = coarse_idx.size
+    rows = np.zeros((2 * n_c, hilbert.RESTRICTED_DIM), dtype=np.complex128)
+    start_of = {int(idx): c for c, idx in enumerate(coarse_idx)}
+    mids, weights = [], []
+    prev = None
+    for s in range(grid.n_steps, -1, -1):
+        c = start_of.get(s)
+        if c is not None:
+            rows[c] = 0.0
+            rows[c, hilbert.D1] = 1.0
+            rows[n_c + c] = 0.0
+            rows[n_c + c, hilbert.DP1] = 1.0
+        cur = rows[:, 0].copy()
+        if prev is not None:
+            weight = 0.5 * (scattering[s].real + scattering[s + 1].real) \
+                * grid.dt
+            if weight != 0.0:
+                mids.append(0.5 * (cur + prev))
+                weights.append(weight)
+        prev = cur
+        if s > 0:
+            rows = rows @ props.matrix(s - 1)
+    mids = np.array(mids).reshape(-1, 2 * n_c)
+    g = (mids * np.array(weights)[:, None]).T @ mids.conj()
+    g += np.outer(prev, prev.conj())
+    kernels = []
+    for half, eps in ((slice(0, n_c), eps_v), (slice(n_c, 2 * n_c), eps_h)):
+        phase = np.exp(1j * eps * t_c)
+        k = (phase[:, None] * g[half, half]) * phase.conj()[None, :]
+        kernels.append(0.5 * (k + k.conj().T))
+    return tuple(kernels)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Short node runs with random restart rates and coarse points."""
+    params = hilbert.node_from_preset(draw(st.sampled_from(("nodeA",
+                                                            "nodeB"))))
+    t_end = draw(st.floats(1e-6, 6e-6))
+    grid = TimeGrid.for_node(params, t_end=t_end,
+                             target_dt=draw(st.floats(1e-9, 4e-9)))
+    # the pulse edge falls inside the run, mostly inside a block
+    params = replace(params,
+                     pulse_duration=draw(st.floats(0.05, 1.0)) * t_end)
+    delta_omega = draw(st.floats(-mhz(0.5), mhz(0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = grid.n_steps
+    scattering = rng.exponential(draw(st.floats(1e4, 1e7)), n + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        lo = rng.integers(0, n + 1)
+        scattering[lo:lo + rng.integers(1, n // 4 + 2)] = 0.0
+    # unequal blocks: a random subset of the fine points, which may leave a
+    # tail after the last coarse point and need not start at 0
+    last = n - draw(st.integers(0, n // 3))
+    n_c = draw(st.integers(1, 12))
+    coarse = np.sort(rng.choice(last + 1, size=min(n_c, last + 1),
+                                replace=False))
+    if draw(st.booleans()):
+        coarse = np.union1d([0], coarse)
+    return params, grid, delta_omega, scattering, coarse
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +195,38 @@ class TestKernels:
         g_v, _ = purebranch.exact_coherence_kernels(p, grid, 0.0, p_s, idx)
         assert np.sum(p_s[:-1]) * grid.dt > 0
         assert g_v.purity_ratio() < 1.0
+
+    @given(case=kernel_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_block_kernels_match_sweep_oracle(self, case):
+        kernels = purebranch.exact_coherence_kernels(*case)
+        for kern, ref in zip(kernels, sweep_kernels_oracle(*case)):
+            err = np.abs(kern.matrix - ref).max() / np.abs(ref).max()
+            assert err <= 1e-12
+
+    def test_non_finite_rate_raises(self, node_b):
+        grid = TimeGrid.for_node(node_b, t_end=2e-6, target_dt=1e-9)
+        p_s = np.full(grid.n_steps + 1, 1e5)
+        p_s[grid.n_steps // 2] = np.nan
+        with pytest.raises(IntegratorError):
+            purebranch.exact_coherence_kernels(
+                node_b, grid, 0.0, p_s, purebranch.coarse_indices(grid))
+
+    def test_non_finite_propagator_raises(self, node_b, monkeypatch):
+        real = purebranch.step_propagators
+
+        def with_nan(*args):
+            props = real(*args)
+            pulse = props.pulse.copy()
+            pulse[1, 2, 0] = np.nan
+            return replace(props, pulse=pulse)
+
+        monkeypatch.setattr(purebranch, "step_propagators", with_nan)
+        grid = TimeGrid.for_node(node_b, t_end=2e-6, target_dt=1e-9)
+        with pytest.raises(IntegratorError):
+            purebranch.exact_coherence_kernels(
+                node_b, grid, 0.0, np.full(grid.n_steps + 1, 1e5),
+                purebranch.coarse_indices(grid))
 
     def test_jitter_average_is_convex(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=10e-6, target_dt=1e-9)
