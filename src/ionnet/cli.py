@@ -317,7 +317,10 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig, args) -> int:
-    clicks = netsim.ClickRecords.from_csv(args.clicks)
+    try:
+        clicks = netsim.ClickRecords.from_csv(args.clicks)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"click file not found: {args.clicks}") from exc
     hom = netsim.hom_analysis(clicks, cfg.detectors, delta=cfg.analysis_bin,
                               t_list=cfg.t_sweep, window=cfg.analysis_window)
     hist_path = _out_path(args, "hom_histogram.csv")

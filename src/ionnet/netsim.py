@@ -15,6 +15,7 @@ window; backgrounds extend to 100 us, past the photon envelopes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_TARGET_DT, JitterEnsemble, jitter_ensemble
 from .errors import (ConfigError, HandshakeTimeoutError,
-                     UndefinedVisibilityError)
+                     NumericalConsistencyError, UndefinedVisibilityError)
 from .hilbert import NodeParams
 from .pbsm import (HERALD_PORTS, DetectorTable, InterferenceModel,
                    build_interference_model)
@@ -129,6 +130,27 @@ class SequenceConfig:
 ORIGIN_CODES = {"photon": 0, "background": 1, "unknown": -1}
 ORIGIN_NAMES = {v: k for k, v in ORIGIN_CODES.items()}
 
+# click-file header keys and how their values are read
+_HEADER_KEYS = {"n_attempts": int, "n_executed": int,
+                "herald_mode": lambda v: v == "True",
+                "detectors": lambda v: tuple(v.split(","))}
+# characters that send a click-file body through line-by-line cleaning:
+# comment lines, and whitespace that ``str.strip`` would remove
+_BODY_IRREGULAR = "# \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _read_header_line(line: str, meta: dict, path) -> None:
+    """Record the value of a ``# key=value`` line in ``meta``."""
+    body = line[1:].strip()
+    for key, parse in _HEADER_KEYS.items():
+        if body.startswith(key + "="):
+            try:
+                meta[key] = parse(body.split("=", 1)[1])
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: malformed header line {line!r}") from None
+            return
+
 
 @dataclass
 class ClickRecords:
@@ -137,6 +159,27 @@ class ClickRecords:
     ``n_executed`` and ``herald_mode`` describe the run that made the clicks;
     they are read back from a file's ``n_executed=`` and ``herald_mode=``
     header lines, and ``n_executed`` is ``None`` where it was not recorded.
+
+    The click file (``to_csv``/``from_csv``) is UTF-8 text:
+
+    - ``# key=value`` header lines.  ``from_csv`` reads ``n_attempts=``
+      (default: last attempt + 1), ``n_executed=``, ``herald_mode=``
+      (``True`` or ``False``) and ``detectors=`` (comma-separated names;
+      the detector codes are positions in this list, and without it the
+      names are the sorted set of names in the rows).  Other keys, such as
+      ``config_sha256=`` and ``seed=``, are carried for provenance.
+    - the column line ``attempt,detector,t_us,origin``;
+    - one row per click: the attempt index (integer), the detector name,
+      the time in microseconds from the start of the attempt's detection
+      window (``%.6f``, so 1 ps steps) and the origin, one of ``photon``,
+      ``background`` or ``unknown``.
+
+    Reading, the ``origin`` column is optional and any other origin name
+    reads as ``unknown`` (-1).  Blank lines, ``#`` lines, surrounding
+    whitespace and CRLF line ends are allowed, and columns past the last
+    one read are ignored.  A row naming a detector missing from the
+    ``detectors=`` header, or a field that does not parse, raises
+    ``ConfigError``.
     """
 
     attempt: np.ndarray  # int64
@@ -158,56 +201,84 @@ class ClickRecords:
             fh.write(f"# n_attempts={self.n_attempts}\n")
             fh.write(f"# detectors={','.join(self.detector_names)}\n")
             fh.write("attempt,detector,t_us,origin\n")
-            for i in range(len(self)):
-                fh.write(f"{self.attempt[i]},"
-                         f"{self.detector_names[self.detector[i]]},"
-                         f"{self.t[i] * 1e6:.6f},"
-                         f"{ORIGIN_NAMES[int(self.origin[i])]}\n")
+            fh.writelines(map(
+                "{},{},{:.6f},{}\n".format, self.attempt.tolist(),
+                map(self.detector_names.__getitem__, self.detector.tolist()),
+                (self.t * 1e6).tolist(),
+                map(ORIGIN_NAMES.__getitem__, self.origin.tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "ClickRecords":
-        n_attempts = 0
-        n_executed = None
-        herald_mode = False
-        names: tuple = ()
-        rows = []
+        meta = {}
+        columns = None
         with open(path) as fh:
-            header = None
-            for line in fh:
+            # header: '#' lines up to the column line
+            for line in iter(fh.readline, ""):
                 line = line.strip()
-                if not line:
-                    continue
                 if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("n_attempts="):
-                        n_attempts = int(body.split("=", 1)[1])
-                    elif body.startswith("n_executed="):
-                        n_executed = int(body.split("=", 1)[1])
-                    elif body.startswith("herald_mode="):
-                        herald_mode = body.split("=", 1)[1] == "True"
-                    elif body.startswith("detectors="):
-                        names = tuple(body.split("=", 1)[1].split(","))
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    continue
-                rows.append(line.split(","))
-        has_origin = header is not None and "origin" in header
+                    _read_header_line(line, meta, path)
+                elif line:
+                    columns = line.split(",")
+                    break
+            start = fh.tell()
+            body = fh.read()
+            if not body.isascii() or any(c in body for c in _BODY_IRREGULAR):
+                rows = []
+                for line in body.split("\n"):
+                    line = line.strip()
+                    if line.startswith("#"):
+                        _read_header_line(line, meta, path)
+                    elif line:
+                        rows.append(line)
+            elif body.count("\n") == len(body):
+                rows = []  # nothing but line ends
+            else:
+                fh.seek(start)  # np.loadtxt reads a clean body from the file
+                rows = fh
+            del body
+            names = meta.get("detectors", ())
+            fields = [("attempt", np.int64),
+                      ("detector", f"U{max(map(len, names)) + 1}"
+                       if names else object),
+                      ("t_us", np.float64),
+                      ("origin", f"U{max(map(len, ORIGIN_CODES)) + 1}")]
+            if columns is None or "origin" not in columns:
+                fields.pop()
+            if isinstance(rows, list) and not rows:
+                data = np.empty(0, dtype=fields)
+            else:
+                try:
+                    data = np.loadtxt(rows, dtype=fields, delimiter=",",
+                                      comments=None, usecols=range(len(fields)),
+                                      ndmin=1)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}: malformed click row: {exc}") from None
+
+        column = data["detector"]
         if not names:
-            names = tuple(sorted({r[1] for r in rows}))
-        name_idx = {n: i for i, n in enumerate(names)}
-        attempt = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        detector = np.array([name_idx[r[1]] for r in rows], dtype=np.int16)
-        t = np.array([float(r[2]) * 1e-6 for r in rows])
-        if has_origin:
-            origin = np.array([ORIGIN_CODES.get(r[3], -1) for r in rows],
-                              dtype=np.int8)
-        else:
-            origin = np.full(len(rows), -1, dtype=np.int8)
-        return cls(attempt=attempt, detector=detector, t=t, origin=origin,
-                   detector_names=names, n_attempts=n_attempts or
-                   (int(attempt.max()) + 1 if attempt.size else 0),
-                   n_executed=n_executed, herald_mode=herald_mode)
+            names = tuple(sorted(set(column.tolist())))
+        # duplicate names keep their last position, like a dict would
+        detector = np.full(data.size, -1, dtype=np.int16)
+        for i, name in enumerate(names):
+            detector[column == name] = i
+        unknown = np.flatnonzero(detector < 0)
+        if unknown.size:
+            raise ConfigError(
+                f"{path}: click row {unknown[0] + 1} names detector "
+                f"{str(column[unknown[0]])!r}, which the '# detectors=' header "
+                f"({','.join(names)}) does not list")
+        origin = np.full(data.size, -1, dtype=np.int8)
+        if "origin" in data.dtype.names:
+            for name, code in ORIGIN_CODES.items():
+                origin[data["origin"] == name] = code
+        attempt = data["attempt"].copy()
+        return cls(attempt=attempt, detector=detector,
+                   t=data["t_us"] * 1e-6, origin=origin,
+                   detector_names=names, n_attempts=meta.get("n_attempts", 0)
+                   or (int(attempt.max()) + 1 if attempt.size else 0),
+                   n_executed=meta.get("n_executed"),
+                   herald_mode=meta.get("herald_mode", False))
 
 
 @dataclass(frozen=True)
@@ -536,7 +607,13 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
             denom = d_a * d_b + d_a2 * d_b2
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_corr = np.where(denom > 0, 2.0 * num / denom, 0.0)
-            x_corr = np.clip(x_corr, -1.0, 1.0)
+            outside = ~(np.abs(x_corr) <= 1.0 + 1e-9)
+            if outside.any():
+                raise NumericalConsistencyError(
+                    f"{int(outside.sum())} interference correlations fall "
+                    "outside [-1, 1] by more than 1e-9 (largest |x| = "
+                    f"{np.abs(x_corr[outside]).max():.6g})")
+            x_corr = np.clip(x_corr, -1.0, 1.0)  # roundoff only
             u = rng.random(idx_s.size)
             # outcomes: both u with (1+X)/4, both r with (1+X)/4, else split
             p_uu = 0.25 * (1.0 + x_corr)
@@ -717,10 +794,13 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
     centers = np.arange(-n_bins_half, n_bins_half + 1) * delta
     edges = np.concatenate([centers - delta / 2, [centers[-1] + delta / 2]])
 
-    # per-detector in-window clicks for the background expectation
+    # per-detector in-window click times, sorted, for the background
+    # expectation
     det_mask = (clicks.t >= w0) & (clicks.t <= w1)
     click_det = clicks.detector[det_mask]
     click_t = clicks.t[det_mask]
+    sorted_t = [np.sort(click_t[click_det == d])
+                for d in range(len(clicks.detector_names))]
     n_att = max(clicks.n_attempts, 1)
 
     def expected_bg(det_u, det_r):
@@ -728,18 +808,23 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
 
         Photon-at-one-detector with background-at-the-other, estimated from
         the observed click times (tau is signed as t_u - t_r), plus the tiny
-        uniform background-background overlap.
+        uniform background-background overlap.  The covered fraction counts
+        the times t with w0 <= t - sign*tau <= w1; the rounded difference is
+        monotone in t, so both ends are bisections of the sorted times.
         """
         out = np.zeros(centers.size)
         for a, b, sign in ((det_u, det_r, +1), (det_r, det_u, -1)):
-            t_ph = click_t[click_det == a]
+            t_ph = sorted_t[a]
             if t_ph.size == 0:
                 continue
             n_ph = max(t_ph.size - n_att * rates[a] * span, 0.0)
+            cov = np.empty(centers.size)
             for k, tau_k in enumerate(centers):
-                partner = t_ph - sign * tau_k
-                cov = float(np.mean((partner >= w0) & (partner <= w1)))
-                out[k] += n_ph * rates[b] * delta * cov
+                shift = sign * tau_k
+                lo = bisect.bisect_left(t_ph, w0, key=lambda t: t - shift)
+                hi = bisect.bisect_right(t_ph, w1, key=lambda t: t - shift)
+                cov[k] = (hi - lo) / t_ph.size
+            out += n_ph * rates[b] * delta * cov
         overlap = np.clip(span - np.abs(centers), 0.0, None)
         out += n_att * rates[det_u] * rates[det_r] * delta * overlap
         return out

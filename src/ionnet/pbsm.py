@@ -17,7 +17,8 @@ import numpy as np
 from . import purebranch
 from .dynamics import (DEFAULT_TARGET_DT, JitterEnsemble, TimeGrid,
                        jitter_ensemble)
-from .errors import NumericalConsistencyError, UndefinedVisibilityError
+from .errors import (ConfigError, NumericalConsistencyError,
+                     UndefinedVisibilityError)
 from .hilbert import NodeParams, load_preset
 
 DETECTOR_NAMES = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2")
@@ -83,7 +84,16 @@ class DetectorTable:
         raise KeyError((output, polarization))
 
     def port_index(self, names) -> dict:
-        """Position in ``names`` of the detector at each (output, polarization)."""
+        """Position in ``names`` of the detector at each (output, polarization).
+
+        Raises ``ConfigError`` naming any of ``names`` the table lacks.
+        """
+        unknown = [n for n in names if n not in self.records]
+        if unknown:
+            raise ConfigError(
+                "detector table has no detector named "
+                + ", ".join(map(repr, unknown)) + "; it holds "
+                + ", ".join(self.records))
         return {(self[n].output, self[n].polarization): i
                 for i, n in enumerate(names)}
 

@@ -111,6 +111,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "u/h" in err and "r/v" in err
 
+    @pytest.mark.parametrize("text, named", [
+        # a detector the '# detectors=' header does not list
+        ("# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
+         "attempt,detector,t_us,origin\n3,SNSPD7,6.25,photon\n", "'SNSPD7'"),
+        # no header, and a detector the detector table does not hold
+        ("attempt,detector,t_us\n3,SNSPD1,6.25\n3,SNSPD9,7.5\n", "'SNSPD9'"),
+        # a time that does not parse
+        ("attempt,detector,t_us\n3,SNSPD1,6.2.5\n", "'6.2.5'"),
+    ])
+    def test_malformed_click_file(self, tmp_path, capsys, text, named):
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text(text)
+        code = run_cli(["--out", str(tmp_path), "analyze",
+                        "--clicks", str(clicks)])
+        assert code == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_missing_click_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        code = run_cli(["--out", str(tmp_path), "analyze",
+                        "--clicks", str(missing)])
+        assert code == cli.EXIT_CONFIG
+        assert str(missing) in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_envelope_headers_and_columns(self, fast_config_path, tmp_path):

@@ -1,4 +1,6 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ionnet import netsim, pbsm
-from ionnet.errors import HandshakeTimeoutError, UndefinedVisibilityError
+from ionnet.errors import (ConfigError, HandshakeTimeoutError,
+                           NumericalConsistencyError, UndefinedVisibilityError)
 from ionnet.netsim import ClickRecords, HandshakeConfig, SequenceConfig
 
 
@@ -169,12 +172,172 @@ class TestSimulation:
             skipped += block_end - (herald + 1)
         assert log.n_executed == 4000 - skipped
 
+    def test_correlation_beyond_roundoff_raises(self, table):
+        model = toy_detection_model(table, tau=0.9, bg_scale=0.0,
+                                    interference=1.0 + 1e-6)
+        with pytest.raises(NumericalConsistencyError, match="outside"):
+            netsim.simulate_attempts(SequenceConfig(), model, 2000, seed=4)
+        # roundoff past |x| = 1 is clipped
+        model = toy_detection_model(table, tau=0.9, bg_scale=0.0,
+                                    interference=1.0 + 1e-12)
+        clicks, _ = netsim.simulate_attempts(SequenceConfig(), model, 2000,
+                                             seed=4)
+        assert len(clicks) > 0
+
     def test_seed_determinism(self, table):
         model = toy_detection_model(table, tau=0.4)
         a, _ = netsim.simulate_attempts(SequenceConfig(), model, 10_000, seed=9)
         b, _ = netsim.simulate_attempts(SequenceConfig(), model, 10_000, seed=9)
         assert np.array_equal(a.attempt, b.attempt)
         assert np.array_equal(a.t, b.t)
+
+
+def to_csv_oracle(clicks, path, header_lines=()):
+    """Reference click-file writer: one formatted row per click."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(f"# n_attempts={clicks.n_attempts}\n")
+        fh.write(f"# detectors={','.join(clicks.detector_names)}\n")
+        fh.write("attempt,detector,t_us,origin\n")
+        for i in range(len(clicks)):
+            fh.write(f"{clicks.attempt[i]},"
+                     f"{clicks.detector_names[clicks.detector[i]]},"
+                     f"{clicks.t[i] * 1e6:.6f},"
+                     f"{netsim.ORIGIN_NAMES[int(clicks.origin[i])]}\n")
+
+
+def from_csv_oracle(path):
+    """Reference click-file reader: split every line, convert every field."""
+    n_attempts = 0
+    n_executed = None
+    herald_mode = False
+    names: tuple = ()
+    rows = []
+    with open(path) as fh:
+        header = None
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("n_attempts="):
+                    n_attempts = int(body.split("=", 1)[1])
+                elif body.startswith("n_executed="):
+                    n_executed = int(body.split("=", 1)[1])
+                elif body.startswith("herald_mode="):
+                    herald_mode = body.split("=", 1)[1] == "True"
+                elif body.startswith("detectors="):
+                    names = tuple(body.split("=", 1)[1].split(","))
+                continue
+            if header is None:
+                header = line.split(",")
+                continue
+            rows.append(line.split(","))
+    has_origin = header is not None and "origin" in header
+    if not names:
+        names = tuple(sorted({r[1] for r in rows}))
+    name_idx = {n: i for i, n in enumerate(names)}
+    attempt = np.array([int(r[0]) for r in rows], dtype=np.int64)
+    detector = np.array([name_idx[r[1]] for r in rows], dtype=np.int16)
+    t = np.array([float(r[2]) * 1e-6 for r in rows])
+    if has_origin:
+        origin = np.array([netsim.ORIGIN_CODES.get(r[3], -1) for r in rows],
+                          dtype=np.int8)
+    else:
+        origin = np.full(len(rows), -1, dtype=np.int8)
+    return ClickRecords(attempt=attempt, detector=detector, t=t,
+                        origin=origin, detector_names=names,
+                        n_attempts=n_attempts or
+                        (int(attempt.max()) + 1 if attempt.size else 0),
+                        n_executed=n_executed, herald_mode=herald_mode)
+
+
+# names that are prefixes of one another, and one that sorts first
+NAME_POOL = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2", "SNSPD10", "D")
+
+
+def _near_tie_times(j, nudge):
+    """A time whose microsecond value is j/128, an exact 7-decimal tie of
+    the printed ``.6f`` step for odd j, moved ``nudge`` ulps."""
+    t = j / 128 * 1e-6
+    for _ in range(abs(nudge)):
+        t = np.nextafter(t, np.inf if nudge > 0 else -np.inf)
+    return float(t)
+
+
+@st.composite
+def click_records(draw):
+    # duplicate names read back at their last position
+    names = tuple(draw(st.lists(st.sampled_from(NAME_POOL), min_size=1,
+                                max_size=5)))
+    n = draw(st.integers(0, 25))
+    time = st.one_of(
+        st.floats(-1e-3, 1e-3),
+        st.builds(_near_tie_times, st.integers(0, 128 * 100),
+                  st.integers(-2, 2)),
+        st.sampled_from([0.0, -0.0, 1e-4, 5e-13, float("nan"),
+                         float("inf")]))
+    attempt = np.sort(np.array(draw(st.lists(
+        st.integers(0, 2 ** 40), min_size=n, max_size=n)), dtype=np.int64))
+    return ClickRecords(
+        attempt=attempt,
+        detector=np.array(draw(st.lists(st.integers(0, len(names) - 1),
+                                        min_size=n, max_size=n)),
+                          dtype=np.int16),
+        t=np.array(draw(st.lists(time, min_size=n, max_size=n)),
+                   dtype=np.float64),
+        origin=np.array(draw(st.lists(st.sampled_from([-1, 0, 1]),
+                                      min_size=n, max_size=n)),
+                        dtype=np.int8),
+        detector_names=names,
+        n_attempts=draw(st.integers(0, 2 ** 41)))
+
+
+@st.composite
+def edited_click_text(draw, text):
+    """A file the reader accepts, made from a written click file: header
+    lines dropped, the origin column dropped or renamed, blank, padded and
+    comment lines added, and CRLF line ends."""
+    lines = text.split("\n")[:-1]
+    column_at = next(i for i, line in enumerate(lines)
+                     if not line.startswith("#"))
+    head, columns, rows = lines[:column_at], lines[column_at], \
+        lines[column_at + 1:]
+    for key in ("n_attempts=", "detectors="):
+        if draw(st.booleans()):
+            head = [line for line in head if not line.startswith("# " + key)]
+    if draw(st.booleans()):
+        columns = "attempt,detector,t_us"
+        rows = [row.rsplit(",", 1)[0] for row in rows]
+    elif rows and draw(st.booleans()):
+        odd = draw(st.sampled_from(["cosmic", "0", "Photon", "unknown",
+                                    "backgrounds"]))
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = rows[k].rsplit(",", 1)[0] + "," + odd
+    body = []
+    for row in rows:
+        body.append(draw(st.sampled_from(["", " ", "\t"])) + row
+                    + draw(st.sampled_from(["", " ", "\t"])))
+        body.extend(draw(st.lists(st.sampled_from(
+            ["", "  ", "\t", "# note", "# herald_mode=True"]), max_size=1)))
+    lines = head + [columns] + body
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def assert_same_records(got, want):
+    for key in ("attempt", "detector", "t", "origin"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.dtype == b.dtype, key
+        assert np.array_equal(a, b, equal_nan=key == "t"), key
+    for key in ("detector_names", "n_attempts", "n_executed", "herald_mode"):
+        assert getattr(got, key) == getattr(want, key), key
+
+
+HEADER_LINES = ["config_sha256=abc", "seed=3", "n_executed=1500",
+                "herald_mode=True", "herald_mode=False"]
 
 
 class TestClickRecords:
@@ -203,6 +366,56 @@ class TestClickRecords:
         assert loaded.n_executed is None and loaded.herald_mode is False
         assert np.all(loaded.origin == -1)
         assert loaded.t[1] == pytest.approx(7.5e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(clicks=click_records(),
+           header=st.lists(st.sampled_from(HEADER_LINES), max_size=3),
+           data=st.data())
+    def test_csv_matches_row_oracles(self, clicks, header, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+            clicks.to_csv(new, header_lines=header)
+            to_csv_oracle(clicks, old, header_lines=header)
+            assert new.read_bytes() == old.read_bytes()
+            assert_same_records(ClickRecords.from_csv(new),
+                                from_csv_oracle(old))
+            edited = Path(tmp, "edited.csv")
+            edited.write_bytes(data.draw(edited_click_text(
+                old.read_text())).encode())
+            assert_same_records(ClickRecords.from_csv(edited),
+                                from_csv_oracle(edited))
+
+    @pytest.mark.parametrize("text", ["", "# n_executed=4\n",
+                                      "attempt,detector,t_us,origin\n",
+                                      "# detectors=A,B\nattempt,detector,t_us"
+                                      "\n\n \n"])
+    def test_empty_body_reads_typed_arrays(self, text, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        got = ClickRecords.from_csv(path)
+        assert_same_records(got, from_csv_oracle(path))
+        assert len(recwarn) == 0
+
+    # SNSPD20 is one character longer than any listed name
+    @pytest.mark.parametrize("name", ["SNSPD7", "SNSPD20"])
+    def test_detector_outside_header_raises(self, name, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_text("# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
+                        "attempt,detector,t_us,origin\n"
+                        f"3,SNSPD1,6.25,photon\n4,{name},7.5,photon\n")
+        with pytest.raises(ConfigError, match=f"row 2.*'{name}'"):
+            ClickRecords.from_csv(path)
+
+    @pytest.mark.parametrize("row", ["x3,SNSPD1,6.25,photon",
+                                     "3,SNSPD1,6.2.5,photon",
+                                     "3,SNSPD1"])
+    def test_malformed_row_raises(self, row, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_text("# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
+                        "attempt,detector,t_us,origin\n"
+                        f"3,SNSPD2,6.25,photon\n{row}\n")
+        with pytest.raises(ConfigError, match="malformed click row"):
+            ClickRecords.from_csv(path)
 
 
 def make_clicks(rows, table, n_attempts):
@@ -334,6 +547,79 @@ class TestHomAnalysis:
             sel_counts.append(hom.n_perp_raw[sel].sum())
         assert sel_counts == [1, 2, 3]
         assert np.allclose(hom.t_effective, [0.25e-6, 0.75e-6, 1.25e-6])
+
+
+def background_oracle(clicks, table, det_u, det_r, centers, delta, window):
+    """Reference expected background per tau bin of one class: per bin, the
+    mean over every in-window click of whether its partner time is in the
+    window."""
+    w0, w1 = window
+    span = w1 - w0
+    rates = np.array([table[n].background_rate for n in clicks.detector_names])
+    mask = (clicks.t >= w0) & (clicks.t <= w1)
+    click_det, click_t = clicks.detector[mask], clicks.t[mask]
+    n_att = max(clicks.n_attempts, 1)
+    out = np.zeros(centers.size)
+    for a, b, sign in ((det_u, det_r, +1), (det_r, det_u, -1)):
+        t_ph = click_t[click_det == a]
+        if t_ph.size == 0:
+            continue
+        n_ph = max(t_ph.size - n_att * rates[a] * span, 0.0)
+        for k, tau_k in enumerate(centers):
+            partner = t_ph - sign * tau_k
+            cov = float(np.mean((partner >= w0) & (partner <= w1)))
+            out[k] += n_ph * rates[b] * delta * cov
+    overlap = np.clip(span - np.abs(centers), 0.0, None)
+    out += n_att * rates[det_u] * rates[det_r] * delta * overlap
+    return out
+
+
+class TestHomBackground:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
+           n_attempts=st.integers(1, 10 ** 7))
+    def test_corrected_counts_match_mean_oracle(self, table, seed, n,
+                                                n_attempts):
+        delta, window = 0.5e-6, (5.5e-6, 23e-6)
+        rng = np.random.default_rng(seed)
+        # times on and next to the bin-shifted window edges, and uniform
+        edges = np.concatenate([window[0] + np.arange(-35, 36) * delta,
+                                window[1] + np.arange(-35, 36) * delta])
+        t = np.where(rng.random(n) < 0.5, rng.choice(edges, n),
+                     rng.uniform(0.0, 30e-6, n))
+        t = np.nextafter(t, t + rng.integers(-1, 2, n))  # one ulp either way
+        rows = [(int(a), str(d), float(x)) for a, d, x in zip(
+            rng.integers(0, 40, n), rng.choice(table.names(), n), t)]
+        # one orthogonal pair, so the visibility is defined
+        rows += [(40, "SNSPD1", 10e-6), (40, "SPCM2", 10.2e-6)]
+        clicks = make_clicks(sorted(rows), table, n_attempts)
+        hom = netsim.hom_analysis(clicks, table, delta=delta,
+                                  t_list=[17.5e-6], window=window)
+
+        ports = table.port_index(clicks.detector_names)
+        accept = np.array([table.acceptance(n) for n in clicks.detector_names])
+        parallel = tuple((("u", pol), ("r", pol)) for pol in ("v", "h"))
+        edges = np.concatenate([hom.tau_centers - delta / 2,
+                                [hom.tau_centers[-1] + delta / 2]])
+        _, d1, d2, t1, t2 = netsim._pairs_in_window(clicks, window)
+        for pairs, corr, var in ((parallel, hom.n_parallel,
+                                  hom.n_parallel_var),
+                                 (pbsm.HERALD_PORTS[-1], hom.n_perp,
+                                  hom.n_perp_var)):
+            want_corr = np.zeros(edges.size - 1)
+            want_var = np.zeros(edges.size - 1)
+            for port_u, port_r in pairs:
+                det_u, det_r = ports[port_u], ports[port_r]
+                sel = (d1 == min(det_u, det_r)) & (d2 == max(det_u, det_r))
+                tau = t1[sel] - t2[sel] if det_u < det_r else t2[sel] - t1[sel]
+                raw = np.histogram(tau, bins=edges)[0].astype(float)
+                bg = background_oracle(clicks, table, det_u, det_r,
+                                       hom.tau_centers, delta, window)
+                a_prod = accept[det_u] * accept[det_r]
+                want_corr += (raw - bg) / a_prod
+                want_var += (raw + bg) / a_prod ** 2
+            assert np.array_equal(corr, want_corr)
+            assert np.array_equal(var, want_var)
 
 
 class TestSuccessMetrics:

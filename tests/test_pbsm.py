@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionnet import dynamics, hilbert, pbsm, purebranch
-from ionnet.errors import NumericalConsistencyError, UndefinedVisibilityError
+from ionnet.errors import (ConfigError, NumericalConsistencyError,
+                           UndefinedVisibilityError)
 from ionnet.purebranch import CoherenceKernel
 
 
@@ -62,6 +63,14 @@ class TestDetectorTable:
                     if r.polarization == pol]
             assert max(accs) == pytest.approx(1.0)
             assert min(accs) > 0.0
+
+    def test_port_index_names_unknown_detectors(self):
+        table = pbsm.DetectorTable.from_preset()
+        assert table.port_index(("SPCM2", "SNSPD1")) == {
+            (table["SPCM2"].output, table["SPCM2"].polarization): 0,
+            ("u", "v"): 1}
+        with pytest.raises(ConfigError, match="'SNSPD9'"):
+            table.port_index(("SNSPD1", "SNSPD9"))
 
     def test_duplicate_port_rejected(self):
         doc = {name: dict(row) for name, row in
