@@ -34,10 +34,15 @@ def bell_state(sign: int, phi: float) -> np.ndarray:
     return psi
 
 
-def state_fidelity(rho: np.ndarray, sign: int, phi: float) -> float:
-    """Overlap <Psi(sign, phi)| rho |Psi(sign, phi)>."""
+def state_fidelity(rho: np.ndarray, sign: int,
+                   phi: float) -> float | np.ndarray:
+    """Overlap <Psi(sign, phi)| rho |Psi(sign, phi)>.
+
+    A float for one state; an array of overlaps for a stack (..., 4, 4).
+    """
     psi = bell_state(sign, phi)
-    return float(np.real(psi.conj() @ rho @ psi))
+    overlap = np.real(psi.conj() @ rho @ psi)
+    return float(overlap) if overlap.ndim == 0 else overlap
 
 
 def assert_physical(rho: np.ndarray, eig_tol: float = 1e-10,

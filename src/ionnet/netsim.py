@@ -16,7 +16,9 @@ window; backgrounds extend to 100 us, past the photon envelopes.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,6 +154,43 @@ def _read_header_line(line: str, meta: dict, path) -> None:
             return
 
 
+def _data_rows(path):
+    """(line number from 1, stripped text) of each click row of a file.
+
+    The rows are what ``ClickRecords.from_csv`` reads: the lines after the
+    column line that are neither blank nor ``#`` lines.  Used on error paths
+    only, to name a bad row by its line in the file.
+    """
+    with open(path) as fh:
+        lines = ((number, line.strip()) for number, line in enumerate(fh, 1))
+        rows = ((number, line) for number, line in lines
+                if line and not line.startswith("#"))
+        next(rows, None)  # the column line
+        yield from rows
+
+
+def _malformed_row(path, fields, exc: ValueError) -> ConfigError:
+    """The error for a click file that ``np.loadtxt`` rejects.
+
+    numpy's message counts click rows, from 0 for a value that does not
+    convert and from 1 for a missing column, so the first bad row is row
+    n - 1 or n for the n it quotes; each candidate is parsed again alone to
+    find the line.
+    """
+    quoted = re.search(r" at row (\d+)", str(exc))
+    first = max(int(quoted[1]) - 1, 0) if quoted else 0
+    for line, text in itertools.islice(_data_rows(path), first,
+                                       first + 2 if quoted else None):
+        try:
+            np.loadtxt([text], dtype=fields, delimiter=",", comments=None,
+                       usecols=range(len(fields)))
+        except ValueError as row_exc:
+            reason = re.sub(r" at row \d+", "", str(row_exc))
+            return ConfigError(
+                f"{path}: line {line}: malformed click row {text!r}: {reason}")
+    return ConfigError(f"{path}: malformed click row: {exc}")
+
+
 @dataclass
 class ClickRecords:
     """Columnar click storage: one row per detector click.
@@ -252,8 +291,7 @@ class ClickRecords:
                                       comments=None, usecols=range(len(fields)),
                                       ndmin=1)
                 except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}: malformed click row: {exc}") from None
+                    raise _malformed_row(path, fields, exc) from None
 
         column = data["detector"]
         if not names:
@@ -264,8 +302,9 @@ class ClickRecords:
             detector[column == name] = i
         unknown = np.flatnonzero(detector < 0)
         if unknown.size:
+            line, _ = next(itertools.islice(_data_rows(path), unknown[0], None))
             raise ConfigError(
-                f"{path}: click row {unknown[0] + 1} names detector "
+                f"{path}: line {line}: click row names detector "
                 f"{str(column[unknown[0]])!r}, which the '# detectors=' header "
                 f"({','.join(names)}) does not list")
         origin = np.full(data.size, -1, dtype=np.int8)

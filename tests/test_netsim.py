@@ -403,7 +403,7 @@ class TestClickRecords:
         path.write_text("# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
                         "attempt,detector,t_us,origin\n"
                         f"3,SNSPD1,6.25,photon\n4,{name},7.5,photon\n")
-        with pytest.raises(ConfigError, match=f"row 2.*'{name}'"):
+        with pytest.raises(ConfigError, match=f"line 4: .*'{name}'"):
             ClickRecords.from_csv(path)
 
     @pytest.mark.parametrize("row", ["x3,SNSPD1,6.25,photon",
@@ -414,7 +414,45 @@ class TestClickRecords:
         path.write_text("# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
                         "attempt,detector,t_us,origin\n"
                         f"3,SNSPD2,6.25,photon\n{row}\n")
-        with pytest.raises(ConfigError, match="malformed click row"):
+        with pytest.raises(ConfigError, match="line 4: malformed click row"):
+            ClickRecords.from_csv(path)
+
+    # header, blank, comment and padded lines before and between the rows;
+    # the bad row is the ninth line of the file, or the eighth without the
+    # comment and padding that send the body through line-by-line cleaning
+    HEADED = ("# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n# n_attempts=9\n\n"
+              "attempt,detector,t_us,origin\n3,SNSPD2,6.25,photon\n\n"
+              "# a comment\n  4,SNSPD1,7.5,photon  \n{row}\n"
+              "5,SNSPD1,8.5,photon\n")
+
+    def headed_file(self, tmp_path, row, cleaned, newline="\n"):
+        text = self.HEADED.format(row=row)
+        if not cleaned:
+            text = text.replace("# a comment\n", "").replace("  ", "")
+        path = tmp_path / "clicks.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        return path, 9 if cleaned else 8
+
+    @pytest.mark.parametrize("row, reason", [
+        ("3,SNSPD1,6.2.5,photon", "'6.2.5' to float64"),
+        ("x3,SNSPD1,6.25,photon", "'x3' to int64"),
+        ("3,SNSPD1", "invalid column index"),
+    ])
+    @pytest.mark.parametrize("cleaned", [False, True])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_malformed_row_names_file_line(self, row, reason, cleaned,
+                                           newline, tmp_path):
+        path, line = self.headed_file(tmp_path, row, cleaned, newline)
+        with pytest.raises(ConfigError) as info:
+            ClickRecords.from_csv(path)
+        message = str(info.value)
+        assert f"line {line}: malformed click row '{row}'" in message
+        assert reason in message and "at row" not in message
+
+    @pytest.mark.parametrize("cleaned", [False, True])
+    def test_unknown_detector_names_file_line(self, cleaned, tmp_path):
+        path, line = self.headed_file(tmp_path, "6,SNSPD7,9.5,photon", cleaned)
+        with pytest.raises(ConfigError, match=f"line {line}: .*'SNSPD7'"):
             ClickRecords.from_csv(path)
 
 

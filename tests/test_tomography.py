@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from scipy.optimize import approx_fprime
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from ionnet import empirical, tomography as tomo
 from ionnet.errors import EstimationError
@@ -21,6 +23,90 @@ def trace_distance(a, b):
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()
 
 
+def nll(rho, counts):
+    """Multinomial negative log-likelihood of a state, outcomes never seen
+    left out."""
+    probs = tomo.born_probabilities(rho)
+    seen = counts > 0
+    return -float(np.sum(counts[seen] * np.log(probs[seen])))
+
+
+def nll_of_params(x, counts):
+    t = tomo._t_matrix(x)
+    gram = t @ t.conj().T
+    return nll(gram / np.trace(gram).real, counts)
+
+
+# -- L-BFGS-B reference fit: one scipy minimize call per count set -----------
+#
+# The former production fit, with two changes.  T is a full complex 4x4
+# matrix (32 real parameters) instead of a lower-triangular one: with the
+# triangular T, L-BFGS-B stops at points where a diagonal entry of T
+# vanishes and the gradient does too, short of the maximum (on near-pure
+# counts at 1e5 shots per setting its NLL was up to 4e-7 N above the
+# maximum, and its fidelity off by up to 1.6e-5).  And the tolerances are
+# tighter than the former gtol 1e-8 and ftol 1e-14, which left fidelities
+# off by up to 2.5e-7 on 1e5-shot counts.
+
+def _oracle_t(params):
+    return (params[:16] + 1j * params[16:]).reshape(4, 4)
+
+
+def _oracle_nll_and_grad(params, counts):
+    t = _oracle_t(params)
+    gram = t @ t.conj().T
+    tau = np.real(np.trace(gram))
+    if tau <= 0.0:
+        return 1e300, np.zeros(32)
+    probs = np.real(np.einsum("kij,ji->k", tomo._EFFECTS, gram)) / tau
+    probs = np.clip(probs, 1e-12, None)
+    value = -float(np.sum(counts * np.log(probs)))
+    # d tr(E T T^dag) / d conj(T) = E T; chain through the normalization
+    weighted = np.einsum("k,kij->ij", counts / probs, tomo._EFFECTS)
+    grad = -2.0 * (weighted @ t - counts.sum() * t) / tau
+    return value, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+
+
+def lbfgsb_oracle(counts):
+    """The maximum-likelihood state by scipy's L-BFGS-B, one problem."""
+    counts = np.asarray(counts, dtype=float)
+    start = tomo._t_matrix(tomo._linear_inversion_start(counts[None])[0])
+    result = minimize(_oracle_nll_and_grad,
+                      np.concatenate([start.real.ravel(), start.imag.ravel()]),
+                      args=(counts,), jac=True, method="L-BFGS-B",
+                      options={"maxiter": 5000, "ftol": 1e-16, "gtol": 1e-11,
+                               "maxcor": 40})
+    t = _oracle_t(result.x)
+    rho = t @ t.conj().T
+    return rho / np.real(np.trace(rho))
+
+
+@st.composite
+def count_sets(draw):
+    """Counts from random states of rank 1-4, 50 to 1e5 shots per setting.
+
+    Low ranks give outcomes of probability zero; some outcomes of positive
+    probability are also zeroed, leaving each setting at least one count.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        psi = empirical.bell_state(draw(st.sampled_from([+1, -1])),
+                                   draw(st.floats(0.0, 2 * np.pi)))
+        rho = np.outer(psi, psi.conj())
+    else:
+        x = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = x @ x.conj().T
+        rho /= np.trace(rho).real
+    shots = draw(st.sampled_from([50, 300, 2000, 20_000, 100_000]))
+    flat = tomo.sample_counts(rho, shots, rng).stacked().reshape(9, 4)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3)),
+                              max_size=4)):
+        if flat[i].sum() > flat[i, j]:
+            flat[i, j] = 0
+    return flat.ravel()
+
+
 class TestBornAndCounts:
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(0)
@@ -33,6 +119,17 @@ class TestBornAndCounts:
         c1 = tomo.sample_counts(rho, 1000, np.random.default_rng(5))
         c2 = tomo.sample_counts(rho, 1000, np.random.default_rng(5))
         assert np.array_equal(c1.stacked(), c2.stacked())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_sampling_matches_per_setting_draws(self, seed):
+        rho = random_full_rank_state(np.random.default_rng(100 + seed))
+        probs = np.clip(tomo.born_probabilities(rho).reshape(9, 4), 0.0, None)
+        loop_rng = np.random.default_rng(seed)
+        loop = [loop_rng.multinomial(700, p / p.sum()) for p in probs]
+        rng = np.random.default_rng(seed)
+        counts = tomo.sample_counts(rho, 700, rng)
+        assert np.array_equal(counts.stacked(), np.concatenate(loop))
+        assert rng.random() == loop_rng.random()
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):
@@ -50,14 +147,74 @@ class TestBornAndCounts:
 
 
 class TestMLE:
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
+    @staticmethod
+    def _point(seed):
+        rng = np.random.default_rng(seed)
         counts = tomo.sample_counts(bell_rho(mix=0.3), 500, rng).stacked()
-        x0 = rng.normal(size=16)
-        _, grad = tomo._nll_and_grad(x0, counts.astype(float))
-        numeric = approx_fprime(
-            x0, lambda x: tomo._nll_and_grad(x, counts.astype(float))[0], 1e-7)
-        assert np.abs(grad - numeric).max() < 1e-4 * np.abs(numeric).max()
+        counts[[2, 7]] = 0  # outcomes never seen contribute nothing
+        return rng.normal(size=16), counts.astype(float)
+
+    def test_gradient_matches_finite_differences(self):
+        x0, counts = self._point(1)
+        grad, _, _ = tomo._nll_derivatives(x0[None], counts[None])
+        h = 1e-6
+        numeric = np.array([
+            (nll_of_params(x0 + h * e, counts)
+             - nll_of_params(x0 - h * e, counts)) / (2 * h)
+            for e in np.eye(16)])
+        assert np.abs(grad[0] - numeric).max() < 1e-6 * np.abs(numeric).max()
+
+    def test_hessian_matches_finite_differences(self):
+        x0, counts = self._point(2)
+        _, hess, _ = tomo._nll_derivatives(x0[None], counts[None])
+        h = 1e-6
+        numeric = np.array([
+            (tomo._nll_derivatives((x0 + h * e)[None], counts[None])[0][0]
+             - tomo._nll_derivatives((x0 - h * e)[None], counts[None])[0][0])
+            / (2 * h) for e in np.eye(16)])
+        scale = np.abs(numeric).max()
+        assert np.abs(hess[0] - hess[0].T).max() < 1e-14 * scale
+        assert np.abs(hess[0] - numeric).max() < 1e-6 * scale
+
+    def test_nll_change_matches_difference(self):
+        x0, counts = self._point(3)
+        step = 1e-3 * np.random.default_rng(4).normal(size=16)
+        _, _, q = tomo._nll_derivatives(x0[None], counts[None])
+        change = tomo._nll_change(x0[None], step[None], counts[None], q)[0]
+        direct = nll_of_params(x0 + step, counts) - nll_of_params(x0, counts)
+        assert change == pytest.approx(direct, rel=1e-6)
+
+    @given(counts=count_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lbfgsb_oracle(self, counts):
+        rho = tomo.mle_reconstruct(tomo.CountsRecord.from_stacked(counts))
+        oracle = lbfgsb_oracle(counts)
+        assert nll(rho, counts) <= nll(oracle, counts) + 1e-9 * counts.sum()
+        for sign in (+1, -1):
+            assert abs(empirical.state_fidelity(rho, sign, 0.3)
+                       - empirical.state_fidelity(oracle, sign, 0.3)) <= 1e-6
+
+    def test_batch_matches_single_fits(self):
+        rng = np.random.default_rng(12)
+        stack = np.array([
+            tomo.sample_counts(random_full_rank_state(rng),
+                               int(rng.choice([50, 500, 5000])), rng).stacked()
+            for _ in range(70)])  # more problems than one Newton block
+        batch = empirical.state_fidelity(tomo._mle_batch(stack), +1, 0.0)
+        for i in (0, 1, 33, 63, 64, 69):
+            alone = tomo.mle_reconstruct(
+                tomo.CountsRecord.from_stacked(stack[i]))
+            assert abs(empirical.state_fidelity(alone, +1, 0.0)
+                       - batch[i]) <= 1e-9
+
+    def test_non_convergence_raises_with_diagnostics(self):
+        counts = tomo.exact_counts(bell_rho(+1, 0.0), 10_000)  # rank one
+        with pytest.raises(EstimationError) as info:
+            tomo.mle_reconstruct(counts, max_iterations=1)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["problem"] == 0
+        assert diagnostics["iterations"] == 1
+        assert diagnostics["grad_norm"] > 1e-5 * counts.stacked().sum()
 
     def test_bell_round_trip(self):
         counts = tomo.exact_counts(bell_rho(sign=+1, phi=0.9), 10 ** 6)
@@ -163,10 +320,35 @@ class TestResampling:
         assert sig.parameters["m_resamples"].default == 200
 
     def test_low_noise_counts_tight_bounds(self):
+        # exact pure-state counts: every resample fidelity falls below the
+        # point estimate, so the upper width is negative, as documented
         counts = tomo.exact_counts(bell_rho(+1, 0.0), 50_000)
-        est = tomo.resample_uncertainty(counts, (+1, 0.0), m_resamples=30,
-                                        seed=1)
+        with pytest.warns(RuntimeWarning, match="negative"):
+            est = tomo.resample_uncertainty(counts, (+1, 0.0),
+                                            m_resamples=30, seed=1)
+        assert est.negative_width
         assert est.resample_std < 0.01
+
+    def test_resamples_match_per_setting_draws(self, monkeypatch):
+        drawn = tomo.sample_counts(bell_rho(mix=0.3), 400,
+                                   np.random.default_rng(13))
+        # a different total for each setting
+        counts = tomo.CountsRecord.from_stacked(
+            drawn.stacked() * np.repeat(np.arange(1, 10), 4))
+        fitted = []
+        fit = tomo._mle_batch
+        monkeypatch.setattr(tomo, "_mle_batch",
+                            lambda c, *args: fitted.append(c) or fit(c, *args))
+        tomo.resample_uncertainty(counts, (+1, 0.0), m_resamples=7, seed=5)
+        flat = counts.stacked().reshape(9, 4)
+        totals = flat.sum(axis=1)
+        expected = []
+        for s in np.random.SeedSequence(5).spawn(7):
+            rng = np.random.default_rng(s)
+            expected.append([rng.multinomial(totals[i], flat[i] / totals[i])
+                             for i in range(9)])
+        assert np.array_equal(fitted[-1],
+                              np.array(expected).reshape(7, 36))
 
     def test_bounds_shrink_with_counts(self):
         rho = bell_rho(mix=0.35)
