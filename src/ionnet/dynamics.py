@@ -10,12 +10,17 @@ preserving; it exists for cross-validation.
 The generator is stiff (drive detunings sit three orders of magnitude above
 every other rate), so trajectories are advanced with an exponential midpoint
 rule: the exact matrix exponential of the generator frozen at each step
-midpoint.  Because the only time dependence inside the pulse is the
-bichromatic beat phase, grids built with :meth:`TimeGrid.for_node` make the
-step commensurate with the beat period and the per-step propagators reduce
-to a small reusable set of matrix exponentials.  :func:`propagate` is the one
-step loop; the restricted and full density operators here and the no-noise
-pure state in :mod:`ionnet.purebranch` all run through it.
+midpoint.  The only time dependence inside the pulse is the bichromatic beat
+phase, and it enters through the drive amplitude d alone, so every flavor's
+generator is affine, ``L_free + d K_plus + d* K_minus``.  Grids built with
+:meth:`TimeGrid.for_node` make the step commensurate with the beat period;
+:func:`step_propagators` then builds the three pieces once and
+exponentiates the generators of all beat slots in one batched ``expm``.
+:func:`propagate` is the one propagation routine; the restricted and full
+density operators here and the no-noise pure state in
+:mod:`ionnet.purebranch` all run through it.  It steps one state per beat
+period and fills in the states inside each period from the period's
+cumulative step products.
 """
 
 from __future__ import annotations
@@ -146,13 +151,24 @@ def _commensurate_slots(params: NodeParams, grid: TimeGrid) -> int | None:
     return None
 
 
-def _restricted_generator(params, delta_omega, beat_phase):
-    """Vectorized generator of the restricted (manifold-confined) equation."""
-    h = hilbert.hamiltonian_with_phase(params, delta_omega, beat_phase)
+# Each flavor's generator is ``coherent(H) + dissipator``, and the coherent
+# part is linear in the Hamiltonian.  Inside the pulse the Hamiltonian is
+# ``H_free + d |S,0><P,0| + d* |P,0><S,0|`` with the drive amplitude d, so the
+# generator is ``L_free + d K_plus + d* K_minus`` with K = coherent(unit).
+# The coherent part is built first and the noise terms are accumulated onto
+# it in place; the drive entries of K never meet a noise entry, so the sum
+# equals the generator built from the driven Hamiltonian bit for bit.
+
+def _restricted_coherent(h):
     h4 = h[:RESTRICTED_DIM, :RESTRICTED_DIM]
+    eye = np.eye(RESTRICTED_DIM)
+    return -1j * (np.kron(h4, eye) - np.kron(eye, h4.T))
+
+
+def _restricted_dissipate(params, gen):
+    """Add the manifold-confined noise terms (recycling for sp and ss only)."""
     ops = hilbert.noise_operators(params)
     eye = np.eye(RESTRICTED_DIM)
-    gen = -1j * (np.kron(h4, eye) - np.kron(eye, h4.T))
     for idx, label in enumerate(hilbert.NOISE_LABELS):
         op = ops[idx][:RESTRICTED_DIM, :RESTRICTED_DIM] \
             if label in ("sp", "ss") else None
@@ -163,11 +179,14 @@ def _restricted_generator(params, delta_omega, beat_phase):
     return gen
 
 
-def _full_generator(params, delta_omega, beat_phase):
-    """Vectorized generator of the trace-preserving six-level equation."""
-    h = hilbert.hamiltonian_with_phase(params, delta_omega, beat_phase)
+def _full_coherent(h):
     eye = np.eye(hilbert.DIM)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+
+
+def _full_dissipate(params, gen):
+    """Add the trace-preserving six-level noise terms."""
+    eye = np.eye(hilbert.DIM)
     for op in hilbert.noise_operators(params):
         ldl = op.conj().T @ op
         gen += np.kron(op, op.conj())
@@ -175,18 +194,21 @@ def _full_generator(params, delta_omega, beat_phase):
     return gen
 
 
-def _nonhermitian_generator(params, delta_omega, beat_phase):
-    """Generator -D of the no-noise branch on the four-level manifold."""
-    h = hilbert.hamiltonian_with_phase(params, delta_omega, beat_phase)
-    h4 = h[:RESTRICTED_DIM, :RESTRICTED_DIM]
+def _nonhermitian_coherent(h):
+    return -(1j * h[:RESTRICTED_DIM, :RESTRICTED_DIM])
+
+
+def _nonhermitian_dissipate(params, gen):
+    """Add -D/2: the no-noise branch on the four-level manifold."""
     decay = hilbert.decay_diagonal(params)[:RESTRICTED_DIM]
-    return -(1j * h4 + 0.5 * np.diag(decay.astype(np.complex128)))
+    gen -= 0.5 * np.diag(decay.astype(np.complex128))
+    return gen
 
 
-_GENERATORS = {
-    "restricted": _restricted_generator,
-    "full": _full_generator,
-    "nonhermitian": _nonhermitian_generator,
+_FLAVORS = {
+    "restricted": (_restricted_coherent, _restricted_dissipate),
+    "full": (_full_coherent, _full_dissipate),
+    "nonhermitian": (_nonhermitian_coherent, _nonhermitian_dissipate),
 }
 
 
@@ -209,11 +231,16 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
                      delta_omega: float, flavor: str) -> StepPropagators:
     """Exponential-midpoint step propagators for one node and offset.
 
-    Requires a grid commensurate with the node's beat (see
-    :meth:`TimeGrid.for_node`); the pulse edge is rounded to the nearest
-    grid point (sub-step rounding, relative error below 1e-4 of the pulse).
+    The flavor's generator is split as ``L_free + d K_plus + d* K_minus``:
+    ``L_free`` (drive off) and the two drive pieces are built once, the
+    slot generators follow from the drive amplitudes d at the slot
+    midpoints, and one batched ``expm`` exponentiates the whole
+    ``(slots, m, m)`` stack.  Requires a grid commensurate with the node's
+    beat (see :meth:`TimeGrid.for_node`); the pulse edge is rounded to the
+    nearest grid point (sub-step rounding, relative error below 1e-4 of the
+    pulse).
     """
-    builder = _GENERATORS[flavor]
+    coherent, dissipate = _FLAVORS[flavor]
     slots = _commensurate_slots(params, grid)
     if slots is None:
         raise ValueError(
@@ -222,13 +249,17 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
     pulse_steps = round((params.pulse_duration - grid.t_start) / grid.dt)
     pulse_steps = min(max(pulse_steps, 0), grid.n_steps)
 
-    nu = hilbert.beat_frequency(params)
-    mats = []
-    for k in range(slots):
-        t_mid = grid.t_start + (k + 0.5) * grid.dt
-        mats.append(expm(builder(params, delta_omega, nu * t_mid) * grid.dt))
-    free = expm(builder(params, delta_omega, None) * grid.dt)
-    return StepPropagators(pulse=np.array(mats), free=free, slots=slots,
+    l_free = dissipate(params, coherent(
+        hilbert.hamiltonian_with_phase(params, delta_omega, None)))
+    unit = np.zeros((hilbert.DIM, hilbert.DIM), dtype=np.complex128)
+    unit[hilbert.S0, hilbert.P0] = 1.0
+    k_plus, k_minus = coherent(unit), coherent(unit.T)
+    t_mid = grid.t_start + (np.arange(slots) + 0.5) * grid.dt
+    drive = hilbert.drive_amplitude(
+        params, hilbert.beat_frequency(params) * t_mid)[:, None, None]
+    gens = l_free + drive * k_plus + drive.conj() * k_minus
+    return StepPropagators(pulse=expm(gens * grid.dt),
+                           free=expm(l_free * grid.dt), slots=slots,
                            n_pulse_steps=pulse_steps)
 
 
@@ -237,16 +268,37 @@ def propagate(props: StepPropagators, v0: np.ndarray,
     """States ``v0, M_0 v0, M_1 M_0 v0, ...`` for ``n_steps`` steps, stacked.
 
     ``v0`` is a vectorized density operator or a pure amplitude vector,
-    matching the flavor the propagators were built for.  Raises
-    ``IntegratorError`` if any propagated state is not finite.
+    matching the flavor the propagators were built for.  Inside the pulse
+    the steps are taken a beat period at a time: with the cumulative
+    products ``C_j = M_{j-1} ... M_0`` of one period, only the period-start
+    states ``s_{p+1} = C_slots s_p`` are stepped one by one, and state j of
+    every period is ``C_j s_p``, one matmul per slot written straight into
+    ``out``.  The pulse remainder and the free tail are stepped singly.
+    Raises ``IntegratorError`` if any propagated state is not finite.
     """
     out = np.empty((n_steps + 1, v0.size), dtype=np.complex128)
     out[0] = v0
-    v = v0
-    pulse, slots, n_pulse, free = props.pulse, props.slots, props.n_pulse_steps, props.free
-    for n in range(n_steps):
-        m = pulse[n % slots] if n < n_pulse else free
-        v = m @ v
+    pulse, slots, free = props.pulse, props.slots, props.free
+    n_pulse = min(props.n_pulse_steps, n_steps)
+    n_periods = n_pulse // slots
+
+    # cum[j] = C_{j+1}, so cum[-1] maps one period; the period-start
+    # states sit at steps 0, slots, 2 slots, ... and the last one starts
+    # the remainder
+    cum = np.empty_like(pulse)
+    cum[0] = pulse[0]
+    for j in range(1, slots):
+        cum[j] = pulse[j] @ cum[j - 1]
+    starts = out[:n_periods * slots + 1:slots]
+    for p in range(n_periods):
+        starts[p + 1] = cum[-1] @ starts[p]
+    blocks = out[:n_periods * slots].reshape(n_periods, slots, v0.size)
+    for j in range(1, slots):
+        np.matmul(starts[:n_periods], cum[j - 1].T, out=blocks[:, j])
+
+    v = out[n_periods * slots]
+    for n in range(n_periods * slots, n_steps):
+        v = (pulse[n % slots] if n < n_pulse else free) @ v
         out[n + 1] = v
     if not np.isfinite(out).all():
         raise IntegratorError("propagated state is not finite")

@@ -189,10 +189,19 @@ def hamiltonian_with_phase(params: NodeParams, delta_omega: float,
     h[P0, D1] = h[D1, P0] = params.g1
     h[P0, DP1] = h[DP1, P0] = params.g2
     if beat_phase is not None:
-        drive = 0.5 * (params.omega1 + params.omega2 * np.exp(1j * beat_phase))
+        drive = drive_amplitude(params, beat_phase)
         h[S0, P0] = drive
         h[P0, S0] = np.conj(drive)
     return h
+
+
+def drive_amplitude(params: NodeParams, beat_phase):
+    """Drive matrix element ``<S,0|H|P,0> = (omega1 + omega2 e^{i phase})/2``.
+
+    Elementwise over an array of beat phases; ``<P,0|H|S,0>`` is its
+    conjugate.
+    """
+    return 0.5 * (params.omega1 + params.omega2 * np.exp(1j * beat_phase))
 
 
 # -- state helpers -----------------------------------------------------------

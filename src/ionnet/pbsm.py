@@ -196,19 +196,22 @@ def _band_weights(n_cells: int, cell_dt: float, t_window: float) -> np.ndarray:
     return tri_cdf(t_window - lags) - tri_cdf(-t_window - lags)
 
 
-def _windowed_lag_sums(rates: np.ndarray, times: np.ndarray,
-                       window: tuple[float, float] | None):
-    """Sum the rate cells along each lag diagonal inside the window."""
+def _window_cells(times: np.ndarray, window: tuple[float, float] | None):
+    """Indices of the rate cells inside the window, and the cell width."""
     cell_dt = float(times[1] - times[0])
     keep = np.arange(len(times) - 1)
     if window is not None:
         w0, w1 = window
         t0 = times[keep]
         keep = keep[(t0 >= w0 - 1e-12) & (t0 + cell_dt <= w1 + 1e-12)]
+    return keep, cell_dt
+
+
+def _lag_sums(rates: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sum the kept rate cells along each lag diagonal."""
     sub = rates[np.ix_(keep, keep)]
     n = len(keep)
-    lag_sums = np.array([np.trace(sub, offset=k) for k in range(-(n - 1), n)])
-    return lag_sums, n, cell_dt
+    return np.array([np.trace(sub, offset=k) for k in range(-(n - 1), n)])
 
 
 def integrated_coincidence(rates: np.ndarray, times: np.ndarray, t_window: float,
@@ -223,9 +226,9 @@ def integrated_coincidence(rates: np.ndarray, times: np.ndarray, t_window: float
     """
     if t_window < 0:
         raise ValueError("t_window must be nonnegative")
-    lag_sums, n, cell_dt = _windowed_lag_sums(rates, times, window)
-    weights = _band_weights(n, cell_dt, t_window)
-    return float((lag_sums * weights).sum() * cell_dt * cell_dt)
+    keep, cell_dt = _window_cells(times, window)
+    weights = _band_weights(keep.size, cell_dt, t_window)
+    return float((_lag_sums(rates, keep) * weights).sum() * cell_dt * cell_dt)
 
 
 # -- full visibility pipeline ------------------------------------------------
@@ -323,6 +326,8 @@ def visibility_from_model(model: InterferenceModel, t_list,
     times = model.coarse_times
     n_off = len(model.offsets_a)
     dets = np.zeros((n_off, 2, t_list.size))  # [offset, parallel/orthogonal, T]
+    keep, cell_dt = _window_cells(times, window)
+    band = [_band_weights(keep.size, cell_dt, t_win) for t_win in t_list]
     for k in range(n_off):
         det_vh, det_hv = orthogonal_coincidence(model.kernels_a[k],
                                                 model.kernels_b)
@@ -330,9 +335,8 @@ def visibility_from_model(model: InterferenceModel, t_list,
                                               model.kernels_b)
         for cls, rate_pair in ((0, (det_hh, det_vv)), (1, (det_vh, det_hv))):
             for rates in rate_pair:
-                lag_sums, n, cell_dt = _windowed_lag_sums(rates, times, window)
-                for it, t_win in enumerate(t_list):
-                    weights = _band_weights(n, cell_dt, t_win)
+                lag_sums = _lag_sums(rates, keep)
+                for it, weights in enumerate(band):
                     dets[k, cls, it] += float(
                         (lag_sums * weights).sum() * cell_dt * cell_dt)
     weights = model.weights_a[:, None]

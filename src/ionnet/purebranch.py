@@ -9,7 +9,9 @@ the interference model consumes: its diagonal reproduces the photon
 envelope, and its off-diagonal decay encodes how distinguishable restarted
 emission attempts have made the photon.  Restarts are propagated exactly,
 under the same absolute-time propagators as the forward run
-(:func:`exact_coherence_kernels`).  The coarse output times split the fine
+(:func:`exact_coherence_kernels`): the per-beat-slot step matrices of
+:func:`ionnet.dynamics.step_propagators`, exponentiated in one batch from
+the affine non-Hermitian generator ``L_free + d K_plus + d* K_minus``.  The coarse output times split the fine
 grid into blocks, and the kernel is assembled as ``G = sum_b R_b S_b R_b^H``:
 a 4x4 restart Gramian ``S_b`` per block, from batched intra-block backward
 products, sandwiched by the rows ``R_b`` at the block's upper edge.
@@ -73,7 +75,9 @@ def propagate_no_noise(params: NodeParams, grid: TimeGrid,
                        delta_omega: float = 0.0) -> PureTrajectory:
     """Propagate ``|S,0>`` under the non-Hermitian no-noise generator.
 
-    The squared norm is the probability that no jump of any kind has
+    The step matrices and the period-blocked propagation are those of
+    :func:`ionnet.dynamics.step_propagators` and
+    :func:`ionnet.dynamics.propagate`.  The squared norm is the probability that no jump of any kind has
     occurred; it never increases.
     """
     props = step_propagators(params, grid, delta_omega, "nonhermitian")

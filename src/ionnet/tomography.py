@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 from scipy.special import xlog1py
 
 from .empirical import state_fidelity
-from .errors import EstimationError
+from .errors import ConfigError, EstimationError
 
 PAULI_LABELS = ("X", "Y", "Z")
 _PAULIS = {
@@ -443,13 +443,28 @@ def nearest_unitary_fit(output_states) -> tuple[np.ndarray, float]:
 # -- JSON interfaces ----------------------------------------------------------
 
 def counts_from_json(doc: dict) -> CountsRecord:
-    """Counts document: {"settings": {"XX": [n_pp, n_pm, n_mp, n_mm], ...}}."""
-    settings = doc["settings"]
-    counts = {}
-    for basis_a, basis_b in SETTINGS:
-        key = basis_a + basis_b
-        counts[(basis_a, basis_b)] = np.asarray(settings[key], dtype=np.int64)
-    return CountsRecord(counts=counts)
+    """Counts document: {"settings": {"XX": [n_pp, n_pm, n_mp, n_mm], ...}}.
+
+    Raises :class:`ConfigError` unless every setting holds four nonnegative
+    integer counts, at least one of them nonzero.
+    """
+    try:
+        settings = doc["settings"]
+        counts = {}
+        for basis_a, basis_b in SETTINGS:
+            key = basis_a + basis_b
+            counts[(basis_a, basis_b)] = np.asarray(settings[key])
+        record = CountsRecord(counts=counts)
+    except KeyError as exc:
+        raise ConfigError(f"counts document has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad counts document: {exc}") from exc
+    empty = [a + b for (a, b), total in zip(SETTINGS, record.setting_totals())
+             if total == 0]
+    if empty:
+        raise ConfigError(f"bad counts document: settings {empty} have no "
+                          "counts")
+    return record
 
 
 def counts_to_json(counts: CountsRecord) -> dict:

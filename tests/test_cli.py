@@ -100,6 +100,21 @@ class TestExitCodes:
         code = run_cli(["--out", str(tmp_path), "tomography"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("entry, reason", (
+        ([1, -2, 0, 0], "bad counts"), ([0, 0, 0, 0], "no counts"),
+        ([2.5, 1, 1, 1], "integers"), (["3", 1, 1, 1], "bad counts")))
+    def test_tomography_bad_counts_file(self, tmp_path, capsys, entry,
+                                        reason):
+        settings = {a + b: [5, 5, 5, 5] for a in "XYZ" for b in "XYZ"}
+        settings["ZZ"] = entry
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({"settings": settings}))
+        code = run_cli(["--out", str(tmp_path), "tomography",
+                        "--counts", str(counts), "--resamples", "2"])
+        assert code == cli.EXIT_CONFIG
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "tomography.json").exists()
+
     def test_click_file_missing_detectors(self, tmp_path, capsys):
         # no '# detectors=' header, and the rows name two of four detectors
         clicks = tmp_path / "clicks.csv"
