@@ -220,7 +220,7 @@ def _cmd_envelope(cfg: RunConfig, args) -> int:
         grid = dynamics.TimeGrid.for_node(params, target_dt=cfg.target_dt)
         ensemble = cfg.ensemble_a if key == "a" else \
             dynamics.jitter_ensemble(params.gamma_clj)
-        p_v, p_h, p_s, _ = dynamics.averaged_curves(params, grid, ensemble)
+        p_v, p_h, p_s = dynamics.averaged_curves(params, grid, ensemble)
         path = _out_path(args, f"envelope_node{key.upper()}.csv")
         dynamics.write_envelope_csv(path, grid, p_v, p_h, p_s,
                                     header_lines=_headers(cfg))
@@ -377,14 +377,11 @@ def _cmd_tomography(cfg: RunConfig, args) -> int:
             cfg.node_a, cfg.node_b, [t_win], mode="full",
             ensemble_a=cfg.ensemble_a, window=cfg.analysis_window,
             coarse_dt=cfg.coarse_dt, target_dt=cfg.target_dt)
-        span = cfg.analysis_window[1] - cfg.analysis_window[0]
-        budget = empirical.herald_budget(cfg.detectors, args.sign)
-        budget = budget.scaled_background(
-            empirical.background_window_fraction(t_win, span))
-        rho = empirical.rho_with_background(budget, args.sign, opts["phi"])
-        rho = empirical.apply_dephasing(rho, curve.visibility[0])
-        rho = empirical.depolarizing_correction(rho, opts["f_ip_a"],
-                                                opts["f_ip_b"])
+        rho = empirical.heralded_state(
+            empirical.herald_budget(cfg.detectors, args.sign), args.sign,
+            opts["phi"], t_win,
+            cfg.analysis_window[1] - cfg.analysis_window[0],
+            curve.visibility[0], opts["f_ip_a"], opts["f_ip_b"])
         counts = tomography.sample_counts(rho, args.synthetic,
                                           np.random.default_rng(rng_seed))
     else:

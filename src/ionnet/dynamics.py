@@ -67,9 +67,8 @@ class TimeGrid:
 
     @classmethod
     def for_node(cls, params: NodeParams, t_end: float | None = None,
-                 target_dt: float = DEFAULT_TARGET_DT,
-                 t_start: float = 0.0) -> "TimeGrid":
-        """Grid whose step divides the node's bichromatic beat period.
+                 target_dt: float = DEFAULT_TARGET_DT) -> "TimeGrid":
+        """Grid from t = 0 whose step divides the node's beat period.
 
         Commensurate steps let the integrator cache one propagator per beat
         phase; ``target_dt`` is matched as closely as the beat allows.
@@ -83,8 +82,8 @@ class TimeGrid:
             dt = period / slots
         else:
             dt = target_dt
-        n_steps = max(1, math.ceil((t_end - t_start) / dt - 1e-9))
-        return cls(t_start=t_start, dt=dt, n_steps=n_steps)
+        n_steps = max(1, math.ceil(t_end / dt - 1e-9))
+        return cls(t_start=0.0, dt=dt, n_steps=n_steps)
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,6 @@ class Trajectory:
 
     grid: TimeGrid
     states: np.ndarray  # (n_steps + 1, d, d) complex
-    kind: str  # "restricted" or "full"
 
     def trace(self) -> np.ndarray:
         return np.einsum("kii->k", self.states).real
@@ -108,10 +106,6 @@ class JitterEnsemble:
 
     offsets: np.ndarray
     weights: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return (len(self.offsets) - 1) // 2
 
     def __iter__(self):
         return iter(zip(self.offsets, self.weights))
@@ -221,11 +215,6 @@ class StepPropagators:
     slots: int
     n_pulse_steps: int
 
-    def matrix(self, step: int) -> np.ndarray:
-        if step < self.n_pulse_steps:
-            return self.pulse[step % self.slots]
-        return self.free
-
 
 def step_propagators(params: NodeParams, grid: TimeGrid,
                      delta_omega: float, flavor: str) -> StepPropagators:
@@ -322,7 +311,7 @@ def evolve_restricted(params: NodeParams, grid: TimeGrid,
     traces = np.einsum("kii->k", states).real
     if np.any(np.diff(traces) > _TRACE_INCREASE_TOL):
         raise IntegratorError("restricted trace increased beyond tolerance")
-    return Trajectory(grid=grid, states=states, kind="restricted")
+    return Trajectory(grid=grid, states=states)
 
 
 def evolve_full(params: NodeParams, grid: TimeGrid,
@@ -336,7 +325,7 @@ def evolve_full(params: NodeParams, grid: TimeGrid,
     traces = np.einsum("kii->k", states).real
     if np.any(np.abs(np.diff(traces)) > _FULL_TRACE_TOL):
         raise IntegratorError("full-equation trace drifted beyond tolerance")
-    return Trajectory(grid=grid, states=states, kind="full")
+    return Trajectory(grid=grid, states=states)
 
 
 def photon_envelopes(traj: Trajectory, params: NodeParams):
@@ -354,20 +343,17 @@ def scattering_rate(traj: Trajectory, params: NodeParams) -> np.ndarray:
 
 def averaged_curves(params: NodeParams, grid: TimeGrid,
                     ensemble: JitterEnsemble):
-    """Jitter-weighted (p_v, p_h, P_s) plus the per-offset envelope pairs."""
+    """Jitter-weighted envelopes and scattering rate (p_v, p_h, P_s)."""
     p_v = np.zeros(grid.n_steps + 1)
     p_h = np.zeros_like(p_v)
     p_s = np.zeros_like(p_v)
-    per_offset = []
     for offset, weight in ensemble:
         traj = evolve_restricted(params, grid, offset)
         pv_k, ph_k = photon_envelopes(traj, params)
-        ps_k = scattering_rate(traj, params)
-        per_offset.append((pv_k, ph_k))
         p_v += weight * pv_k
         p_h += weight * ph_k
-        p_s += weight * ps_k
-    return p_v, p_h, p_s, per_offset
+        p_s += weight * scattering_rate(traj, params)
+    return p_v, p_h, p_s
 
 
 def write_envelope_csv(path, grid: TimeGrid, p_v, p_h, p_s,

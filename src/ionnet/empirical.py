@@ -45,18 +45,6 @@ def state_fidelity(rho: np.ndarray, sign: int,
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
-def assert_physical(rho: np.ndarray, eig_tol: float = 1e-10,
-                    trace_tol: float = 1e-12) -> None:
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 operator")
-    if not np.allclose(rho, rho.conj().T, atol=1e-12):
-        raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise ValueError("state trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -eig_tol:
-        raise ValueError("state has a significantly negative eigenvalue")
-
-
 @dataclass(frozen=True)
 class BackgroundBudget:
     """Per-attempt coincidence probabilities for one detector pairing."""
@@ -169,6 +157,26 @@ def herald_budget(table: DetectorTable, sign: int) -> BackgroundBudget:
                        for port1, port2 in HERALD_PORTS[sign])
 
 
+def heralded_state(budget: BackgroundBudget, sign: int, phi: float,
+                   t_window: float, window_span: float,
+                   visibility: float | None, f_ip_a: float,
+                   f_ip_b: float) -> np.ndarray:
+    """The empirical model's heralded two-ion state at one coincidence window.
+
+    ``budget`` is the herald pairing's (:func:`herald_budget`); its
+    background classes are rescaled to the window ``t_window`` of a
+    detection window ``window_span`` long.  The imperfections enter
+    in the module's order: background, then dephasing by ``visibility``
+    (skipped when it is ``None``), then the depolarizing step.
+    """
+    budget = budget.scaled_background(
+        background_window_fraction(t_window, window_span))
+    rho = rho_with_background(budget, sign, phi)
+    if visibility is not None:
+        rho = apply_dephasing(rho, visibility)
+    return depolarizing_correction(rho, f_ip_a, f_ip_b)
+
+
 def model_fidelity_curve(t_list, visibility, table: DetectorTable,
                          f_ip_a: float, f_ip_b: float, sign: int,
                          phi: float = 0.0, include_dephasing: bool = True,
@@ -185,12 +193,8 @@ def model_fidelity_curve(t_list, visibility, table: DetectorTable,
     base = herald_budget(table, sign)
     out = np.empty(t_list.size)
     for i, (t_win, v) in enumerate(zip(t_list, vis)):
-        budget = base.scaled_background(
-            background_window_fraction(t_win, window_span))
-        rho = rho_with_background(budget, sign, phi)
-        if include_dephasing:
-            rho = apply_dephasing(rho, v)
-        rho = depolarizing_correction(rho, f_ip_a, f_ip_b)
+        rho = heralded_state(base, sign, phi, t_win, window_span,
+                             v if include_dephasing else None, f_ip_a, f_ip_b)
         out[i] = state_fidelity(rho, sign, phi)
     return out
 

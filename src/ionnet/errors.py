@@ -33,14 +33,6 @@ class EstimationError(IonnetError, RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class HandshakeTimeoutError(IonnetError, RuntimeError):
-    """Handshake did not complete before the configured timeout."""
-
-    def __init__(self, message, last_completed_step):
-        super().__init__(message)
-        self.last_completed_step = last_completed_step
-
-
 class ConfigError(IonnetError, ValueError):
     """A run configuration document is malformed."""
 

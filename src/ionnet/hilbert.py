@@ -213,15 +213,6 @@ def ground_state(dim: int = DIM) -> np.ndarray:
     return psi
 
 
-def is_physical_state(rho: np.ndarray, eig_tol: float = 1e-10,
-                      trace_tol: float = 1e-10) -> bool:
-    """Check Hermiticity, eigenvalue floor and trace bound of a mixed state."""
-    if not np.allclose(rho, rho.conj().T, atol=1e-12):
-        return False
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    return eigs.min() >= -eig_tol and eigs.sum() <= 1.0 + trace_tol
-
-
 # -- parameter ingestion -----------------------------------------------------
 
 _REQUIRED_KEYS = ("Omega1", "Omega2", "g", "Delta1", "Delta2", "kappa",

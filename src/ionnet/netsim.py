@@ -1,13 +1,13 @@
 """Discrete-event simulation of the two-node protocol and click analysis.
 
-Covers the control-plane handshake timing, the photon-generation loop, and
-stochastic click generation at the four Bell-state-measurement detectors,
-including two-photon interference correlations for same-polarization pairs
-and Poisson detector backgrounds.  The analysis side turns click records
-(real or synthetic) into coincidence histograms, a measured interference
-visibility, and success metrics.  The detector pairs that herald are
-``pbsm.HERALD_PORTS``, and each detector is looked up by its port in the
-``DetectorTable``.
+Covers the photon-generation loop and stochastic click generation at the
+four Bell-state-measurement detectors, including two-photon interference
+correlations for same-polarization pairs and Poisson detector backgrounds;
+the handshake before each block enters only as a fixed duration in the
+wall clock.  The analysis side turns click records (real or synthetic) into
+coincidence histograms, a measured interference visibility, and success
+metrics.  The detector pairs that herald are ``pbsm.HERALD_PORTS``, and
+each detector is looked up by its port in the ``DetectorTable``.
 
 Click timestamps are seconds from the start of each attempt's detection
 window; backgrounds extend to 100 us, past the photon envelopes.
@@ -24,78 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import DEFAULT_TARGET_DT, JitterEnsemble, jitter_ensemble
-from .errors import (ConfigError, HandshakeTimeoutError,
-                     NumericalConsistencyError, UndefinedVisibilityError)
+from .errors import (ConfigError, NumericalConsistencyError,
+                     UndefinedVisibilityError)
 from .hilbert import NodeParams
 from .pbsm import (HERALD_PORTS, DetectorTable, InterferenceModel,
                    build_interference_model)
 
 BG_SPAN = 100e-6  # background-generation span per attempt
-
-
-# -- handshake ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HandshakeConfig:
-    """Latencies and processing delays of the four-step TTL handshake."""
-
-    latency_ab: float = 2.55e-6
-    latency_ba: float = 2.55e-6
-    processing_a: float = 0.0
-    processing_b: float = 0.0
-    clock_skew: float = 5e-9  # fractional rate mismatch (50 mHz on 10 MHz)
-    timeout: float = 100e-6
-
-    def __post_init__(self):
-        if self.latency_ab < 0 or self.latency_ba < 0:
-            raise ValueError("latencies must be nonnegative")
-        if self.processing_a < 0 or self.processing_b < 0:
-            raise ValueError("processing delays must be nonnegative")
-        if self.timeout <= 2.0 * (self.latency_ab + self.latency_ba):
-            raise ValueError("timeout must exceed two full round trips")
-
-
-@dataclass(frozen=True)
-class HandshakeResult:
-    duration: float
-    events: tuple  # ((name, t_sent, t_received), ...) in protocol order
-    loop_start_a: float
-    loop_start_b: float
-
-
-def run_handshake(cfg: HandshakeConfig) -> HandshakeResult:
-    """Schedule the four TTL transitions and both loop-start offsets.
-
-    Raises :class:`HandshakeTimeoutError` carrying the last completed step
-    if any edge would be received after the timeout.
-    """
-    steps = []
-    t = 0.0
-    t_recv = t + cfg.latency_ab
-    steps.append(("ttl_ab_high", t, t_recv))
-    t = t_recv + cfg.processing_b
-    t_recv = t + cfg.latency_ba
-    steps.append(("ttl_ba_high", t, t_recv))
-    t = t_recv + cfg.processing_a
-    t_recv = t + cfg.latency_ab
-    steps.append(("ttl_ab_low", t, t_recv))
-    t = t_recv + cfg.processing_b
-    t_recv = t + cfg.latency_ba
-    steps.append(("ttl_ba_low", t, t_recv))
-
-    for i, (_, _, received) in enumerate(steps):
-        if received > cfg.timeout:
-            raise HandshakeTimeoutError(
-                f"handshake timed out after step {i}", last_completed_step=i)
-    duration = steps[-1][2] - steps[0][1]
-    return HandshakeResult(duration=duration, events=tuple(steps),
-                           loop_start_a=steps[-1][2],
-                           loop_start_b=steps[-1][1])
-
-
-def clock_offset_bound(skew_rate: float, duration: float) -> float:
-    """Worst-case timing offset accumulated by a fractional rate mismatch."""
-    return abs(skew_rate) * duration
 
 
 # -- sequence and click records ------------------------------------------------
@@ -196,8 +131,9 @@ class ClickRecords:
     """Columnar click storage: one row per detector click.
 
     ``n_executed`` and ``herald_mode`` describe the run that made the clicks;
-    they are read back from a file's ``n_executed=`` and ``herald_mode=``
-    header lines, and ``n_executed`` is ``None`` where it was not recorded.
+    a herald-mode simulation sets them, they are read back from a file's
+    ``n_executed=`` and ``herald_mode=`` header lines, and ``n_executed`` is
+    ``None`` where it was not recorded.
 
     The click file (``to_csv``/``from_csv``) is UTF-8 text:
 
@@ -458,7 +394,6 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
                           detectors: DetectorTable,
                           seq: SequenceConfig | None = None,
                           ensemble_a: JitterEnsemble | None = None,
-                          photon_scale: float = 1.0,
                           model: InterferenceModel | None = None,
                           coarse_dt: float = 0.25e-6,
                           target_dt: float | None = None) -> DetectionModel:
@@ -494,7 +429,7 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
             accept_pair = (detectors.acceptance(detectors.by_port("u", pol).name)
                            + detectors.acceptance(detectors.by_port("r", pol).name))
             denom += 0.5 * accept_pair * float((weights * win[:, pol_idx]).sum())
-        return photon_scale * table_total * full / denom
+        return table_total * full / denom
 
     total_a = sum(rec.p_a for rec in detectors.records.values())
     total_b = sum(rec.p_b for rec in detectors.records.values())
@@ -529,7 +464,7 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
         times_b=model.fine_times_b, cdf_b=cdf_b,
         coarse_dt=float(model.coarse_times[1] - model.coarse_times[0]),
         interference_num=num, diag_a=diag_a, diag_b=diag_b,
-        photon_scale=photon_scale)
+        photon_scale=1.0)
 
 
 def _sample_times(times, cdf_rows, group_idx, uniforms):
@@ -567,10 +502,14 @@ def _interp_rows(rows: np.ndarray, lead: tuple, x: np.ndarray, dt: float):
     return (1 - ax) * rows[(*lead, ix)] + ax * rows[(*lead, ix + 1)]
 
 
+# attempts drawn per pass: bounds the per-attempt temporaries; the draws of
+# each pass follow on from the last, so the value fixes the random stream
+_BATCH = 1_000_000
+
+
 def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                       n_attempts: int, seed: int = 0,
-                      herald_mode: bool = False,
-                      batch_size: int = 1_000_000):
+                      herald_mode: bool = False):
     """Generate detector clicks for a run of photon-generation attempts.
 
     Per attempt each node contributes at most one photon; same-polarization
@@ -601,8 +540,8 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     tau_a_tot = model.tau_a.sum(axis=1)
     tau_b_tot = model.tau_b.sum(axis=1)
 
-    for start in range(0, n_attempts, batch_size):
-        n = min(batch_size, n_attempts - start)
+    for start in range(0, n_attempts, _BATCH):
+        n = min(_BATCH, n_attempts - start)
         attempts = start + np.arange(n, dtype=np.int64)
 
         k_off = rng.choice(len(model.offsets), size=n,
@@ -765,14 +704,15 @@ def _truncate_blocks(clicks: ClickRecords, heralds: np.ndarray,
                      np.iinfo(np.int64).max, dtype=np.int64)
     cutoff[blocks] = first
     keep = clicks.attempt <= cutoff[clicks.attempt // block_size]
+    block_end = np.minimum((blocks + 1) * block_size, n_attempts)
+    n_executed = n_attempts - int((block_end - (first + 1)).sum())
     clicks = ClickRecords(attempt=clicks.attempt[keep],
                           detector=clicks.detector[keep], t=clicks.t[keep],
                           origin=clicks.origin[keep],
                           detector_names=clicks.detector_names,
-                          n_attempts=clicks.n_attempts)
-    block_end = np.minimum((blocks + 1) * block_size, n_attempts)
-    skipped = int((block_end - (first + 1)).sum())
-    return clicks, first, n_attempts - skipped
+                          n_attempts=clicks.n_attempts,
+                          n_executed=n_executed, herald_mode=True)
+    return clicks, first, n_executed
 
 
 @dataclass(frozen=True)
@@ -840,7 +780,9 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
     click_t = clicks.t[det_mask]
     sorted_t = [np.sort(click_t[click_det == d])
                 for d in range(len(clicks.detector_names))]
-    n_att = max(clicks.n_attempts, 1)
+    # attempts cut short after a herald made no clicks, background included
+    n_att = max(clicks.n_attempts if clicks.n_executed is None
+                else clicks.n_executed, 1)
 
     def expected_bg(det_u, det_r):
         """Expected background-involved pairs per tau bin for one class.
@@ -925,7 +867,8 @@ class WallClockModel:
     """
 
     block_init: float = 3.49e-3
-    handshake: float = 1e-5
+    # the four-edge TTL handshake: two round trips of the 2.55 us link
+    handshake: float = 4 * 2.55e-6
     iteration: float = 420e-6
     measurement: float = 1.519e-3
 
@@ -940,19 +883,16 @@ class SuccessMetrics:
     n_coincidences: int
     success_probability: float
     herald_rate: float
-    wall_clock: float
 
 
 def success_metrics(clicks: ClickRecords, log: AttemptLog,
                     table: DetectorTable,
                     window: tuple[float, float] = (5.5e-6, 23e-6),
-                    wall_clock: WallClockModel | None = None) -> SuccessMetrics:
+                    ) -> SuccessMetrics:
     """Coincidence count, per-attempt success probability, and herald rate."""
-    wall_clock = wall_clock or WallClockModel()
     n_coinc = int(herald_attempts(clicks, table, window).size)
     attempts = max(log.n_executed, 1)
-    total = wall_clock.total_time(log)
+    total = WallClockModel().total_time(log)
     return SuccessMetrics(n_coincidences=n_coinc,
                           success_probability=n_coinc / attempts,
-                          herald_rate=n_coinc / total if total > 0 else 0.0,
-                          wall_clock=total)
+                          herald_rate=n_coinc / total if total > 0 else 0.0)

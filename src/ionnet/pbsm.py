@@ -31,16 +31,6 @@ HERALD_PORTS = {+1: ((("u", "v"), ("u", "h")),),
                 -1: ((("u", "v"), ("r", "h")), (("u", "h"), ("r", "v")))}
 
 
-def beamsplitter() -> np.ndarray:
-    """Balanced beamsplitter mode transform ((u, r) from (a, b))."""
-    return np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=np.complex128) / np.sqrt(2.0)
-
-
-def beamsplitter_inverse() -> np.ndarray:
-    """Inverse transform ((a, b) from (u, r))."""
-    return np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=np.complex128) / np.sqrt(2.0)
-
-
 @dataclass(frozen=True)
 class DetectorRecord:
     name: str
@@ -137,27 +127,24 @@ def _scaled(kern: purebranch.CoherenceKernel) -> np.ndarray:
     return 2.0 * kern.kappa * kern.matrix
 
 
-def orthogonal_coincidence(kernels_a, kernels_b, eta_vh: float = 1.0,
-                           eta_hv: float = 1.0):
+def orthogonal_coincidence(kernels_a, kernels_b):
     """Two-time rates (det_vh, det_hv) for orthogonally polarized clicks.
 
     ``det_vh[i, j]`` is the rate for a vertical click at ``t1 = times[i]``
     on one output and a horizontal click at ``t2 = times[j]`` on the other;
-    no interference, only envelope products.
+    no interference, only envelope products.  With no per-detector
+    efficiency the two rates are the same array.
     """
     gv_a, gh_a = kernels_a
     gv_b, gh_b = kernels_b
     pv_a, ph_a = gv_a.envelope(), gh_a.envelope()
     pv_b, ph_b = gv_b.envelope(), gh_b.envelope()
     # base[i, j] = p_v^A(t1_i) p_h^B(t2_j) + p_v^B(t1_i) p_h^A(t2_j)
-    base = np.outer(pv_a, ph_b) + np.outer(pv_b, ph_a)
-    det_vh = 0.25 * eta_vh * base
-    det_hv = 0.25 * eta_hv * base
-    return det_vh, det_hv
+    det = 0.25 * (np.outer(pv_a, ph_b) + np.outer(pv_b, ph_a))
+    return det, det
 
 
-def parallel_coincidence(kernels_a, kernels_b, eta_hh: float = 1.0,
-                         eta_vv: float = 1.0):
+def parallel_coincidence(kernels_a, kernels_b):
     """Two-time rates (det_hh, det_vv) for same-polarization clicks.
 
     The interference term subtracts twice the real part of the product of
@@ -167,15 +154,15 @@ def parallel_coincidence(kernels_a, kernels_b, eta_hh: float = 1.0,
     gv_a, gh_a = kernels_a
     gv_b, gh_b = kernels_b
     out = []
-    for kern_a, kern_b, eta in ((gh_a, gh_b, eta_hh), (gv_a, gv_b, eta_vv)):
+    for kern_a, kern_b in ((gh_a, gh_b), (gv_a, gv_b)):
         m_a, m_b = _scaled(kern_a), _scaled(kern_b)
         d_a, d_b = m_a.diagonal().real, m_b.diagonal().real
         base = np.outer(d_a, d_b) + np.outer(d_b, d_a)
-        det = 0.25 * eta * (base - 2.0 * np.real(m_a * m_b.T))
+        det = 0.25 * (base - 2.0 * np.real(m_a * m_b.T))
         floor = det.min()
         # perfect bunching cancels to roundoff, so negativity is judged
         # against the no-interference level
-        scale = max(0.25 * eta * base.max(), 1e-300)
+        scale = max(0.25 * base.max(), 1e-300)
         if floor < -1e-12 * scale:
             raise NumericalConsistencyError(
                 f"coincidence rate negative beyond tolerance ({floor/scale:.2e})")
@@ -265,7 +252,7 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
                              mode: str = "full",
                              coarse_dt: float = 0.25e-6,
                              target_dt: float = DEFAULT_TARGET_DT,
-                             t_end: float | None = None) -> InterferenceModel:
+                             ) -> InterferenceModel:
     """Compute kernels and envelopes for both nodes under a noise mode.
 
     Modes: ``full`` keeps every noise source and the node-A jitter ensemble;
@@ -281,8 +268,8 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
         ensemble_a = jitter_ensemble(node_a.gamma_clj)
     include_scattering = mode != "pure"
 
-    grid_a = TimeGrid.for_node(node_a, t_end=t_end, target_dt=target_dt)
-    grid_b = TimeGrid.for_node(node_b, t_end=t_end, target_dt=target_dt)
+    grid_a = TimeGrid.for_node(node_a, target_dt=target_dt)
+    grid_b = TimeGrid.for_node(node_b, target_dt=target_dt)
     idx_a = purebranch.coarse_indices(grid_a, coarse_dt)
     idx_b = purebranch.coarse_indices(grid_b, coarse_dt)
     n_c = min(idx_a.size, idx_b.size)
@@ -360,9 +347,9 @@ def model_visibility(node_a: NodeParams, node_b: NodeParams, t_list,
                      target_dt: float = DEFAULT_TARGET_DT) -> VisibilityCurve:
     """Model interference visibility V(T) for one noise mode.
 
-    Detector efficiencies cancel in the ratio when all four are equal, so
-    the model is evaluated with unit efficiencies; comparisons against
-    measured curves assume those were efficiency-corrected.
+    The coincidence rates carry no detector efficiency: a common efficiency
+    cancels in the ratio, and measured curves are compared after their
+    per-detector acceptance correction (``netsim.hom_analysis``).
     """
     model = build_interference_model(node_a, node_b, ensemble_a, mode,
                                      coarse_dt, target_dt)

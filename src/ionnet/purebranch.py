@@ -19,14 +19,13 @@ products, sandwiched by the rows ``R_b`` at the block's upper edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert
-from .dynamics import (DEFAULT_TARGET_DT, TimeGrid, evolve_restricted,
-                       photon_envelopes, propagate, scattering_rate,
-                       step_propagators)
+from .dynamics import (TimeGrid, evolve_restricted, photon_envelopes,
+                       propagate, scattering_rate, step_propagators)
 from .errors import IntegratorError
 from .hilbert import D1, DP1, NodeParams, RESTRICTED_DIM
 
@@ -64,12 +63,6 @@ class CoherenceKernel:
     def envelope(self) -> np.ndarray:
         return 2.0 * self.kappa * self.diagonal()
 
-    def purity_ratio(self) -> float:
-        """tr(K^2) / tr(K)^2 of the kernel as an operator on the grid."""
-        tr = self.matrix.trace().real
-        tr2 = np.einsum("ij,ji->", self.matrix, self.matrix).real
-        return float(tr2 / tr ** 2)
-
 
 def propagate_no_noise(params: NodeParams, grid: TimeGrid,
                        delta_omega: float = 0.0) -> PureTrajectory:
@@ -77,16 +70,16 @@ def propagate_no_noise(params: NodeParams, grid: TimeGrid,
 
     The step matrices and the period-blocked propagation are those of
     :func:`ionnet.dynamics.step_propagators` and
-    :func:`ionnet.dynamics.propagate`.  The squared norm is the probability that no jump of any kind has
-    occurred; it never increases.
+    :func:`ionnet.dynamics.propagate`.  The squared norm is the probability
+    that no jump of any kind has occurred; it never increases.
     """
     props = step_propagators(params, grid, delta_omega, "nonhermitian")
     psi0 = hilbert.ground_state(RESTRICTED_DIM)
-    psi = propagate(props, psi0, grid.n_steps)
-    norms = np.einsum("ki,ki->k", psi.conj(), psi).real
-    if np.any(np.diff(norms) > _NORM_INCREASE_TOL):
+    traj = PureTrajectory(grid=grid, psi=propagate(props, psi0, grid.n_steps),
+                          delta_omega=delta_omega)
+    if np.any(np.diff(traj.norms_squared()) > _NORM_INCREASE_TOL):
         raise IntegratorError("no-noise branch norm increased beyond tolerance")
-    return PureTrajectory(grid=grid, psi=psi, delta_omega=delta_omega)
+    return traj
 
 
 def build_amplitudes(traj: PureTrajectory, params: NodeParams):
@@ -205,74 +198,6 @@ def exact_coherence_kernels(params: NodeParams, grid: TimeGrid,
         kernels.append(CoherenceKernel(times=t_c, matrix=g,
                                        kappa=params.kappa))
     return tuple(kernels)
-
-
-def photon_emission_probabilities(kernels, params: NodeParams):
-    """Total emission probabilities (P_V, P_H) = 2*kappa * integral of G(t,t)."""
-    out = []
-    for kern in kernels:
-        out.append(float(np.trapezoid(kern.envelope(), kern.times)))
-    p_v, p_h = out
-    return p_v, p_h
-
-
-def residual_chirp(params: NodeParams, target_dt: float | None = None,
-                   t_end: float = 30e-6) -> tuple[float, float]:
-    """Mean winding rates (rad/s) of the two photon amplitudes at zero jitter.
-
-    Zero winding means the photon leaves at the reference cavity frequency;
-    a residual reflects miscalibration of the cavity detunings relative to
-    the dressed drive resonance.
-    """
-    if target_dt is None:
-        target_dt = DEFAULT_TARGET_DT
-    grid = TimeGrid.for_node(params, t_end=t_end, target_dt=target_dt)
-    traj = propagate_no_noise(params, grid)
-    t = grid.times()
-    sel = (t > 0.1 * t_end) & (t < 0.95 * t_end)
-    rates = []
-    for amp in build_amplitudes(traj, params):
-        a = amp[sel]
-        # per-step phase increments weighted by local power; immune to
-        # unwrap glitches where the amplitude rings near zero
-        steps = a[1:] * a[:-1].conj()
-        weights = np.abs(steps)
-        total = weights.sum()
-        if total == 0.0:
-            rates.append(0.0)
-            continue
-        mean_step = (np.angle(steps) * weights).sum() / total
-        rates.append(float(mean_step / grid.dt))
-    return rates[0], rates[1]
-
-
-def calibrate_cavity_detunings(params: NodeParams, iterations: int = 6,
-                               target_dt: float | None = None,
-                               tol: float = 2e3) -> NodeParams:
-    """Adjust deltac1/deltac2 until the emitted photons are unchirped.
-
-    Mimics the experimental calibration of the drive against the observed
-    resonance: after this, both amplitudes have zero mean winding at zero
-    jitter, so matched reference frequencies imply matched photons.  Both
-    amplitudes wind at the common dressed-level rate, so a single secant
-    iteration on a common detuning shift suffices.  ``tol`` is the residual
-    winding target in rad/s.
-    """
-    shift = 0.0
-    wind = residual_chirp(params, target_dt)[0]
-    slope = 1.0
-    for _ in range(iterations):
-        if abs(wind) < tol:
-            break
-        step = -wind / slope
-        trial = replace(params, deltac1=params.deltac1 + shift + step,
-                        deltac2=params.deltac2 + shift + step)
-        wind_new = residual_chirp(trial, target_dt)[0]
-        slope = (wind_new - wind) / step
-        shift += step
-        wind = wind_new
-    return replace(params, deltac1=params.deltac1 + shift,
-                   deltac2=params.deltac2 + shift)
 
 
 def node_kernels(params: NodeParams, grid: TimeGrid, delta_omega: float,

@@ -1,4 +1,4 @@
-"""Two-qubit state tomography, fidelity estimation, and channel fitting.
+"""Two-qubit state tomography and fidelity estimation.
 
 Counts from the nine two-qubit Pauli measurement settings are turned into a
 physical density matrix by maximum-likelihood estimation over a square-root
@@ -7,8 +7,7 @@ real parameters every Born weight is a quadratic form, so the likelihood has
 a closed-form gradient and Hessian, and one damped Newton solver fits a whole
 stack of count sets at once.  Asymmetric fidelity uncertainties come from
 multinomial resampling of the observed frequencies: all resamples are drawn
-first and then fitted together.  A small utility fits the nearest unitary to
-a measured single-qubit polarization channel.
+first and then fitted together.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import xlog1py
 
 from .empirical import state_fidelity
@@ -379,65 +377,6 @@ def resample_uncertainty(counts: CountsRecord, target: tuple[int, float],
                             resample_mean=mean, resample_std=std, phi=phi,
                             sign=sign, n_resamples=m_resamples,
                             negative_width=negative)
-
-
-# -- nearest-unitary polarization-channel fit --------------------------------
-
-_KET0 = np.array([1.0, 0.0], dtype=np.complex128)
-_KET1 = np.array([0.0, 1.0], dtype=np.complex128)
-CHANNEL_INPUTS = (
-    _KET0,                            # H
-    _KET1,                            # V
-    (_KET0 + _KET1) / np.sqrt(2.0),   # D
-    (_KET0 - _KET1) / np.sqrt(2.0),   # A
-    (_KET0 + 1j * _KET1) / np.sqrt(2.0),  # R
-    (_KET0 - 1j * _KET1) / np.sqrt(2.0),  # L
-)
-
-
-def _unitary(angles: np.ndarray) -> np.ndarray:
-    theta, phi1, phi2 = angles
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c * np.exp(1j * phi1), s * np.exp(1j * phi2)],
-                     [-s * np.exp(-1j * phi2), c * np.exp(-1j * phi1)]])
-
-
-def nearest_unitary_fit(output_states) -> tuple[np.ndarray, float]:
-    """Unitary best mapping the six standard inputs onto measured outputs.
-
-    ``output_states`` are the reconstructed single-qubit density matrices
-    for inputs H, V, D, A, R, L in that order.  Returns the unitary (up to
-    global phase) and the achieved mean fidelity; completely depolarized
-    outputs make the objective flat, which is reported with a warning.
-    """
-    outputs = [np.asarray(r, dtype=np.complex128) for r in output_states]
-    if len(outputs) != 6:
-        raise ValueError("expected six output states")
-
-    def negative_mean_fidelity(angles):
-        u = _unitary(angles)
-        total = 0.0
-        for ket, rho in zip(CHANNEL_INPUTS, outputs):
-            mapped = u @ ket
-            total += np.real(mapped.conj() @ rho @ mapped)
-        return -total / 6.0
-
-    starts = [np.array([theta, p1, p2])
-              for theta in (np.pi / 8.0, 3.0 * np.pi / 8.0)
-              for p1 in (0.0, np.pi / 2.0)
-              for p2 in (0.0, np.pi / 2.0)]
-    best = None
-    for start in starts:
-        res = minimize(negative_mean_fidelity, start, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 4000})
-        if best is None or res.fun < best.fun - 1e-12:
-            best = res
-    spread = np.ptp([negative_mean_fidelity(s) for s in starts])
-    if spread < 1e-9:
-        warnings.warn("channel data is degenerate; unitary fit is "
-                      "ill-conditioned", RuntimeWarning)
-    return _unitary(best.x), float(-best.fun)
 
 
 # -- JSON interfaces ----------------------------------------------------------

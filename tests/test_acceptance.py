@@ -16,6 +16,8 @@ from ionnet import tomography as tomo
 from ionnet.dynamics import TimeGrid
 from ionnet.hilbert import mhz
 
+from test_dynamics import step_matrix
+
 SWEEP = np.arange(0.25e-6, 17.5e-6 + 1e-9, 0.25e-6)
 KEY_WINDOWS = np.array([0.25, 1.0, 5.0, 17.5]) * 1e-6
 N_ATTEMPTS = 13_656_928
@@ -162,7 +164,7 @@ def _jump_survival_mc(params, grid, n_traj, seed):
     for n in range(grid.n_steps):
         lam, vec, inv = (gens[n % props.slots] if n < props.n_pulse_steps
                          else gens[-1])
-        start, psis = psis, props.matrix(n) @ psis
+        start, psis = psis, step_matrix(props, n) @ psis
         idx = np.flatnonzero(_norms(psis) < thresholds)
         coeff = inv @ start[:, idx]  # eigen-coordinates at segment start
         left = np.full(idx.size, grid.dt)  # segment start to step end

@@ -296,3 +296,13 @@ class TestArtifacts:
         assert code == 0
         doc = json.loads((tmp_path / "tomography.json").read_text())
         assert doc["fidelity"]["value"] > 0.99
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # nothing on a CLI path fits with scipy.optimize, so a fresh interpreter
+    # importing the CLI should not pay for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ionnet.cli; sys.exit('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

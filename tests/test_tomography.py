@@ -371,29 +371,3 @@ class TestResampling:
         assert est.value - est.lower == pytest.approx(
             est.resample_mean - est.resample_std)
 
-
-class TestNearestUnitary:
-    def test_recovers_random_unitary(self):
-        rng = np.random.default_rng(10)
-        angles = rng.uniform(0.1, 1.4, size=3)
-        u_true = tomo._unitary(angles)
-        outputs = [np.outer(u_true @ k, (u_true @ k).conj())
-                   for k in tomo.CHANNEL_INPUTS]
-        u_fit, fidelity = tomo.nearest_unitary_fit(outputs)
-        assert fidelity == pytest.approx(1.0, abs=1e-8)
-        # equality up to a global phase
-        overlap = abs(np.trace(u_fit.conj().T @ u_true)) / 2.0
-        assert overlap == pytest.approx(1.0, abs=1e-6)
-
-    def test_identity_channel(self):
-        outputs = [np.outer(k, k.conj()) for k in tomo.CHANNEL_INPUTS]
-        u_fit, fidelity = tomo.nearest_unitary_fit(outputs)
-        assert fidelity == pytest.approx(1.0, abs=1e-8)
-        assert abs(np.trace(u_fit.conj().T @ np.eye(2))) / 2.0 == \
-            pytest.approx(1.0, abs=1e-6)
-
-    def test_depolarized_channel_flat(self):
-        outputs = [np.eye(2) / 2.0] * 6
-        with pytest.warns(RuntimeWarning):
-            _, fidelity = tomo.nearest_unitary_fit(outputs)
-        assert fidelity == pytest.approx(0.5, abs=1e-9)
