@@ -18,9 +18,20 @@ FAST_CONFIG = {
 HERALD_CONFIG = {**FAST_CONFIG,
                  "simulate": {"n_attempts": 400_000, "herald_mode": True}}
 
-# sha256 of the FAST_CONFIG --seed 7 artifacts; refactors of the click
-# pipeline keep these bytes
+# sha256 of the FAST_CONFIG --seed 7 artifacts (tomography.json from
+# ``--synthetic 200``); refactors keep these bytes, and with them the config
+# digest each artifact records
 FAST_SEED7_SHA256 = {
+    "envelope_nodeA.csv":
+        "26d3191ad0ee2fb9f09b556631d2be90e1df21956643e8e0d6393a241ca79812",
+    "envelope_nodeB.csv":
+        "f0479cd67cb115a6e3c0560637a5b721bc05656453263811c60e10017cb21e94",
+    "visibility.csv":
+        "a9b0b7a1b8e9104eebf6e26790461129724f4244a66058287ff645b449f33953",
+    "fidelity_model.csv":
+        "337a0b6f991af9a2632ac1c106eff89f8b9481eff78541f247663acb715ad09c",
+    "tomography.json":
+        "6ba4fc49cd47e5033f9c765b0f5ee4417bf746db44bc80d17299b82ed751106e",
     "clicks.csv":
         "5ee04ac4c97ff53580356d6011ad5edfb25d73ea611321ca7d418c233d00fd84",
     "hom_histogram.csv":
@@ -169,10 +180,12 @@ class TestArtifacts:
             assert code == 0
         assert (out1 / "clicks.csv").read_bytes() == \
             (out2 / "clicks.csv").read_bytes()
-        code = run_cli(["--config", fast_config_path, "--out", str(out1),
-                        "--seed", "7", "analyze",
-                        "--clicks", str(out1 / "clicks.csv")])
-        assert code == 0
+        for command in (["analyze", "--clicks", str(out1 / "clicks.csv")],
+                        ["envelope"], ["visibility"], ["fidelity-model"],
+                        ["tomography", "--synthetic", "200"]):
+            code = run_cli(["--config", fast_config_path, "--out", str(out1),
+                            "--seed", "7", *command])
+            assert code == 0
         digests = {name: hashlib.sha256((out1 / name).read_bytes()).hexdigest()
                    for name in FAST_SEED7_SHA256}
         assert digests == FAST_SEED7_SHA256
