@@ -11,6 +11,33 @@ tomography      maximum-likelihood state reconstruction and uncertainties
 
 All artifacts start with header lines recording the resolved-config hash and
 the seed, so a fixed seed reproduces byte-identical outputs.
+
+Config reference
+----------------
+``--config`` names a JSON object that patches the defaults.  Units are in
+the key names, and a key the loader does not read is an error (exit 3).
+
+node_a, node_b  ``{"preset", "overrides"}`` or a node document, replaced
+                wholesale: the two emitters
+detectors       ``{"preset"}`` or a detector table, replaced wholesale
+jitter          k_max, span_factor: node A's cavity-jitter ensemble, 2 k_max
+                + 1 offsets over +-span_factor * gamma_clj
+sequence        max_iterations: attempts per block; detection_span_us:
+                heralds in (0, span) take a qubit measurement and end a
+                herald-mode block
+t_sweep_us      start, stop, step: windows T of visibility, fidelity-model
+                and analyze
+seed            master seed of simulate and tomography
+integration     target_dt_ns: fine propagation step; coarse_dt_us: kernel grid
+analysis        bin_us: HOM histogram bin of analyze; window_us: detection
+                window [start, end], 0 <= start < end <= 100, for photon
+                click probabilities, calibration, coincidences, model V(T)
+                and the background span
+simulate        n_attempts (``--attempts`` overrides); herald_mode: end each
+                block at its first herald; target_success_probability:
+                calibration target per attempt, 0 or null for none
+fidelity        f_ip_a, f_ip_b: ion-photon fidelities; phi: Bell-state phase
+                in rad of fidelity-model and tomography
 """
 
 from __future__ import annotations
@@ -19,7 +46,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +55,6 @@ from . import dynamics, empirical, hilbert, netsim, pbsm, tomography
 from .errors import ConfigError, IonnetError, PresetNotFoundError
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_PRESET = 4
 EXIT_RUNTIME = 5
@@ -63,15 +89,30 @@ class RunConfig:
     target_dt: float
     coarse_dt: float
     analysis_bin: float
-    analysis_window: tuple
     simulate_options: dict
     fidelity_options: dict
     digest: str
-    document: dict = field(repr=False, default_factory=dict)
 
 
 # sections a user supplies wholesale rather than patching field by field
 _REPLACE_SECTIONS = ("node_a", "node_b", "detectors")
+# keys the loader reads that the default document leaves out
+_OPTIONAL_KEYS = {"sequence": {"max_iterations", "detection_span_us"}}
+
+
+def _check_keys(doc: dict) -> None:
+    """Reject any key the loader does not read, naming it ``section.key``."""
+    for key, value in doc.items():
+        if key not in _DEFAULT_CONFIG:
+            raise ConfigError(f"unknown config key {key!r}")
+        default = _DEFAULT_CONFIG[key]
+        if key in _REPLACE_SECTIONS or not isinstance(default, dict):
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be an object")
+        unread = value.keys() - default.keys() - _OPTIONAL_KEYS.get(key, set())
+        if unread:
+            raise ConfigError(f"unknown config key '{key}.{min(unread)}'")
 
 
 def _merge(defaults, override, replace=()):
@@ -89,8 +130,8 @@ def _node_from_section(section) -> hilbert.NodeParams:
     if not isinstance(section, dict):
         raise ConfigError("node section must be an object")
     if "preset" in section:
-        doc = dict(hilbert.load_preset(section["preset"]))
-        doc.update(section.get("overrides", {}))
+        doc = {**hilbert.load_preset(section["preset"]),
+               **section.get("overrides", {})}
     else:
         doc = section
     try:
@@ -116,11 +157,11 @@ def load_config(path: str | None, seed_override: int | None = None,
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
+        _check_keys(doc)
     merged = _merge(_DEFAULT_CONFIG, doc, replace=_REPLACE_SECTIONS)
     if seed_override is not None:
         merged["seed"] = seed_override
-    if overrides:
-        merged = _merge(merged, overrides)
+    merged = _merge(merged, overrides or {})
 
     node_a = _node_from_section(merged["node_a"])
     node_b = _node_from_section(merged["node_b"])
@@ -139,22 +180,17 @@ def load_config(path: str | None, seed_override: int | None = None,
                                           k_max=int(jitter["k_max"]),
                                           span_factor=float(jitter["span_factor"]))
 
-    seq_over = merged["sequence"]
-    seq_kwargs = {}
-    for name in ("cooling_a", "pumping_a", "raman_a", "cooling_b",
-                 "pumping_b", "raman_b", "iteration", "detection_span"):
-        if f"{name}_us" in seq_over:
-            seq_kwargs[name] = float(seq_over[f"{name}_us"]) * 1e-6
-    if "max_iterations" in seq_over:
-        seq_kwargs["max_iterations"] = int(seq_over["max_iterations"])
-    for name in ("detection_window", "background_window"):
-        if f"{name}_us" in seq_over:
-            lo, hi = seq_over[f"{name}_us"]
-            seq_kwargs[name] = (float(lo) * 1e-6, float(hi) * 1e-6)
+    seq = merged["sequence"]
     try:
-        sequence = netsim.SequenceConfig(**seq_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad sequence config: {exc}") from exc
+        lo, hi = merged["analysis"]["window_us"]
+        kwargs = {"detection_window": (float(lo) * 1e-6, float(hi) * 1e-6)}
+        if "max_iterations" in seq:
+            kwargs["max_iterations"] = int(seq["max_iterations"])
+        if "detection_span_us" in seq:
+            kwargs["detection_span"] = float(seq["detection_span_us"]) * 1e-6
+        sequence = netsim.SequenceConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sequence or analysis window: {exc}") from exc
 
     sweep = merged["t_sweep_us"]
     t_sweep = np.arange(float(sweep["start"]),
@@ -164,7 +200,6 @@ def load_config(path: str | None, seed_override: int | None = None,
         raise ConfigError("empty coincidence-window sweep")
 
     integ = merged["integration"]
-    analysis = merged["analysis"]
     digest = hashlib.sha256(
         json.dumps(merged, sort_keys=True).encode()).hexdigest()[:16]
     return RunConfig(
@@ -173,11 +208,10 @@ def load_config(path: str | None, seed_override: int | None = None,
         seed=int(merged["seed"]),
         target_dt=float(integ["target_dt_ns"]) * 1e-9,
         coarse_dt=float(integ["coarse_dt_us"]) * 1e-6,
-        analysis_bin=float(analysis["bin_us"]) * 1e-6,
-        analysis_window=tuple(float(x) * 1e-6 for x in analysis["window_us"]),
+        analysis_bin=float(merged["analysis"]["bin_us"]) * 1e-6,
         simulate_options=dict(merged["simulate"]),
         fidelity_options=dict(merged["fidelity"]),
-        digest=digest, document=merged)
+        digest=digest)
 
 
 # tomography flags that change tomography.json
@@ -204,6 +238,13 @@ def _headers(cfg: RunConfig, extra=()):
     return [f"config_sha256={cfg.digest}", f"seed={cfg.seed}", *extra]
 
 
+def _write_rows(path, cfg: RunConfig, columns: str, rows) -> None:
+    """A CSV of header lines, the column line and the rows."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in _headers(cfg))
+        fh.writelines(f"{line}\n" for line in (columns, *rows))
+
+
 def _out_path(args, name: str) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,8 +255,7 @@ def _out_path(args, name: str) -> Path:
 
 def _cmd_envelope(cfg: RunConfig, args) -> int:
     nodes = {"a": cfg.node_a, "b": cfg.node_b}
-    wanted = ("a", "b") if args.node == "both" else (args.node,)
-    for key in wanted:
+    for key in ("a", "b") if args.node == "both" else (args.node,):
         params = nodes[key]
         grid = dynamics.TimeGrid.for_node(params, target_dt=cfg.target_dt)
         ensemble = cfg.ensemble_a if key == "a" else \
@@ -228,13 +268,17 @@ def _cmd_envelope(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _model_curve(cfg: RunConfig, t_list, mode: str = "full"):
+    """Model V(T) of the configured nodes in the detection window."""
+    return pbsm.model_visibility(
+        cfg.node_a, cfg.node_b, t_list, mode=mode, ensemble_a=cfg.ensemble_a,
+        window=cfg.sequence.detection_window, coarse_dt=cfg.coarse_dt,
+        target_dt=cfg.target_dt)
+
+
 def _cmd_visibility(cfg: RunConfig, args) -> int:
-    curves = {}
-    for mode in pbsm.MODES:
-        curves[mode] = pbsm.model_visibility(
-            cfg.node_a, cfg.node_b, cfg.t_sweep, mode=mode,
-            ensemble_a=cfg.ensemble_a, window=cfg.analysis_window,
-            coarse_dt=cfg.coarse_dt, target_dt=cfg.target_dt)
+    curves = {mode: _model_curve(cfg, cfg.t_sweep, mode)
+              for mode in pbsm.MODES}
     path = _out_path(args, "visibility.csv")
     pbsm.write_visibility_csv(path, cfg.t_sweep, curves,
                               header_lines=_headers(cfg))
@@ -243,41 +287,30 @@ def _cmd_visibility(cfg: RunConfig, args) -> int:
 
 
 def _read_visibility_csv(path):
-    t_vals, v_vals = [], []
+    """(T in s, V) from the first two columns of a ``T_us,V`` CSV."""
     with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            parts = line.split(",")
-            t_vals.append(float(parts[0]) * 1e-6)
-            v_vals.append(float(parts[1]))
-    return np.array(t_vals), np.array(v_vals)
+        lines = [line.strip() for line in fh]
+    rows = [line.split(",") for line in lines
+            if line and not line.startswith("#")][1:]  # after the column line
+    return (np.array([float(row[0]) for row in rows]) * 1e-6,
+            np.array([float(row[1]) for row in rows]))
 
 
 def _cmd_fidelity_model(cfg: RunConfig, args) -> int:
-    t_list = cfg.t_sweep
     if args.visibility_csv:
         t_list, vis = _read_visibility_csv(args.visibility_csv)
     else:
-        curve = pbsm.model_visibility(
-            cfg.node_a, cfg.node_b, t_list, mode="full",
-            ensemble_a=cfg.ensemble_a, window=cfg.analysis_window,
-            coarse_dt=cfg.coarse_dt, target_dt=cfg.target_dt)
-        vis = curve.visibility
+        t_list = cfg.t_sweep
+        vis = _model_curve(cfg, t_list).visibility
     opts = cfg.fidelity_options
-    span = cfg.analysis_window[1] - cfg.analysis_window[0]
+    w0, w1 = cfg.sequence.detection_window
     curves = {}
     for label, sign in (("plus", +1), ("minus", -1)):
         for variant, dephase in (("full", True), ("nodephase", False)):
             curves[f"F_{label}_{variant}"] = empirical.model_fidelity_curve(
                 t_list, vis, cfg.detectors, opts["f_ip_a"], opts["f_ip_b"],
-                sign, phi=opts.get("phi", 0.0), include_dephasing=dephase,
-                window_span=span)
+                sign, phi=opts["phi"], include_dephasing=dephase,
+                window_span=w1 - w0)
     path = _out_path(args, "fidelity_model.csv")
     empirical.write_fidelity_csv(path, t_list, curves,
                                  header_lines=_headers(cfg))
@@ -289,7 +322,7 @@ def _detection_model(cfg: RunConfig) -> netsim.DetectionModel:
     model = netsim.build_detection_model(
         cfg.node_a, cfg.node_b, cfg.detectors, cfg.sequence, cfg.ensemble_a,
         coarse_dt=cfg.coarse_dt, target_dt=cfg.target_dt)
-    target = cfg.simulate_options.get("target_success_probability")
+    target = cfg.simulate_options["target_success_probability"]
     if target:
         model = netsim.calibrate_to_success_probability(model, float(target))
     return model
@@ -301,13 +334,13 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     model = _detection_model(cfg)
     clicks, log = netsim.simulate_attempts(
         cfg.sequence, model, n_attempts, seed=cfg.seed,
-        herald_mode=bool(opts.get("herald_mode", False)))
+        herald_mode=bool(opts["herald_mode"]))
     path = _out_path(args, "clicks.csv")
     clicks.to_csv(path, header_lines=_headers(
         cfg, extra=[f"n_executed={log.n_executed}",
                     f"herald_mode={log.herald_mode}"]))
     metrics = netsim.success_metrics(clicks, log, cfg.detectors,
-                                     window=cfg.analysis_window)
+                                     window=cfg.sequence.detection_window)
     print(f"wrote {path}")
     print(f"attempts executed: {log.n_executed}")
     print(f"coincidences: {metrics.n_coincidences}")
@@ -321,25 +354,21 @@ def _cmd_analyze(cfg: RunConfig, args) -> int:
         clicks = netsim.ClickRecords.from_csv(args.clicks)
     except FileNotFoundError as exc:
         raise ConfigError(f"click file not found: {args.clicks}") from exc
+    window = cfg.sequence.detection_window
     hom = netsim.hom_analysis(clicks, cfg.detectors, delta=cfg.analysis_bin,
-                              t_list=cfg.t_sweep, window=cfg.analysis_window)
+                              t_list=cfg.t_sweep, window=window)
     hist_path = _out_path(args, "hom_histogram.csv")
-    with open(hist_path, "w", newline="") as fh:
-        for line in _headers(cfg):
-            fh.write(f"# {line}\n")
-        fh.write("tau_us,n_parallel_raw,n_perp_raw,n_parallel,n_perp\n")
-        for i, tau in enumerate(hom.tau_centers):
-            fh.write(f"{tau * 1e6:.3f},{hom.n_parallel_raw[i]:.0f},"
-                     f"{hom.n_perp_raw[i]:.0f},{hom.n_parallel[i]:.3f},"
-                     f"{hom.n_perp[i]:.3f}\n")
+    _write_rows(hist_path, cfg,
+                "tau_us,n_parallel_raw,n_perp_raw,n_parallel,n_perp",
+                (f"{tau * 1e6:.3f},{hom.n_parallel_raw[i]:.0f},"
+                 f"{hom.n_perp_raw[i]:.0f},{hom.n_parallel[i]:.3f},"
+                 f"{hom.n_perp[i]:.3f}"
+                 for i, tau in enumerate(hom.tau_centers)))
     vis_path = _out_path(args, "visibility_data.csv")
-    with open(vis_path, "w", newline="") as fh:
-        for line in _headers(cfg):
-            fh.write(f"# {line}\n")
-        fh.write("T_us,T_effective_us,V\n")
-        for i, t_win in enumerate(hom.t_list):
-            fh.write(f"{t_win * 1e6:.3f},{hom.t_effective[i] * 1e6:.3f},"
-                     f"{hom.visibility[i]:.6f}\n")
+    _write_rows(vis_path, cfg, "T_us,T_effective_us,V",
+                (f"{t_win * 1e6:.3f},{hom.t_effective[i] * 1e6:.3f},"
+                 f"{hom.visibility[i]:.6f}"
+                 for i, t_win in enumerate(hom.t_list)))
     # the run as ``simulate`` logged it: executed attempts from the file
     # header, heralds re-selected in the window simulate_attempts uses
     log = netsim.AttemptLog(
@@ -350,8 +379,7 @@ def _cmd_analyze(cfg: RunConfig, args) -> int:
         herald_mode=clicks.herald_mode,
         herald_attempts=netsim.herald_attempts(
             clicks, cfg.detectors, (0.0, cfg.sequence.detection_span)))
-    metrics = netsim.success_metrics(clicks, log, cfg.detectors,
-                                     window=cfg.analysis_window)
+    metrics = netsim.success_metrics(clicks, log, cfg.detectors, window=window)
     print(f"wrote {hist_path}")
     print(f"wrote {vis_path}")
     print(f"coincidences: {metrics.n_coincidences}")
@@ -361,7 +389,6 @@ def _cmd_analyze(cfg: RunConfig, args) -> int:
 
 
 def _cmd_tomography(cfg: RunConfig, args) -> int:
-    rng_seed = cfg.seed
     if args.counts:
         try:
             doc = json.loads(Path(args.counts).read_text())
@@ -373,17 +400,14 @@ def _cmd_tomography(cfg: RunConfig, args) -> int:
     elif args.synthetic:
         opts = cfg.fidelity_options
         t_win = args.t_window_us * 1e-6
-        curve = pbsm.model_visibility(
-            cfg.node_a, cfg.node_b, [t_win], mode="full",
-            ensemble_a=cfg.ensemble_a, window=cfg.analysis_window,
-            coarse_dt=cfg.coarse_dt, target_dt=cfg.target_dt)
+        w0, w1 = cfg.sequence.detection_window
         rho = empirical.heralded_state(
             empirical.herald_budget(cfg.detectors, args.sign), args.sign,
-            opts["phi"], t_win,
-            cfg.analysis_window[1] - cfg.analysis_window[0],
-            curve.visibility[0], opts["f_ip_a"], opts["f_ip_b"])
+            opts["phi"], t_win, w1 - w0,
+            _model_curve(cfg, [t_win]).visibility[0], opts["f_ip_a"],
+            opts["f_ip_b"])
         counts = tomography.sample_counts(rho, args.synthetic,
-                                          np.random.default_rng(rng_seed))
+                                          np.random.default_rng(cfg.seed))
     else:
         raise ConfigError("tomography needs --counts or --synthetic")
 
@@ -392,7 +416,7 @@ def _cmd_tomography(cfg: RunConfig, args) -> int:
         phi, _ = tomography.optimize_phase(rho, args.sign)
     else:
         phi = args.phi if args.phi is not None else \
-            cfg.fidelity_options.get("phi", 0.0)
+            cfg.fidelity_options["phi"]
     estimate = tomography.resample_uncertainty(
         counts, (args.sign, phi), m_resamples=args.resamples, seed=cfg.seed)
     doc = tomography.reconstruction_to_json(rho, estimate)

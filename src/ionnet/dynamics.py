@@ -96,9 +96,6 @@ class Trajectory:
     def trace(self) -> np.ndarray:
         return np.einsum("kii->k", self.states).real
 
-    def population(self, level: int) -> np.ndarray:
-        return self.states[:, level, level].real
-
 
 @dataclass(frozen=True)
 class JitterEnsemble:
@@ -296,6 +293,17 @@ def propagate(props: StepPropagators, v0: np.ndarray,
 
 # -- public evolution API ----------------------------------------------------
 
+def _evolve(params: NodeParams, grid: TimeGrid, delta_omega: float,
+            flavor: str, dim: int) -> tuple[Trajectory, np.ndarray]:
+    """Trajectory from ``|S,0><S,0|`` and the change of its trace per step."""
+    props = step_propagators(params, grid, delta_omega, flavor)
+    rho0 = np.zeros(dim * dim, dtype=np.complex128)
+    rho0[0] = 1.0
+    vecs = propagate(props, rho0, grid.n_steps)
+    traj = Trajectory(grid=grid, states=vecs.reshape(-1, dim, dim))
+    return traj, np.diff(traj.trace())
+
+
 def evolve_restricted(params: NodeParams, grid: TimeGrid,
                       delta_omega: float = 0.0) -> Trajectory:
     """Integrate the manifold-confined equation from ``|S,0><S,0|``.
@@ -303,29 +311,20 @@ def evolve_restricted(params: NodeParams, grid: TimeGrid,
     The returned trajectory is unnormalized: its trace at time t is the
     probability that none of the manifold-leaving channels has fired.
     """
-    props = step_propagators(params, grid, delta_omega, "restricted")
-    rho0 = np.zeros(RESTRICTED_DIM * RESTRICTED_DIM, dtype=np.complex128)
-    rho0[0] = 1.0
-    vecs = propagate(props, rho0, grid.n_steps)
-    states = vecs.reshape(-1, RESTRICTED_DIM, RESTRICTED_DIM)
-    traces = np.einsum("kii->k", states).real
-    if np.any(np.diff(traces) > _TRACE_INCREASE_TOL):
+    traj, change = _evolve(params, grid, delta_omega, "restricted",
+                           RESTRICTED_DIM)
+    if np.any(change > _TRACE_INCREASE_TOL):
         raise IntegratorError("restricted trace increased beyond tolerance")
-    return Trajectory(grid=grid, states=states)
+    return traj
 
 
 def evolve_full(params: NodeParams, grid: TimeGrid,
                 delta_omega: float = 0.0) -> Trajectory:
     """Integrate the trace-preserving six-level equation from ``|S,0><S,0|``."""
-    props = step_propagators(params, grid, delta_omega, "full")
-    rho0 = np.zeros(hilbert.DIM * hilbert.DIM, dtype=np.complex128)
-    rho0[0] = 1.0
-    vecs = propagate(props, rho0, grid.n_steps)
-    states = vecs.reshape(-1, hilbert.DIM, hilbert.DIM)
-    traces = np.einsum("kii->k", states).real
-    if np.any(np.abs(np.diff(traces)) > _FULL_TRACE_TOL):
+    traj, change = _evolve(params, grid, delta_omega, "full", hilbert.DIM)
+    if np.any(np.abs(change) > _FULL_TRACE_TOL):
         raise IntegratorError("full-equation trace drifted beyond tolerance")
-    return Trajectory(grid=grid, states=states)
+    return traj
 
 
 def photon_envelopes(traj: Trajectory, params: NodeParams):
@@ -361,8 +360,7 @@ def write_envelope_csv(path, grid: TimeGrid, p_v, p_h, p_s,
     """Write envelope/scattering curves as CSV (t_us, rates in 1/s)."""
     times_us = grid.times() * 1e6
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write("t_us,p_v,p_h,P_s\n")
         for t, pv, ph, ps in zip(times_us, p_v, p_h, p_s):
             fh.write(f"{t:.6f},{pv:.9e},{ph:.9e},{ps:.9e}\n")

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .pbsm import HERALD_PORTS, DetectorTable
+from .pbsm import DETECTION_WINDOW, HERALD_PORTS, DetectorTable
 
 BASIS_LABELS = ("D'D'", "D'D", "DD'", "DD")
+_WINDOW_SPAN = DETECTION_WINDOW[1] - DETECTION_WINDOW[0]
 _IDX_DPRIME_D = 1  # |D'_A D_B>
 _IDX_D_DPRIME = 2  # |D_A D'_B>
 
@@ -135,7 +136,7 @@ def depolarizing_correction(rho_dist: np.ndarray, f_ip_a: float,
 
 
 def background_window_fraction(t_window: float,
-                               window_span: float = 17.5e-6) -> float:
+                               window_span: float = _WINDOW_SPAN) -> float:
     """Fraction of background pairs separated by at most t_window.
 
     Assumes uniform arrival positions inside the detection window; for two
@@ -180,7 +181,7 @@ def heralded_state(budget: BackgroundBudget, sign: int, phi: float,
 def model_fidelity_curve(t_list, visibility, table: DetectorTable,
                          f_ip_a: float, f_ip_b: float, sign: int,
                          phi: float = 0.0, include_dephasing: bool = True,
-                         window_span: float = 17.5e-6) -> np.ndarray:
+                         window_span: float = _WINDOW_SPAN) -> np.ndarray:
     """Predicted Bell-state fidelity as a function of the coincidence window.
 
     ``visibility`` is V(T) aligned with ``t_list`` (measured or modeled).
@@ -204,8 +205,7 @@ def write_fidelity_csv(path, t_list, curves: dict, header_lines=()) -> None:
     cols = ("F_plus_full", "F_minus_full", "F_plus_nodephase",
             "F_minus_nodephase")
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write("T_us," + ",".join(cols) + "\n")
         for i, t_win in enumerate(np.asarray(t_list)):
             row = [f"{t_win * 1e6:.3f}"]

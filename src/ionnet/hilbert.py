@@ -285,12 +285,6 @@ def load_preset(name: str) -> dict:
         raise PresetNotFoundError(f"no preset named {name!r}") from exc
 
 
-def node_from_preset(name: str, **overrides) -> NodeParams:
-    """Node parameters from a bundled preset, with optional field overrides.
-
-    Overrides use the document keys (MHz pre-2*pi), e.g.
-    ``node_from_preset("nodeA", gamma_clj=0.1)``.
-    """
-    doc = dict(load_preset(name))
-    doc.update(overrides)
-    return node_params_from_dict(doc)
+def node_from_preset(name: str) -> NodeParams:
+    """Node parameters from a bundled preset."""
+    return node_params_from_dict(load_preset(name))

@@ -27,8 +27,8 @@ from .dynamics import DEFAULT_TARGET_DT, JitterEnsemble, jitter_ensemble
 from .errors import (ConfigError, NumericalConsistencyError,
                      UndefinedVisibilityError)
 from .hilbert import NodeParams
-from .pbsm import (HERALD_PORTS, DetectorTable, InterferenceModel,
-                   build_interference_model)
+from .pbsm import (DETECTION_WINDOW, HERALD_PORTS, DetectorTable,
+                   InterferenceModel, build_interference_model)
 
 BG_SPAN = 100e-6  # background-generation span per attempt
 
@@ -37,29 +37,25 @@ BG_SPAN = 100e-6  # background-generation span per attempt
 
 @dataclass(frozen=True)
 class SequenceConfig:
-    """Per-iteration timing of the photon-generation loop."""
+    """What the simulation and its analysis read of the generation loop.
 
-    cooling_a: float = 63e-6
-    pumping_a: float = 280e-6
-    raman_a: float = 50e-6
-    cooling_b: float = 60e-6
-    pumping_b: float = 60e-6
-    raman_b: float = 50e-6
-    iteration: float = 420e-6
+    ``max_iterations`` attempts make a block, which the wall clock charges
+    one initialization and handshake.  ``detection_window`` (s, with
+    ``0 <= start < end <= BG_SPAN``) anchors the photon click probabilities
+    and their calibration and bounds the counted coincidences.  Herald pairs
+    inside (0, ``detection_span``) are the run's heralds: each is charged a
+    qubit measurement and, in herald mode, ends its block.
+    """
+
     max_iterations: int = 20
-    detection_window: tuple[float, float] = (5.5e-6, 23e-6)
-    background_window: tuple[float, float] = (70e-6, 100e-6)
+    detection_window: tuple[float, float] = DETECTION_WINDOW
     detection_span: float = 50e-6
 
     def __post_init__(self):
-        for node in "ab":
-            total = (getattr(self, f"cooling_{node}")
-                     + getattr(self, f"pumping_{node}")
-                     + getattr(self, f"raman_{node}"))
-            if total > self.iteration + 1e-12:
-                raise ValueError("iteration shorter than its phases")
-        if self.detection_window[1] > self.background_window[0]:
-            raise ValueError("detection and background windows overlap")
+        w0, w1 = self.detection_window
+        if not 0.0 <= w0 < w1 <= BG_SPAN:
+            raise ValueError(f"detection window ({w0:g}, {w1:g}) s needs "
+                             f"0 <= start < end <= {BG_SPAN:g} s")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
@@ -171,8 +167,7 @@ class ClickRecords:
 
     def to_csv(self, path, header_lines=()) -> None:
         with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
+            fh.writelines(f"# {line}\n" for line in header_lines)
             fh.write(f"# n_attempts={self.n_attempts}\n")
             fh.write(f"# detectors={','.join(self.detector_names)}\n")
             fh.write("attempt,detector,t_us,origin\n")
@@ -315,29 +310,23 @@ class DetectionModel:
 _POL_INDEX = {"v": 0, "h": 1}
 
 
-def _window_fraction(times, cdf_rows, window):
+def _window_fraction(times, cdf, window):
+    """In-window share of each distribution of ``cdf`` (..., n_times)."""
     w0, w1 = window
-    hi = np.array([np.interp(w1, times, row) for row in cdf_rows])
-    lo = np.array([np.interp(w0, times, row) for row in cdf_rows])
-    return hi - lo
+    rows = cdf.reshape(-1, cdf.shape[-1])
+    hi = np.array([np.interp(w1, times, row) for row in rows])
+    lo = np.array([np.interp(w0, times, row) for row in rows])
+    return (hi - lo).reshape(cdf.shape[:-1])
 
 
-def expected_herald_probability(model: DetectionModel) -> float:
-    """Per-attempt probability of a heralding coincidence under the model.
-
-    Coincidences at the ``pbsm.HERALD_PORTS`` pairings of both Bell states;
-    photon-photon, photon-background and background-background terms
-    included, all restricted to the detection window.
-    """
-    seq = model.seq
-    window = seq.detection_window
+def _herald_terms(model: DetectionModel) -> tuple[float, float, float]:
+    """Photon-photon, photon-background and background-background parts of
+    the per-attempt herald probability inside the detection window; they
+    scale as s**2, s and 1 with the photon probabilities."""
+    window = model.seq.detection_window
     span = window[1] - window[0]
-    wfrac_a = _window_fraction(
-        model.times_a, model.cdf_a.reshape(-1, model.cdf_a.shape[-1]),
-        window).reshape(-1, 2)
-    wfrac_b = _window_fraction(
-        model.times_b, model.cdf_b.reshape(-1, model.cdf_b.shape[-1]),
-        window).reshape(-1, 2)
+    wfrac_a = _window_fraction(model.times_a, model.cdf_a, window)
+    wfrac_b = _window_fraction(model.times_b, model.cdf_b, window)
 
     table = model.detectors
     q_a, q_b, p_bg = {}, {}, {}  # per port: in-window click probabilities
@@ -352,34 +341,37 @@ def expected_herald_probability(model: DetectionModel) -> float:
                                      * wfrac_b[0, pol_idx]) * share
             p_bg[output, pol] = rec.background_rate * span
 
-    total = 0.0
+    ph_ph = ph_bg = bg_bg = 0.0
     for r1, r2 in HERALD_PORTS[+1] + HERALD_PORTS[-1]:
-        ph_ph = q_a[r1] * q_b[r2] + q_b[r1] * q_a[r2]
-        ph_bg = ((q_a[r1] + q_b[r1]) * p_bg[r2]
-                 + (q_a[r2] + q_b[r2]) * p_bg[r1])
-        total += ph_ph + ph_bg + p_bg[r1] * p_bg[r2]
-    return total
+        ph_ph += q_a[r1] * q_b[r2] + q_b[r1] * q_a[r2]
+        ph_bg += ((q_a[r1] + q_b[r1]) * p_bg[r2]
+                  + (q_a[r2] + q_b[r2]) * p_bg[r1])
+        bg_bg += p_bg[r1] * p_bg[r2]
+    return ph_ph, ph_bg, bg_bg
+
+
+def expected_herald_probability(model: DetectionModel) -> float:
+    """Per-attempt probability of a heralding coincidence under the model.
+
+    Coincidences at the ``pbsm.HERALD_PORTS`` pairings of both Bell states
+    inside the detection window, from photons and backgrounds alike.
+    """
+    return sum(_herald_terms(model))
 
 
 def calibrate_to_success_probability(model: DetectionModel,
                                      target: float) -> DetectionModel:
     """Rescale photon probabilities so heralds occur at the target rate.
 
-    The herald probability is quadratic in the photon scale (photon-photon
-    terms) with a linear background cross term, so the factor follows from
-    one quadratic solve.
+    The herald probability is ``a s**2 + b s + c`` in the photon scale s,
+    with a, b and c the photon-photon, photon-background and
+    background-background terms, so the factor is the positive root.
+    Raises ``ValueError`` when no positive scale reaches the target.
     """
-    base = expected_herald_probability(model)
-    zero = expected_herald_probability(model.rescaled(1e-12))
-    # decompose P(s) = a s^2 + b s + c from three cheap evaluations
-    half = expected_herald_probability(model.rescaled(0.5))
-    c = zero
-    a = 2.0 * base + 2.0 * c - 4.0 * half
-    b = base - a - c
-    disc = b * b - 4.0 * a * (c - target)
-    if a <= 0 or disc < 0:
+    a, b, c = _herald_terms(model)
+    if a <= 0 or target < c:
         raise ValueError("cannot reach the target success probability")
-    factor = (-b + math.sqrt(disc)) / (2.0 * a)
+    factor = (-b + math.sqrt(b * b - 4.0 * a * (c - target))) / (2.0 * a)
     return model.rescaled(factor)
 
 
@@ -744,7 +736,7 @@ class HomAnalysis:
 
 def hom_analysis(clicks: ClickRecords, table: DetectorTable,
                  delta: float = 0.5e-6, t_list=(17.5e-6,),
-                 window: tuple[float, float] = (5.5e-6, 23e-6)) -> HomAnalysis:
+                 window: tuple[float, float] = DETECTION_WINDOW) -> HomAnalysis:
     """Interference visibility from click records.
 
     Coincidences are sorted by detector identity into same-polarization
@@ -857,25 +849,22 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
 
 # -- success metrics -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WallClockModel:
-    """Wall-clock accounting for rate estimates.
+# Wall clock of the installed sequence, in s.  A block fills the stated
+# maximum sequence length: initialization and the handshake, then one loop
+# iteration per executed attempt; each herald appends the qubit measurement.
+BLOCK_INIT = 3.49e-3
+# the four-edge TTL handshake: two round trips of the 2.55 us link
+HANDSHAKE = 4 * 2.55e-6
+# one photon-generation loop iteration (cooling, pumping, Raman, detection)
+ITERATION = 420e-6
+MEASUREMENT = 1.519e-3
 
-    Block overhead fills the stated maximum sequence length (initialization
-    plus handshake plus the full loop); each heralded block appends the
-    qubit-measurement stage.
-    """
 
-    block_init: float = 3.49e-3
-    # the four-edge TTL handshake: two round trips of the 2.55 us link
-    handshake: float = 4 * 2.55e-6
-    iteration: float = 420e-6
-    measurement: float = 1.519e-3
-
-    def total_time(self, log: AttemptLog) -> float:
-        return (log.n_blocks * (self.block_init + self.handshake)
-                + log.n_executed * self.iteration
-                + log.herald_attempts.size * self.measurement)
+def wall_time(log: AttemptLog) -> float:
+    """Wall-clock duration of a logged run under the constants above."""
+    return (log.n_blocks * (BLOCK_INIT + HANDSHAKE)
+            + log.n_executed * ITERATION
+            + log.herald_attempts.size * MEASUREMENT)
 
 
 @dataclass(frozen=True)
@@ -887,12 +876,12 @@ class SuccessMetrics:
 
 def success_metrics(clicks: ClickRecords, log: AttemptLog,
                     table: DetectorTable,
-                    window: tuple[float, float] = (5.5e-6, 23e-6),
+                    window: tuple[float, float] = DETECTION_WINDOW,
                     ) -> SuccessMetrics:
     """Coincidence count, per-attempt success probability, and herald rate."""
     n_coinc = int(herald_attempts(clicks, table, window).size)
     attempts = max(log.n_executed, 1)
-    total = WallClockModel().total_time(log)
+    total = wall_time(log)
     return SuccessMetrics(n_coincidences=n_coinc,
                           success_probability=n_coinc / attempts,
                           herald_rate=n_coinc / total if total > 0 else 0.0)

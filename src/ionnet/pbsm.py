@@ -23,6 +23,9 @@ from .hilbert import NodeParams, load_preset
 
 DETECTOR_NAMES = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2")
 
+# detection window of the installed sequence, s from the start of an attempt
+DETECTION_WINDOW = (5.5e-6, 23e-6)
+
 # Detector pairs, as (output, polarization) ports, whose coincidence heralds
 # each Bell state: the same-output orthogonal pair on the low-background u
 # arm heralds Psi+, the two cross-output orthogonal pairs herald Psi-.  The
@@ -128,20 +131,19 @@ def _scaled(kern: purebranch.CoherenceKernel) -> np.ndarray:
 
 
 def orthogonal_coincidence(kernels_a, kernels_b):
-    """Two-time rates (det_vh, det_hv) for orthogonally polarized clicks.
+    """Two-time rate for orthogonally polarized clicks.
 
-    ``det_vh[i, j]`` is the rate for a vertical click at ``t1 = times[i]``
-    on one output and a horizontal click at ``t2 = times[j]`` on the other;
-    no interference, only envelope products.  With no per-detector
-    efficiency the two rates are the same array.
+    ``det[i, j]`` is the rate for a vertical click at ``t1 = times[i]`` on
+    one output and a horizontal click at ``t2 = times[j]`` on the other; no
+    interference, only envelope products.  With no per-detector efficiency
+    the horizontal-then-vertical rate is the same array.
     """
     gv_a, gh_a = kernels_a
     gv_b, gh_b = kernels_b
     pv_a, ph_a = gv_a.envelope(), gh_a.envelope()
     pv_b, ph_b = gv_b.envelope(), gh_b.envelope()
     # base[i, j] = p_v^A(t1_i) p_h^B(t2_j) + p_v^B(t1_i) p_h^A(t2_j)
-    det = 0.25 * (np.outer(pv_a, ph_b) + np.outer(pv_b, ph_a))
-    return det, det
+    return 0.25 * (np.outer(pv_a, ph_b) + np.outer(pv_b, ph_a))
 
 
 def parallel_coincidence(kernels_a, kernels_b):
@@ -299,16 +301,17 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
 class VisibilityCurve:
     t_list: np.ndarray
     visibility: np.ndarray
-    mode: str
-    det_parallel: np.ndarray
-    det_orthogonal: np.ndarray
     per_offset_visibility: np.ndarray  # (n_offsets, n_T)
 
 
 def visibility_from_model(model: InterferenceModel, t_list,
-                          window: tuple[float, float] | None = (5.5e-6, 23e-6),
+                          window: tuple[float, float] | None = DETECTION_WINDOW,
                           ) -> VisibilityCurve:
-    """V(T) with jitter applied to the integrated rates, not the ratio."""
+    """V(T) with jitter applied to the integrated rates, not the ratio.
+
+    The orthogonal class counts both orders of the orthogonal pair, whose
+    rates are equal, so its integral enters twice.
+    """
     t_list = np.asarray(t_list, dtype=float)
     times = model.coarse_times
     n_off = len(model.offsets_a)
@@ -316,16 +319,15 @@ def visibility_from_model(model: InterferenceModel, t_list,
     keep, cell_dt = _window_cells(times, window)
     band = [_band_weights(keep.size, cell_dt, t_win) for t_win in t_list]
     for k in range(n_off):
-        det_vh, det_hv = orthogonal_coincidence(model.kernels_a[k],
-                                                model.kernels_b)
         det_hh, det_vv = parallel_coincidence(model.kernels_a[k],
                                               model.kernels_b)
-        for cls, rate_pair in ((0, (det_hh, det_vv)), (1, (det_vh, det_hv))):
-            for rates in rate_pair:
-                lag_sums = _lag_sums(rates, keep)
-                for it, weights in enumerate(band):
-                    dets[k, cls, it] += float(
-                        (lag_sums * weights).sum() * cell_dt * cell_dt)
+        det_orth = orthogonal_coincidence(model.kernels_a[k], model.kernels_b)
+        for cls, factor, rates in ((0, 1.0, det_hh), (0, 1.0, det_vv),
+                                   (1, 2.0, det_orth)):
+            lag_sums = _lag_sums(rates, keep)
+            for it, weights in enumerate(band):
+                dets[k, cls, it] += factor * float(
+                    (lag_sums * weights).sum() * cell_dt * cell_dt)
     weights = model.weights_a[:, None]
     par = (weights * dets[:, 0, :]).sum(axis=0)
     orth = (weights * dets[:, 1, :]).sum(axis=0)
@@ -334,15 +336,13 @@ def visibility_from_model(model: InterferenceModel, t_list,
     with np.errstate(divide="ignore", invalid="ignore"):
         per_offset = 1.0 - dets[:, 0, :] / dets[:, 1, :]
     return VisibilityCurve(t_list=t_list, visibility=1.0 - par / orth,
-                           mode=model.mode, det_parallel=par,
-                           det_orthogonal=orth,
                            per_offset_visibility=per_offset)
 
 
 def model_visibility(node_a: NodeParams, node_b: NodeParams, t_list,
                      mode: str = "full",
                      ensemble_a: JitterEnsemble | None = None,
-                     window: tuple[float, float] | None = (5.5e-6, 23e-6),
+                     window: tuple[float, float] | None = DETECTION_WINDOW,
                      coarse_dt: float = 0.25e-6,
                      target_dt: float = DEFAULT_TARGET_DT) -> VisibilityCurve:
     """Model interference visibility V(T) for one noise mode.
@@ -359,8 +359,7 @@ def model_visibility(node_a: NodeParams, node_b: NodeParams, t_list,
 def write_visibility_csv(path, t_list, curves: dict, header_lines=()) -> None:
     """CSV with one column per mode (T_us, V_full, V_no_technical, V_pure)."""
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write("T_us,V_full,V_no_technical,V_pure\n")
         for i, t_win in enumerate(np.asarray(t_list)):
             row = [f"{t_win * 1e6:.3f}"]

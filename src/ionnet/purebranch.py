@@ -57,11 +57,8 @@ class CoherenceKernel:
     matrix: np.ndarray
     kappa: float
 
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real
-
     def envelope(self) -> np.ndarray:
-        return 2.0 * self.kappa * self.diagonal()
+        return 2.0 * self.kappa * self.matrix.diagonal().real
 
 
 def propagate_no_noise(params: NodeParams, grid: TimeGrid,

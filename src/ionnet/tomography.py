@@ -69,9 +69,6 @@ class CountsRecord:
     def stacked(self) -> np.ndarray:
         return np.concatenate([np.asarray(self.counts[s]) for s in SETTINGS])
 
-    def setting_totals(self) -> np.ndarray:
-        return self.stacked().reshape(9, 4).sum(axis=1)
-
     @classmethod
     def from_stacked(cls, flat: np.ndarray) -> "CountsRecord":
         flat = np.asarray(flat).reshape(9, 4)
@@ -212,7 +209,11 @@ def _linear_inversion_start(counts: np.ndarray) -> np.ndarray:
     return _params_from_t(np.linalg.cholesky(rho))  # rho = T T^dag
 
 
-def _newton(counts: np.ndarray, max_iterations: int, gradient_tol: float):
+MAX_ITERATIONS = 2000  # Newton iterations per problem
+GRADIENT_TOL = 1e-8  # max |grad| at which a problem stops
+
+
+def _newton(counts: np.ndarray):
     """Damped Newton fits of stacked counts (M, 36), all problems at once.
 
     Returns the parameters (M, 16), the last max |grad| and the iterations
@@ -226,11 +227,11 @@ def _newton(counts: np.ndarray, max_iterations: int, gradient_tol: float):
     iterations = np.zeros(m, dtype=np.int64)
     active = np.arange(m)
     eye = np.eye(16)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         xa, ca = x[active], counts[active]
         grad, hess, q = _nll_derivatives(xa, ca)
         grad_norm[active] = np.max(np.abs(grad), axis=1)
-        keep = grad_norm[active] > gradient_tol
+        keep = grad_norm[active] > GRADIENT_TOL
         if not keep.all():
             active, xa, ca, q = active[keep], xa[keep], ca[keep], q[keep]
             grad, hess = grad[keep], hess[keep]
@@ -255,8 +256,7 @@ def _newton(counts: np.ndarray, max_iterations: int, gradient_tol: float):
 _BLOCK = 64
 
 
-def _mle_batch(counts: np.ndarray, max_iterations: int = 2000,
-               gradient_tol: float = 1e-8) -> np.ndarray:
+def _mle_batch(counts: np.ndarray) -> np.ndarray:
     """Maximum-likelihood states (M, 4, 4) for stacked counts (M, 36).
 
     A damped (modified) Newton iteration over blocks of up to 64 problems.
@@ -265,14 +265,15 @@ def _mle_batch(counts: np.ndarray, max_iterations: int = 2000,
     Levenberg-Marquardt damping.  A step is taken only if the NLL does not
     rise, and then mu shrinks threefold; otherwise it grows fourfold.  The
     NLL is invariant under x -> c x, so iterates are rescaled to x^T x = 1.
-    Each problem stops on its own once max |grad| <= gradient_tol, or once
-    its step no longer moves x; one that stops with max |grad| above
-    1e-5 * max(1, N) raises :class:`EstimationError`.
+    Each problem stops on its own once max |grad| <= GRADIENT_TOL, after
+    MAX_ITERATIONS iterations, or once its step no longer moves x; one that
+    stops with max |grad| above 1e-5 * max(1, N) raises
+    :class:`EstimationError`.
     """
     counts = np.asarray(counts, dtype=float)
     if np.any(counts.reshape(len(counts), 9, 4).sum(axis=2) == 0):
         raise ValueError("every setting needs at least one count")
-    fits = [_newton(counts[i:i + _BLOCK], max_iterations, gradient_tol)
+    fits = [_newton(counts[i:i + _BLOCK])
             for i in range(0, len(counts), _BLOCK)]
     x, grad_norm, iterations = (np.concatenate(part) for part in zip(*fits))
     failed = np.flatnonzero(
@@ -288,8 +289,7 @@ def _mle_batch(counts: np.ndarray, max_iterations: int = 2000,
     return rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
 
 
-def mle_reconstruct(counts: CountsRecord, max_iterations: int = 2000,
-                    gradient_tol: float = 1e-8) -> np.ndarray:
+def mle_reconstruct(counts: CountsRecord) -> np.ndarray:
     """Physical density matrix maximizing the multinomial likelihood.
 
     Deterministic given the counts; the one-problem case of the batched
@@ -297,8 +297,7 @@ def mle_reconstruct(counts: CountsRecord, max_iterations: int = 2000,
     iterations and gradient norm when the fit ends with a gradient above
     1e-5 * max(1, N) for N counts.
     """
-    return _mle_batch(counts.stacked()[None, :], max_iterations,
-                      gradient_tol)[0]
+    return _mle_batch(counts.stacked()[None, :])[0]
 
 
 def optimize_phase(rho: np.ndarray, sign: int) -> tuple[float, float]:
@@ -389,17 +388,14 @@ def counts_from_json(doc: dict) -> CountsRecord:
     """
     try:
         settings = doc["settings"]
-        counts = {}
-        for basis_a, basis_b in SETTINGS:
-            key = basis_a + basis_b
-            counts[(basis_a, basis_b)] = np.asarray(settings[key])
-        record = CountsRecord(counts=counts)
+        record = CountsRecord(counts={(a, b): np.asarray(settings[a + b])
+                                      for a, b in SETTINGS})
     except KeyError as exc:
         raise ConfigError(f"counts document has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad counts document: {exc}") from exc
-    empty = [a + b for (a, b), total in zip(SETTINGS, record.setting_totals())
-             if total == 0]
+    totals = record.stacked().reshape(9, 4).sum(axis=1)
+    empty = [a + b for (a, b), total in zip(SETTINGS, totals) if total == 0]
     if empty:
         raise ConfigError(f"bad counts document: settings {empty} have no "
                           "counts")

@@ -64,7 +64,8 @@ def full_model(node_a, node_b):
 
 @pytest.fixture(scope="module")
 def full_model_high_jitter(node_b):
-    node_a_hj = hilbert.node_from_preset("nodeA", gamma_clj=0.1)
+    node_a_hj = hilbert.node_params_from_dict(
+        {**hilbert.load_preset("nodeA"), "gamma_clj": 0.1})
     ens = dynamics.jitter_ensemble(node_a_hj.gamma_clj, k_max=6)
     return _timed_model("full_010", lambda: pbsm.build_interference_model(
         node_a_hj, node_b, ens, mode="full"))
@@ -95,7 +96,7 @@ def test_criterion_01_two_level_rabi_oracle():
     t = grid.times()
     rabi = np.sqrt(omega ** 2 + delta ** 2)
     expected = (omega ** 2 / rabi ** 2) * np.sin(rabi * t / 2.0) ** 2
-    err = float(np.abs(traj.population(1) - expected).max())
+    err = float(np.abs(traj.states[:, 1, 1].real - expected).max())
     elapsed = time.monotonic() - start
     _report(1, "two-level Rabi oracle",
             err < 1e-6 and elapsed < 1.0,

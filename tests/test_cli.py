@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionnet import cli
+from ionnet import cli, netsim
 
 FAST_CONFIG = {
     "jitter": {"k_max": 0, "span_factor": 3.0},
@@ -52,6 +55,14 @@ def run_cli(args):
     return cli.run_command(list(args))
 
 
+def run_python(*args):
+    """A fresh interpreter that imports the ionnet under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestConfig:
     def test_defaults_load(self):
         cfg = cli.load_config(None)
@@ -80,12 +91,33 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(bad))
 
+    def test_sequence_keys_read(self, tmp_path):
+        cfg_path = tmp_path / "seq.json"
+        cfg_path.write_text(json.dumps({
+            "sequence": {"max_iterations": 5, "detection_span_us": 40},
+            "analysis": {"window_us": [5.5, 12]}}))
+        seq = cli.load_config(str(cfg_path)).sequence
+        assert seq.max_iterations == 5
+        assert seq.detection_span == pytest.approx(40e-6)
+        assert seq.detection_window == (5.5e-6, 12e-6)
+
+    def test_calibration_counts_in_the_analysis_window(self, tmp_path):
+        # calibration and coincidence counting read the one window key
+        cfg_path = tmp_path / "window.json"
+        cfg_path.write_text(json.dumps(
+            {**FAST_CONFIG, "analysis": {"window_us": [5.5, 12]}}))
+        cfg = cli.load_config(str(cfg_path))
+        model = cli._detection_model(cfg)
+        counted = replace(model, seq=netsim.SequenceConfig(
+            detection_window=(5.5e-6, 12e-6)))
+        target = cfg.simulate_options["target_success_probability"]
+        assert netsim.expected_herald_probability(counted) == \
+            pytest.approx(target, rel=1e-12)
+
 
 class TestExitCodes:
     def test_unknown_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ionnet.cli", "--bogus", "envelope"],
-            capture_output=True, text=True)
+        proc = run_python("-m", "ionnet.cli", "--bogus", "envelope")
         assert proc.returncode == 2
 
     def test_malformed_config(self, tmp_path):
@@ -106,6 +138,34 @@ class TestExitCodes:
                                               "overrides": {"Delta1": 0.0}}}))
         code = run_cli(["--config", str(cfg), "envelope", "--node", "b"])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, key, value", [
+        *(("sequence", f"{name}_us", 10.0) for name in (
+            "cooling_a", "cooling_b", "pumping_a", "pumping_b", "raman_a",
+            "raman_b", "iteration")),
+        ("sequence", "detection_window_us", [5.5, 12.0]),
+        ("sequence", "background_window_us", [70.0, 100.0]),
+        ("sequence", "max_iteration", 5),  # typo of max_iterations
+        ("simulate", "attempts", 10),
+        (None, "sequnce", {}),
+    ])
+    def test_unread_key(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        doc = {key: value} if section is None else {section: {key: value}}
+        cfg.write_text(json.dumps(doc))
+        code = run_cli(["--config", str(cfg), "envelope", "--node", "b"])
+        assert code == cli.EXIT_CONFIG
+        named = key if section is None else f"{section}.{key}"
+        assert f"'{named}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [[23.0, 5.5], [5.5, 5.5], [-1.0, 23.0],
+                                        [5.5, 120.0], [5.5], "5.5,23"])
+    def test_bad_window(self, tmp_path, capsys, window):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"analysis": {"window_us": window}}))
+        code = run_cli(["--config", str(cfg), "envelope", "--node", "b"])
+        assert code == cli.EXIT_CONFIG
+        assert "window" in capsys.readouterr().err
 
     def test_tomography_requires_input(self, tmp_path):
         code = run_cli(["--out", str(tmp_path), "tomography"])
@@ -314,8 +374,6 @@ class TestArtifacts:
 def test_import_leaves_scipy_optimize_unloaded():
     # nothing on a CLI path fits with scipy.optimize, so a fresh interpreter
     # importing the CLI should not pay for importing it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ionnet.cli; sys.exit('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True)
+    proc = run_python(
+        "-c", "import sys, ionnet.cli; sys.exit('scipy.optimize' in sys.modules)")
     assert proc.returncode == 0, proc.stderr

@@ -159,7 +159,7 @@ class TestRestrictedEvolution:
         t = grid.times()
         w = np.sqrt(omega ** 2 + delta ** 2)
         expected = (omega ** 2 / w ** 2) * np.sin(w * t / 2.0) ** 2
-        assert np.abs(traj.population(1) - expected).max() < 1e-6
+        assert np.abs(traj.states[:, 1, 1].real - expected).max() < 1e-6
 
     def test_initial_trace_is_one(self, node_b_run):
         _, _, traj = node_b_run
@@ -175,7 +175,7 @@ class TestRestrictedEvolution:
         # checked at the 2e-3 level on a drained total of ~1
         p, grid, traj = node_b_run
         p_v, p_h = dynamics.photon_envelopes(traj, p)
-        d_loss = 2.0 * (p.gamma_dp + p.gamma_dprime_p) * traj.population(1)
+        d_loss = 2.0 * (p.gamma_dp + p.gamma_dprime_p) * traj.states[:, 1, 1].real
         drained = np.trapezoid(p_v + p_h + d_loss, grid.times())
         assert traj.trace()[-1] < 1.0
         assert drained > 0.9
@@ -279,7 +279,8 @@ class TestFullEvolution:
     def test_absorbing_levels_monotone(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=10e-6, target_dt=1e-9)
         traj = dynamics.evolve_full(node_b, grid)
-        absorbed = traj.population(hilbert.D0) + traj.population(hilbert.DP0)
+        absorbed = (traj.states[:, hilbert.D0, hilbert.D0].real
+                    + traj.states[:, hilbert.DP0, hilbert.DP0].real)
         assert np.all(np.diff(absorbed) >= -1e-12)
 
     def test_restricted_matches_full_in_manifold(self, node_b):

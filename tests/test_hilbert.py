@@ -152,7 +152,8 @@ class TestIngestion:
             hilbert.load_preset("nodeC")
 
     def test_overrides(self):
-        p = hilbert.node_from_preset("nodeA", gamma_clj=0.1)
+        p = hilbert.node_params_from_dict({**hilbert.load_preset("nodeA"),
+                                           "gamma_clj": 0.1})
         assert p.gamma_clj == pytest.approx(mhz(0.1))
 
     def test_coupling_weights(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -23,23 +24,24 @@ def table():
 class TestHandshake:
     def test_installed_link_duration(self):
         # the wall clock charges each block the installed link's handshake
-        assert netsim.WallClockModel().handshake == pytest.approx(10e-6,
-                                                                  rel=0.05)
+        assert netsim.HANDSHAKE == pytest.approx(10e-6, rel=0.05)
 
 
 class TestSequenceConfig:
     def test_defaults_valid(self):
         seq = SequenceConfig()
-        assert seq.iteration == pytest.approx(420e-6)
         assert seq.max_iterations == 20
+        assert seq.detection_window == pbsm.DETECTION_WINDOW
 
-    def test_phase_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceConfig(pumping_a=400e-6)
+    def test_window_outside_background_span_rejected(self):
+        for window in ((23e-6, 5.5e-6), (5.5e-6, 5.5e-6), (-1e-6, 23e-6),
+                       (5.5e-6, netsim.BG_SPAN + 1e-6)):
+            with pytest.raises(ValueError, match="detection window"):
+                SequenceConfig(detection_window=window)
 
-    def test_window_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceConfig(detection_window=(5.5e-6, 80e-6))
+    def test_window_spanning_background_span_accepted(self):
+        seq = SequenceConfig(detection_window=(0.0, netsim.BG_SPAN))
+        assert seq.detection_window == (0.0, netsim.BG_SPAN)
 
 
 def scaled_background_table(table, scale):
@@ -73,6 +75,35 @@ def toy_detection_model(table, tau=0.25, bg_scale=1.0, n_times=2001,
         times_b=times, cdf_b=np.array([[cdf, cdf]]),
         coarse_dt=coarse_dt, interference_num=num, diag_a=diag,
         diag_b=np.ones((2, n_c)), photon_scale=1.0)
+
+
+def three_point_factor(model, target):
+    """Calibration factor fitted from the herald probability at photon
+    scales 1, 0.5 and 1e-12, taken as a s**2 + b s + c."""
+    base = netsim.expected_herald_probability(model)
+    half = netsim.expected_herald_probability(model.rescaled(0.5))
+    c = netsim.expected_herald_probability(model.rescaled(1e-12))
+    a = 2.0 * base + 2.0 * c - 4.0 * half
+    b = base - a - c
+    return (-b + math.sqrt(b * b - 4.0 * a * (c - target))) / (2.0 * a)
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("target", [1e-4, 2.9e-4, 1e-3])
+    def test_hits_target_and_matches_three_point_fit(self, table, target):
+        model = toy_detection_model(table, tau=0.05)
+        calibrated = netsim.calibrate_to_success_probability(model, target)
+        assert netsim.expected_herald_probability(calibrated) == \
+            pytest.approx(target, rel=1e-12)
+        assert calibrated.photon_scale == \
+            pytest.approx(three_point_factor(model, target), rel=1e-9)
+
+    def test_target_below_background_raises(self, table):
+        model = toy_detection_model(table)
+        background = netsim.expected_herald_probability(model.rescaled(0.0))
+        assert background > 0.0
+        with pytest.raises(ValueError, match="cannot reach"):
+            netsim.calibrate_to_success_probability(model, 0.5 * background)
 
 
 class TestSimulation:
@@ -674,7 +705,10 @@ class TestSuccessMetrics:
         log = netsim.AttemptLog(n_requested=13_656_928, n_executed=13_656_928,
                                 block_size=20, herald_mode=False,
                                 herald_attempts=np.arange(3960))
-        model = netsim.WallClockModel()
-        total = model.total_time(log)
+        total = netsim.wall_time(log)
+        assert total == pytest.approx(
+            682_847 * (3.49e-3 + 10.2e-6) + 13_656_928 * 420e-6
+            + 3960 * 1.519e-3,
+            rel=1e-12)
         rate = 3960 / total
         assert 0.3 < rate < 0.56

@@ -69,11 +69,9 @@ class TestOrthogonalCoincidence:
         zero = CoherenceKernel(times, np.zeros((20, 20), complex), 1.0)
         only_v = synthetic_kernel(times, amps)
         only_h = synthetic_kernel(times, amps[::-1])
-        det_vh, det_hv = pbsm.orthogonal_coincidence((only_v, zero),
-                                                     (zero, only_h))
+        det = pbsm.orthogonal_coincidence((only_v, zero), (zero, only_h))
         expected = 0.25 * np.outer(only_v.envelope(), only_h.envelope())
-        assert np.allclose(det_vh, expected)
-        assert np.allclose(det_hv, expected)
+        assert np.allclose(det, expected)
 
     def test_node_and_time_swap_symmetry(self):
         rng = np.random.default_rng(1)
@@ -81,8 +79,8 @@ class TestOrthogonalCoincidence:
         _, a2, _, _ = random_amplitude_set(rng)
         kern_a = (synthetic_kernel(times, a1), synthetic_kernel(times, a2))
         kern_b = (synthetic_kernel(times, a2), synthetic_kernel(times, a1))
-        det_vh, _ = pbsm.orthogonal_coincidence(kern_a, kern_b)
-        det_vh_swapped, _ = pbsm.orthogonal_coincidence(kern_b, kern_a)
+        det_vh = pbsm.orthogonal_coincidence(kern_a, kern_b)
+        det_vh_swapped = pbsm.orthogonal_coincidence(kern_b, kern_a)
         assert np.allclose(det_vh, det_vh_swapped.T)
 
     def test_integral_factorizes(self):
@@ -92,14 +90,13 @@ class TestOrthogonalCoincidence:
         kern_a = (synthetic_kernel(times, a1, w, sh),
                   synthetic_kernel(times, a2, w2, sh2))
         kern_b = (synthetic_kernel(times, a2), synthetic_kernel(times, a1))
-        det_vh, det_hv = pbsm.orthogonal_coincidence(kern_a, kern_b)
+        det_vh = pbsm.orthogonal_coincidence(kern_a, kern_b)
         dt = times[1] - times[0]
         span = times[-1] + 1.0
         total = pbsm.integrated_coincidence(det_vh, times, span)
-        p_v_a = (2 * kern_a[0].kappa * kern_a[0].diagonal()[:-1]).sum() * dt
-        p_h_a = (2 * kern_a[1].kappa * kern_a[1].diagonal()[:-1]).sum() * dt
-        p_v_b = (2 * kern_b[0].kappa * kern_b[0].diagonal()[:-1]).sum() * dt
-        p_h_b = (2 * kern_b[1].kappa * kern_b[1].diagonal()[:-1]).sum() * dt
+        p_v_a, p_h_a, p_v_b, p_h_b = (
+            (2 * kern.kappa * kern.matrix.diagonal().real[:-1]).sum() * dt
+            for kern in (*kern_a, *kern_b))
         assert total == pytest.approx(
             0.25 * (p_v_a * p_h_b + p_v_b * p_h_a), rel=1e-12)
 
@@ -216,15 +213,13 @@ class TestModelVisibility:
         kern_b = (synthetic_kernel(times, a2), synthetic_kernel(times, a1))
 
         def visibility(eta):
-            det_vh, det_hv = (eta * det for det in
-                              pbsm.orthogonal_coincidence(kern_a, kern_b))
+            det_orth = eta * pbsm.orthogonal_coincidence(kern_a, kern_b)
             det_hh, det_vv = (eta * det for det in
                               pbsm.parallel_coincidence(kern_a, kern_b))
             t_win = 0.3
             par = (pbsm.integrated_coincidence(det_hh, times, t_win)
                    + pbsm.integrated_coincidence(det_vv, times, t_win))
-            orth = (pbsm.integrated_coincidence(det_vh, times, t_win)
-                    + pbsm.integrated_coincidence(det_hv, times, t_win))
+            orth = 2.0 * pbsm.integrated_coincidence(det_orth, times, t_win)
             return 1.0 - par / orth
 
         assert visibility(1.0) == pytest.approx(visibility(0.37), abs=1e-12)
@@ -278,7 +273,6 @@ def test_visibility_csv(tmp_path):
     for i, mode in enumerate(pbsm.MODES):
         curves[mode] = pbsm.VisibilityCurve(
             t_list=t_list, visibility=np.array([1.0 - 0.1 * i, 0.9 - 0.1 * i]),
-            mode=mode, det_parallel=np.zeros(2), det_orthogonal=np.ones(2),
             per_offset_visibility=np.zeros((1, 2)))
     path = tmp_path / "vis.csv"
     pbsm.write_visibility_csv(path, t_list, curves, header_lines=["seed=0"])

@@ -207,10 +207,11 @@ class TestMLE:
             assert abs(empirical.state_fidelity(alone, +1, 0.0)
                        - batch[i]) <= 1e-9
 
-    def test_non_convergence_raises_with_diagnostics(self):
+    def test_non_convergence_raises_with_diagnostics(self, monkeypatch):
         counts = tomo.exact_counts(bell_rho(+1, 0.0), 10_000)  # rank one
+        monkeypatch.setattr(tomo, "MAX_ITERATIONS", 1)
         with pytest.raises(EstimationError) as info:
-            tomo.mle_reconstruct(counts, max_iterations=1)
+            tomo.mle_reconstruct(counts)
         diagnostics = info.value.diagnostics
         assert diagnostics["problem"] == 0
         assert diagnostics["iterations"] == 1
