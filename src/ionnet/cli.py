@@ -130,8 +130,8 @@ def _node_from_section(section) -> hilbert.NodeParams:
     if not isinstance(section, dict):
         raise ConfigError("node section must be an object")
     if "preset" in section:
-        doc = {**hilbert.load_preset(section["preset"]),
-               **section.get("overrides", {})}
+        doc = dict(hilbert.load_preset(section["preset"]))
+        doc.update(section.get("overrides", {}))
     else:
         doc = section
     try:
@@ -255,7 +255,8 @@ def _out_path(args, name: str) -> Path:
 
 def _cmd_envelope(cfg: RunConfig, args) -> int:
     nodes = {"a": cfg.node_a, "b": cfg.node_b}
-    for key in ("a", "b") if args.node == "both" else (args.node,):
+    wanted = ("a", "b") if args.node == "both" else (args.node,)
+    for key in wanted:
         params = nodes[key]
         grid = dynamics.TimeGrid.for_node(params, target_dt=cfg.target_dt)
         ensemble = cfg.ensemble_a if key == "a" else \
