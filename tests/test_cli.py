@@ -42,6 +42,10 @@ FAST_SEED7_SHA256 = {
     "visibility_data.csv":
         "87f08ea860906c6d8dea21e74eca31e20098859765d46cb1aee42dbe5a6624e5",
 }
+# sha256 of the HERALD_CONFIG --seed 7 clicks.csv: the click order and the
+# blocks a herald cut short
+HERALD_SEED7_CLICKS_SHA256 = \
+    "bc19c8996ab5486df9d7660677acbdc2f89f35c411797740e564a6030078598c"
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +253,15 @@ class TestArtifacts:
         digests = {name: hashlib.sha256((out1 / name).read_bytes()).hexdigest()
                    for name in FAST_SEED7_SHA256}
         assert digests == FAST_SEED7_SHA256
+
+    def test_herald_mode_clicks_pinned(self, tmp_path):
+        cfg = tmp_path / "herald.json"
+        cfg.write_text(json.dumps(HERALD_CONFIG))
+        code = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                        "--seed", "7", "simulate"])
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "clicks.csv").read_bytes()
+                              ).hexdigest() == HERALD_SEED7_CLICKS_SHA256
 
     def test_attempts_enter_config_digest(self, fast_config_path, tmp_path):
         headers = []
