@@ -100,19 +100,46 @@ _REPLACE_SECTIONS = ("node_a", "node_b", "detectors")
 _OPTIONAL_KEYS = {"sequence": {"max_iterations", "detection_span_us"}}
 
 
+def _reject_unread(section: dict, known, name: str) -> None:
+    """Raise naming ``name.key`` for a key of ``section`` outside ``known``."""
+    unread = section.keys() - known
+    if unread:
+        raise ConfigError(f"unknown config key '{name}.{min(unread)}'")
+
+
+def _check_replaced_section(key: str, value) -> None:
+    """Reject unread keys of a node or detector section, at any depth."""
+    if not isinstance(value, dict):
+        return  # the section's own reader rejects it
+    if "preset" in value:
+        _reject_unread(value, {"preset", "overrides"} if key != "detectors"
+                       else {"preset"}, key)
+        overrides = value.get("overrides")
+        if isinstance(overrides, dict):
+            _reject_unread(overrides, hilbert.NODE_KEYS, f"{key}.overrides")
+    elif key == "detectors":
+        for name, row in value.items():
+            if isinstance(row, dict):
+                _reject_unread(row, pbsm.DETECTOR_KEYS, f"{key}.{name}")
+    else:
+        _reject_unread(value, hilbert.NODE_KEYS, key)
+
+
 def _check_keys(doc: dict) -> None:
     """Reject any key the loader does not read, naming it ``section.key``."""
     for key, value in doc.items():
         if key not in _DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key {key!r}")
         default = _DEFAULT_CONFIG[key]
-        if key in _REPLACE_SECTIONS or not isinstance(default, dict):
+        if key in _REPLACE_SECTIONS:
+            _check_replaced_section(key, value)
+            continue
+        if not isinstance(default, dict):
             continue
         if not isinstance(value, dict):
             raise ConfigError(f"config section {key!r} must be an object")
-        unread = value.keys() - default.keys() - _OPTIONAL_KEYS.get(key, set())
-        if unread:
-            raise ConfigError(f"unknown config key '{key}.{min(unread)}'")
+        _reject_unread(value, default.keys() | _OPTIONAL_KEYS.get(key, set()),
+                       key)
 
 
 def _merge(defaults, override, replace=()):
@@ -289,12 +316,24 @@ def _cmd_visibility(cfg: RunConfig, args) -> int:
 
 def _read_visibility_csv(path):
     """(T in s, V) from the first two columns of a ``T_us,V`` CSV."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh]
-    rows = [line.split(",") for line in lines
+    try:
+        with open(path) as fh:
+            lines = [(number, line.strip())
+                     for number, line in enumerate(fh, 1)]
+    except FileNotFoundError as exc:
+        raise ConfigError(f"visibility file not found: {path}") from exc
+    rows = [(number, line) for number, line in lines
             if line and not line.startswith("#")][1:]  # after the column line
-    return (np.array([float(row[0]) for row in rows]) * 1e-6,
-            np.array([float(row[1]) for row in rows]))
+    values = []
+    for number, line in rows:
+        try:
+            t_us, vis = line.split(",")[:2]
+            values.append((float(t_us) * 1e-6, float(vis)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {number}: malformed visibility "
+                              f"row {line!r}: {exc}") from None
+    t_list, vis = np.array(values).reshape(-1, 2).T
+    return t_list, vis
 
 
 def _cmd_fidelity_model(cfg: RunConfig, args) -> int:

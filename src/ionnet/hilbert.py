@@ -218,6 +218,10 @@ def ground_state(dim: int = DIM) -> np.ndarray:
 _REQUIRED_KEYS = ("Omega1", "Omega2", "g", "Delta1", "Delta2", "kappa",
                   "gamma_sp", "gamma_dp_plus_dprimep", "gamma_ss",
                   "gamma_clj", "eta", "pulse_us")
+# every key node_params_from_dict reads, and the presets' free-text comment
+NODE_KEYS = frozenset(_REQUIRED_KEYS + (
+    "g_weight_v", "g_weight_h", "dp_split", "detuning_convention", "Deltac1",
+    "Deltac2", "comment"))
 
 
 def node_params_from_dict(doc: dict) -> NodeParams:

@@ -16,6 +16,7 @@ window; backgrounds extend to 100 us, past the photon envelopes.
 from __future__ import annotations
 
 import bisect
+import io
 import itertools
 import math
 import re
@@ -69,7 +70,7 @@ _HEADER_KEYS = {"n_attempts": int, "n_executed": int,
                 "detectors": lambda v: tuple(v.split(","))}
 # characters that send a click-file body through line-by-line cleaning:
 # comment lines, and whitespace that ``str.strip`` would remove
-_BODY_IRREGULAR = "# \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_BODY_IRREGULAR = b"# \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _read_header_line(line: str, meta: dict, path) -> None:
@@ -122,6 +123,53 @@ def _malformed_row(path, fields, exc: ValueError) -> ConfigError:
     return ConfigError(f"{path}: malformed click row: {exc}")
 
 
+# the three-digit groups 000 to 999 in ASCII, one row each
+_DIGITS3 = np.array([list(f"{i:03d}".encode()) for i in range(1000)],
+                    dtype=np.uint8)
+_WRITE_CHUNK = 1 << 16  # click rows formatted per pass
+
+
+def _byte_table(names) -> np.ndarray:
+    """(len(names), longest) table of the UTF-8 names, padded with 0."""
+    encoded = [name.encode() for name in names]
+    table = np.zeros((len(encoded), max(map(len, encoded), default=0) or 1),
+                     dtype=np.uint8)
+    for row, name in zip(table, encoded):
+        row[:len(name)] = np.frombuffer(name, dtype=np.uint8)
+    return table
+
+
+# origin names by code + 1
+_ORIGIN_BYTES = _byte_table([ORIGIN_NAMES[code] for code in (-1, 0, 1)])
+
+
+def _put_rows(out: np.ndarray, col: int, table: np.ndarray,
+              index: np.ndarray) -> None:
+    """``out[:, col:col + w] = table[index]`` for a (k, w) byte table,
+    copying each table row as one w-byte item."""
+    item = f"V{table.shape[1]}"
+    out[:, col:col + table.shape[1]].view(item)[:, 0] = \
+        table.view(item)[index, 0]
+
+
+def _put_digits(out: np.ndarray, col: int, width: int,
+                values: np.ndarray) -> None:
+    """Write the decimal digits of non-negative ``values`` right aligned
+    into ``out[:, col:col + width]`` (width a multiple of 3), turning the
+    leading zeros but the last to 0 (padding)."""
+    rest = values
+    for k in range(width // 3 - 1, -1, -1):
+        rest, group = np.divmod(rest, 1000)
+        _put_rows(out, col + 3 * k, _DIGITS3, group)
+    for j in range(width - 1):
+        out[:, col + j] *= values >= 10 ** (width - 1 - j)
+
+
+def _holds(column: np.ndarray, name: str) -> np.ndarray:
+    """Where a read text column, bytes (S) or str, holds ``name``."""
+    return column == (name.encode() if column.dtype.kind == "S" else name)
+
+
 @dataclass
 class ClickRecords:
     """Columnar click storage: one row per detector click.
@@ -145,12 +193,21 @@ class ClickRecords:
       window (``%.6f``, so 1 ps steps) and the origin, one of ``photon``,
       ``background`` or ``unknown``.
 
+    Writing, rows are assembled as bytes, a chunk of rows at a time, from
+    digit and name tables; the time is its rounded picosecond count where
+    that equals ``%.6f`` (see ``_write_rows``).  The rest, rows with a
+    negative attempt or a time that is negative, non-finite, 1 ms or longer,
+    or within 1e-7 ps of a half-picosecond tie, are formatted one by one
+    with Python's ``.6f``.  Both give the bytes that formatting every row
+    gives.
+
     Reading, the ``origin`` column is optional and any other origin name
     reads as ``unknown`` (-1).  Blank lines, ``#`` lines, surrounding
-    whitespace and CRLF line ends are allowed, and columns past the last
-    one read are ignored.  A row naming a detector missing from the
-    ``detectors=`` header, or a field that does not parse, raises
-    ``ConfigError``.
+    whitespace, and CRLF and CR line ends are allowed, and columns past the
+    last one read are ignored.  A body of plain rows is parsed from the
+    file's bytes in one pass; any other goes through line-by-line cleaning.
+    A row naming a detector missing from the ``detectors=`` header, or a
+    field that does not parse, raises ``ConfigError``.
     """
 
     attempt: np.ndarray  # int64
@@ -166,82 +223,144 @@ class ClickRecords:
         return self.attempt.size
 
     def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.writelines(f"# {line}\n" for line in header_lines)
-            fh.write(f"# n_attempts={self.n_attempts}\n")
-            fh.write(f"# detectors={','.join(self.detector_names)}\n")
-            fh.write("attempt,detector,t_us,origin\n")
-            fh.writelines(map(
-                "{},{},{:.6f},{}\n".format, self.attempt.tolist(),
-                map(self.detector_names.__getitem__, self.detector.tolist()),
-                (self.t * 1e6).tolist(),
-                map(ORIGIN_NAMES.__getitem__, self.origin.tolist())))
+        names = _byte_table(self.detector_names)
+        with open(path, "wb") as fh:
+            fh.write("".join(
+                f"# {line}\n" for line in (
+                    *header_lines, f"n_attempts={self.n_attempts}",
+                    f"detectors={','.join(self.detector_names)}")).encode())
+            fh.write(b"attempt,detector,t_us,origin\n")
+            for start in range(0, len(self), _WRITE_CHUNK):
+                chunk = slice(start, start + _WRITE_CHUNK)
+                self._write_rows(fh, names, self.attempt[chunk],
+                                 self.detector[chunk], self.t[chunk] * 1e6,
+                                 self.origin[chunk])
+
+    def _write_rows(self, fh, names, attempt, detector, t_us, origin):
+        """Write one chunk of rows, ``{attempt},{name},{t_us:.6f},{origin}``.
+
+        A row's bytes are assembled from digit and name tables, with 0 as
+        padding that one compaction drops.  ``t_us`` prints as its picosecond
+        count ``rint(t_us * 1e6)`` where that is exactly what ``.6f`` prints:
+        t_us finite, not negative (``-0.0`` prints a sign), below 1e3 and,
+        since the product is within 6e-8 of the exact value there, more than
+        1e-7 from a half-picosecond tie.  Other rows, and negative attempts,
+        are formatted by Python.
+        """
+        fast = ((attempt >= 0) & np.isfinite(t_us) & ~np.signbit(t_us)
+                & (t_us < 1e3))
+        scaled = np.where(fast, t_us, 0.0) * 1e6
+        fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-7
+        ticks = np.rint(scaled).astype(np.int64)
+        fast &= ticks < 10 ** 9  # t_us rounds to 1000.000000 or more
+        attempt_fast = np.where(fast, attempt, 0)
+        # columns: attempt, name and time end at a_end, d_end and t_end, each
+        # followed by a comma, then the origin and the line end
+        a_end = 3 * -(-len(str(attempt_fast.max(initial=0))) // 3)
+        d_end = a_end + 1 + names.shape[1]
+        t_end = d_end + 11
+        rows = np.empty((attempt.size, t_end + 2 + _ORIGIN_BYTES.shape[1]),
+                        dtype=np.uint8)
+        _put_digits(rows, 0, a_end, attempt_fast)
+        rows[:, a_end] = rows[:, d_end] = rows[:, t_end] = ord(",")
+        _put_rows(rows, a_end + 1, names, detector)
+        whole, micro = np.divmod(np.where(fast, ticks, 0), 10 ** 6)
+        _put_digits(rows, d_end + 1, 3, whole)
+        rows[:, d_end + 4] = ord(".")
+        milli, micro = np.divmod(micro, 1000)
+        _put_rows(rows, d_end + 5, _DIGITS3, milli)
+        _put_rows(rows, d_end + 8, _DIGITS3, micro)
+        _put_rows(rows, t_end + 1, _ORIGIN_BYTES, origin + 1)
+        rows[:, -1] = ord("\n")
+        slow = np.flatnonzero(~fast)
+        rows[slow] = 0
+        text = rows[rows != 0]
+        if not slow.size:
+            fh.write(text)
+            return
+        # the formatted rows go where their empty fast rows were
+        ends = np.cumsum(np.count_nonzero(rows, axis=1))[slow]
+        for piece, i in zip(np.split(text, ends), slow.tolist()):
+            fh.write(piece)
+            fh.write((f"{attempt[i]},{self.detector_names[detector[i]]},"
+                      f"{t_us[i]:.6f},{ORIGIN_NAMES[int(origin[i])]}\n"
+                      ).encode())
+        fh.write(text[ends[-1]:])
 
     @classmethod
     def from_csv(cls, path) -> "ClickRecords":
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:  # CRLF and CR line ends, as text mode reads them
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         meta = {}
         columns = None
-        with open(path) as fh:
-            # header: '#' lines up to the column line
-            for line in iter(fh.readline, ""):
+        pos = 0
+        # header: '#' lines up to the column line
+        while columns is None and pos < len(data):
+            end = data.find(b"\n", pos) + 1 or len(data)
+            line = data[pos:end].decode().strip()
+            pos = end
+            if line.startswith("#"):
+                _read_header_line(line, meta, path)
+            elif line:
+                columns = line.split(",")
+        # a clean body is parsed from the bytes, names as bytes (S) fields;
+        # any other goes through line-by-line cleaning as text (U fields)
+        kind = "S"
+        if not data.isascii() or any(data.find(c, pos) >= 0
+                                     for c in _BODY_IRREGULAR):
+            kind = "U"
+            rows = []
+            for line in data[pos:].decode().split("\n"):
                 line = line.strip()
                 if line.startswith("#"):
                     _read_header_line(line, meta, path)
                 elif line:
-                    columns = line.split(",")
-                    break
-            start = fh.tell()
-            body = fh.read()
-            if not body.isascii() or any(c in body for c in _BODY_IRREGULAR):
-                rows = []
-                for line in body.split("\n"):
-                    line = line.strip()
-                    if line.startswith("#"):
-                        _read_header_line(line, meta, path)
-                    elif line:
-                        rows.append(line)
-            elif body.count("\n") == len(body):
-                rows = []  # nothing but line ends
-            else:
-                fh.seek(start)  # np.loadtxt reads a clean body from the file
-                rows = fh
-            del body
-            names = meta.get("detectors", ())
-            fields = [("attempt", np.int64),
-                      ("detector", f"U{max(map(len, names)) + 1}"
-                       if names else object),
-                      ("t_us", np.float64),
-                      ("origin", f"U{max(map(len, ORIGIN_CODES)) + 1}")]
-            if columns is None or "origin" not in columns:
-                fields.pop()
-            if isinstance(rows, list) and not rows:
-                data = np.empty(0, dtype=fields)
-            else:
-                try:
-                    data = np.loadtxt(rows, dtype=fields, delimiter=",",
-                                      comments=None, usecols=range(len(fields)),
-                                      ndmin=1)
-                except ValueError as exc:
-                    raise _malformed_row(path, fields, exc) from None
+                    rows.append(line)
+        elif data.count(b"\n", pos) == len(data) - pos:
+            rows = []  # nothing but line ends
+        else:
+            rows = io.BytesIO(data)
+            rows.seek(pos)
+        names = meta.get("detectors", ())
+        longest = max((len(name.encode()) for name in names), default=0)
+        fields = [("attempt", np.int64),
+                  ("detector", f"{kind}{longest + 1}" if names else object),
+                  ("t_us", np.float64),
+                  ("origin", f"{kind}{max(map(len, ORIGIN_CODES)) + 1}")]
+        if columns is None or "origin" not in columns:
+            fields.pop()
+        if isinstance(rows, list) and not rows:
+            data = np.empty(0, dtype=fields)
+        else:
+            try:
+                data = np.loadtxt(rows, dtype=fields, delimiter=",",
+                                  comments=None, usecols=range(len(fields)),
+                                  ndmin=1)
+            except ValueError as exc:
+                raise _malformed_row(path, fields, exc) from None
 
         column = data["detector"]
-        if not names:
+        if not names:  # the column holds str objects
             names = tuple(sorted(set(column.tolist())))
         # duplicate names keep their last position, like a dict would
         detector = np.full(data.size, -1, dtype=np.int16)
         for i, name in enumerate(names):
-            detector[column == name] = i
+            detector[_holds(column, name)] = i
         unknown = np.flatnonzero(detector < 0)
         if unknown.size:
             line, _ = next(itertools.islice(_data_rows(path), unknown[0], None))
+            name = column[unknown[0]]
             raise ConfigError(
                 f"{path}: line {line}: click row names detector "
-                f"{str(column[unknown[0]])!r}, which the '# detectors=' header "
-                f"({','.join(names)}) does not list")
+                f"{name.decode() if isinstance(name, bytes) else name!r}, "
+                f"which the '# detectors=' header ({','.join(names)}) does "
+                "not list")
         origin = np.full(data.size, -1, dtype=np.int8)
         if "origin" in data.dtype.names:
             for name, code in ORIGIN_CODES.items():
-                origin[data["origin"] == name] = code
+                origin[_holds(data["origin"], name)] = code
         attempt = data["attempt"].copy()
         return cls(attempt=attempt, detector=detector,
                    t=data["t_us"] * 1e-6, origin=origin,
@@ -494,6 +613,26 @@ def _interp_rows(rows: np.ndarray, lead: tuple, x: np.ndarray, dt: float):
     return (1 - ax) * rows[(*lead, ix)] + ax * rows[(*lead, ix + 1)]
 
 
+def _click_order(attempt: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The permutation that sorts clicks by attempt, then time, ties kept in
+    their order: ``np.lexsort((t, attempt))``.
+
+    The emitted chunks are runs already sorted by attempt, which a stable sort
+    merges cheaply, and only the few attempts with two or more clicks need
+    their times sorted.
+    """
+    order = np.argsort(attempt, kind="stable")
+    sorted_attempt = attempt[order]
+    shared = sorted_attempt[1:] == sorted_attempt[:-1]
+    in_shared = np.zeros(order.size, dtype=bool)  # attempt has >= 2 clicks
+    in_shared[1:] = shared
+    in_shared[:-1] |= shared
+    pos = np.flatnonzero(in_shared)
+    sub = order[pos]
+    order[pos] = sub[np.lexsort((t[sub], sorted_attempt[pos]))]
+    return order
+
+
 # attempts drawn per pass: bounds the per-attempt temporaries; the draws of
 # each pass follow on from the last, so the value fixes the random stream
 _BATCH = 1_000_000
@@ -532,42 +671,41 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     tau_a_tot = model.tau_a.sum(axis=1)
     tau_b_tot = model.tau_b.sum(axis=1)
 
+    cdf_a = model.cdf_a.reshape(-1, model.cdf_a.shape[-1])
+    cdf_b = model.cdf_b.reshape(-1, model.cdf_b.shape[-1])
+
+    # Every draw keeps its size and place, which fixes the random stream;
+    # per-photon values live only at the attempts where that node emitted
+    # (``idx_a``, ``idx_b``), in attempt order.
     for start in range(0, n_attempts, _BATCH):
         n = min(_BATCH, n_attempts - start)
-        attempts = start + np.arange(n, dtype=np.int64)
 
         k_off = rng.choice(len(model.offsets), size=n,
                            p=model.offset_weights)
         u_a = rng.random(n)
-        has_a = u_a < tau_a_tot[k_off]
-        pol_a = np.where(u_a < model.tau_a[k_off, 0], 0, 1)
+        idx_a = np.flatnonzero(u_a < tau_a_tot[k_off])
+        k_a = k_off[idx_a]
+        pol_a = np.where(u_a[idx_a] < model.tau_a[k_a, 0], 0, 1)
         u_b = rng.random(n)
-        has_b = u_b < tau_b_tot[0]
-        pol_b = np.where(u_b < model.tau_b[0, 0], 0, 1)
+        idx_b = np.flatnonzero(u_b < tau_b_tot[0])
+        pol_b = np.where(u_b[idx_b] < model.tau_b[0, 0], 0, 1)
 
-        idx_a = np.flatnonzero(has_a)
-        idx_b = np.flatnonzero(has_b)
-        t_a = np.zeros(n)
-        t_b = np.zeros(n)
-        if idx_a.size:
-            group = k_off[idx_a] * 2 + pol_a[idx_a]
-            t_a[idx_a] = _sample_times(
-                model.times_a, model.cdf_a.reshape(-1, model.cdf_a.shape[-1]),
-                group, rng.random(idx_a.size))
-        if idx_b.size:
-            t_b[idx_b] = _sample_times(
-                model.times_b, model.cdf_b.reshape(-1, model.cdf_b.shape[-1]),
-                pol_b[idx_b], rng.random(idx_b.size))
+        t_a = _sample_times(model.times_a, cdf_a, k_a * 2 + pol_a,
+                            rng.random(idx_a.size))
+        t_b = _sample_times(model.times_b, cdf_b, pol_b,
+                            rng.random(idx_b.size))
 
         # routing: 0 -> output u, 1 -> output r
-        out_a = rng.integers(0, 2, size=n)
-        out_b = rng.integers(0, 2, size=n)
-        both = has_a & has_b
-        same = both & (pol_a == pol_b)
-        idx_s = np.flatnonzero(same)
-        if idx_s.size:
-            lead = (k_off[idx_s], pol_a[idx_s])
-            ts_a, ts_b = t_a[idx_s], t_b[idx_s]
+        out_a = rng.integers(0, 2, size=n)[idx_a]
+        out_b = rng.integers(0, 2, size=n)[idx_b]
+        # attempts where both nodes emitted, as positions in idx_a and idx_b
+        _, both_a, both_b = np.intersect1d(idx_a, idx_b, assume_unique=True,
+                                           return_indices=True)
+        same = pol_a[both_a] == pol_b[both_b]
+        sa, sb = both_a[same], both_b[same]
+        if sa.size:
+            lead = (k_a[sa], pol_a[sa])
+            ts_a, ts_b = t_a[sa], t_b[sb]
             dt = model.coarse_dt
             num = _bilinear(model.interference_num, lead, ts_a, ts_b, dt)
             d_a = _interp_rows(model.diag_a, lead, ts_a, dt)
@@ -584,30 +722,32 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                     "outside [-1, 1] by more than 1e-9 (largest |x| = "
                     f"{np.abs(x_corr[outside]).max():.6g})")
             x_corr = np.clip(x_corr, -1.0, 1.0)  # roundoff only
-            u = rng.random(idx_s.size)
+            u = rng.random(sa.size)
             # outcomes: both u with (1+X)/4, both r with (1+X)/4, else split
             p_uu = 0.25 * (1.0 + x_corr)
             both_u = u < p_uu
             both_r = (~both_u) & (u < 2.0 * p_uu)
-            swap = rng.random(idx_s.size) < 0.5
-            out_a[idx_s] = np.where(both_u, 0, np.where(both_r, 1, swap))
-            out_b[idx_s] = np.where(both_u, 0, np.where(both_r, 1, ~swap))
+            swap = rng.random(sa.size) < 0.5
+            out_a[sa] = np.where(both_u, 0, np.where(both_r, 1, swap))
+            out_b[sb] = np.where(both_u, 0, np.where(both_r, 1, ~swap))
 
         det_a = det_for[out_a, pol_a]
         det_b = det_for[out_b, pol_b]
-        accept_a = has_a & (rng.random(n) < acceptance[det_a])
-        accept_b = has_b & (rng.random(n) < acceptance[det_b])
+        keep_a = rng.random(n)[idx_a] < acceptance[det_a]
+        keep_b = rng.random(n)[idx_b] < acceptance[det_b]
 
         # photons landing on the same detector produce a single click, the
         # earlier one
-        merged = accept_a & accept_b & (det_a == det_b)
-        keep_b = accept_b & ~(merged & (t_b >= t_a))
-        keep_a = accept_a & ~(merged & (t_b < t_a))
+        merged = keep_a[both_a] & keep_b[both_b] \
+            & (det_a[both_a] == det_b[both_b])
+        b_later = t_b[both_b] >= t_a[both_a]
+        keep_a[both_a[merged & ~b_later]] = False
+        keep_b[both_b[merged & b_later]] = False
 
-        ia = np.flatnonzero(keep_a)
-        emit(attempts[ia], det_a[ia], t_a[ia], ORIGIN_CODES["photon"])
-        ib = np.flatnonzero(keep_b)
-        emit(attempts[ib], det_b[ib], t_b[ib], ORIGIN_CODES["photon"])
+        emit(start + idx_a[keep_a], det_a[keep_a], t_a[keep_a],
+             ORIGIN_CODES["photon"])
+        emit(start + idx_b[keep_b], det_b[keep_b], t_b[keep_b],
+             ORIGIN_CODES["photon"])
 
         for d, name in enumerate(names):
             lam = table[name].background_rate * BG_SPAN
@@ -620,7 +760,7 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                  ORIGIN_CODES["background"])
 
     attempt, detector, t_arr, origin = map(np.concatenate, zip(*chunks))
-    order = np.lexsort((t_arr, attempt))
+    order = _click_order(attempt, t_arr)
     clicks = ClickRecords(attempt=attempt[order], detector=detector[order],
                           t=t_arr[order], origin=origin[order],
                           detector_names=names, n_attempts=n_attempts)

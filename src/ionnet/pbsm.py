@@ -53,6 +53,11 @@ class DetectorRecord:
             raise ValueError("bad detector port assignment")
 
 
+# the keys DetectorTable.from_dict reads of each detector's entry
+DETECTOR_KEYS = frozenset(("background_per_s", "p_bg_pct", "p_A_pct",
+                           "p_B_pct", "output", "polarization"))
+
+
 @dataclass(frozen=True)
 class DetectorTable:
     """The four Bell-state-measurement detectors and their measured rates."""

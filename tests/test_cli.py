@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionnet import cli, netsim
+from ionnet import cli, hilbert, netsim
 
 FAST_CONFIG = {
     "jitter": {"k_max": 0, "span_factor": 3.0},
@@ -42,6 +42,8 @@ FAST_SEED7_SHA256 = {
     "visibility_data.csv":
         "87f08ea860906c6d8dea21e74eca31e20098859765d46cb1aee42dbe5a6624e5",
 }
+DETECTOR_DOC = hilbert.load_preset("detectors")
+
 # sha256 of the HERALD_CONFIG --seed 7 clicks.csv: the click order and the
 # blocks a herald cut short
 HERALD_SEED7_CLICKS_SHA256 = \
@@ -161,6 +163,56 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         named = key if section is None else f"{section}.{key}"
         assert f"'{named}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"node_a": {"preset": "nodeA", "overide": {"kappa": 1.0}}},
+         "node_a.overide"),
+        ({"node_b": {"preset": "nodeB", "overrides": {"kapa": 0.07}}},
+         "node_b.overrides.kapa"),
+        ({"node_a": {**hilbert.load_preset("nodeA"), "Omega3": 1.0}},
+         "node_a.Omega3"),
+        ({"detectors": {"preset": "detectors", "extra": 1}},
+         "detectors.extra"),
+        ({"detectors": {**DETECTOR_DOC, "SNSPD1": {**DETECTOR_DOC["SNSPD1"],
+                                                   "p_A_pc": 0.2}}},
+         "detectors.SNSPD1.p_A_pc"),
+    ])
+    def test_unread_node_or_detector_key(self, tmp_path, capsys, doc, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_cli(["--config", str(cfg), "envelope", "--node", "b"])
+        assert code == cli.EXIT_CONFIG
+        assert f"'{named}'" in capsys.readouterr().err
+
+    def test_node_and_detector_documents_accepted(self, tmp_path):
+        # whole preset documents, comments included, read as the presets do
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "node_a": hilbert.load_preset("nodeA"),
+            "node_b": {"preset": "nodeB", "overrides": {"kappa": 0.07}},
+            "detectors": DETECTOR_DOC}))
+        loaded = cli.load_config(str(cfg))
+        assert loaded.node_a == hilbert.node_from_preset("nodeA")
+        assert loaded.node_b == hilbert.node_from_preset("nodeB")
+        assert loaded.detectors == cli.pbsm.DetectorTable.from_preset()
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "absent.csv"),
+        ("T_us,V\n1.000,0.930\n# note\n\n2.000,abc\n", "line 5"),
+        ("T_us,V\n1.000\n", "line 2"),
+    ])
+    def test_bad_visibility_csv(self, fast_config_path, tmp_path, capsys,
+                                text, named):
+        vis_path = tmp_path / "absent.csv"
+        if text is not None:
+            vis_path = tmp_path / "vin.csv"
+            vis_path.write_text(text)
+        code = run_cli(["--config", fast_config_path, "--out", str(tmp_path),
+                        "fidelity-model", "--visibility-csv", str(vis_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(vis_path) in err and named in err
+        assert not (tmp_path / "fidelity_model.csv").exists()
 
     @pytest.mark.parametrize("window", [[23.0, 5.5], [5.5, 5.5], [-1.0, 23.0],
                                         [5.5, 120.0], [5.5], "5.5,23"])

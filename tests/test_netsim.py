@@ -255,8 +255,9 @@ def from_csv_oracle(path):
                         n_executed=n_executed, herald_mode=herald_mode)
 
 
-# names that are prefixes of one another, and one that sorts first
-NAME_POOL = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2", "SNSPD10", "D")
+# names that are prefixes of one another, one that sorts first, and one
+# that is not ASCII
+NAME_POOL = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2", "SNSPD10", "D", "SNSPDé")
 
 
 def _near_tie_times(j, nudge):
@@ -274,14 +275,18 @@ def click_records(draw):
     names = tuple(draw(st.lists(st.sampled_from(NAME_POOL), min_size=1,
                                 max_size=5)))
     n = draw(st.integers(0, 25))
+    # times up to 1 ms print through the vectorized rows, and larger,
+    # negative, non-finite and near-tie times through Python's .6f
     time = st.one_of(
         st.floats(-1e-3, 1e-3),
+        st.floats(-1.0, 1.0),
         st.builds(_near_tie_times, st.integers(0, 128 * 100),
                   st.integers(-2, 2)),
-        st.sampled_from([0.0, -0.0, 1e-4, 5e-13, float("nan"),
-                         float("inf")]))
+        st.sampled_from([0.0, -0.0, 1e-4, 5e-13, 1e300, 5e-324, 1e-3,
+                         float("nan"), float("inf"), -float("inf")]))
     attempt = np.sort(np.array(draw(st.lists(
-        st.integers(0, 2 ** 40), min_size=n, max_size=n)), dtype=np.int64))
+        st.integers(-2 ** 40, 2 ** 40), min_size=n, max_size=n)),
+        dtype=np.int64))
     return ClickRecords(
         attempt=attempt,
         detector=np.array(draw(st.lists(st.integers(0, len(names) - 1),
@@ -357,6 +362,20 @@ class TestClickRecords:
         assert np.array_equal(loaded.detector, clicks.detector)
         assert np.abs(loaded.t - clicks.t).max() < 1e-12
         assert np.array_equal(loaded.origin, clicks.origin)
+
+    @pytest.mark.parametrize("cleaned", [False, True])
+    def test_csv_without_detectors_header(self, cleaned, tmp_path):
+        # names are the sorted str names of the rows, origins are read
+        path = tmp_path / "raw.csv"
+        pad = " " if cleaned else ""
+        path.write_text("attempt,detector,t_us,origin\n"
+                        f"3,SNSPD1,6.25,photon{pad}\n4,SPCM1,7.5,background\n"
+                        "5,SNSPD1,8.5,cosmic\n")
+        loaded = ClickRecords.from_csv(path)
+        assert_same_records(loaded, from_csv_oracle(path))
+        assert loaded.detector_names == ("SNSPD1", "SPCM1")
+        assert all(type(name) is str for name in loaded.detector_names)
+        assert loaded.origin.tolist() == [0, 1, -1]
 
     def test_csv_without_origin_column(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -455,6 +474,26 @@ class TestClickRecords:
         path, line = self.headed_file(tmp_path, "6,SNSPD7,9.5,photon", cleaned)
         with pytest.raises(ConfigError, match=f"line {line}: .*'SNSPD7'"):
             ClickRecords.from_csv(path)
+
+
+class TestClickOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(st.booleans(), st.lists(st.tuples(
+        st.integers(0, 6), st.sampled_from([0.0, 1e-6, 2e-6, 5e-6])),
+        max_size=8)), max_size=6))
+    # a repeated time inside one attempt keeps its emission order
+    @example(runs=[(True, [(2, 1e-6), (2, 0.0)]), (True, [(1, 0.0)]),
+                   (False, [(2, 1e-6), (1, 0.0), (2, 1e-6)])])
+    def test_matches_lexsort(self, runs):
+        # each run is one emitted chunk, sorted by attempt or not; the runs
+        # come in any order
+        rows = [row for is_sorted, run in runs
+                for row in (sorted(run, key=lambda r: r[0]) if is_sorted
+                            else run)]
+        attempt = np.array([r[0] for r in rows], dtype=np.int64)
+        t = np.array([r[1] for r in rows], dtype=float)
+        assert np.array_equal(netsim._click_order(attempt, t),
+                              np.lexsort((t, attempt)))
 
 
 def make_clicks(rows, table, n_attempts):
