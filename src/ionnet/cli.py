@@ -112,8 +112,8 @@ def _check_replaced_section(key: str, value) -> None:
     if not isinstance(value, dict):
         return  # the section's own reader rejects it
     if "preset" in value:
-        _reject_unread(value, {"preset", "overrides"} if key != "detectors"
-                       else {"preset"}, key)
+        _reject_unread(value, {"preset"} if key == "detectors"
+                       else {"preset", "overrides"}, key)
         overrides = value.get("overrides")
         if isinstance(overrides, dict):
             _reject_unread(overrides, hilbert.NODE_KEYS, f"{key}.overrides")
@@ -324,16 +324,16 @@ def _read_visibility_csv(path):
         raise ConfigError(f"visibility file not found: {path}") from exc
     rows = [(number, line) for number, line in lines
             if line and not line.startswith("#")][1:]  # after the column line
-    values = []
+    t_list, vis = [], []
     for number, line in rows:
         try:
-            t_us, vis = line.split(",")[:2]
-            values.append((float(t_us) * 1e-6, float(vis)))
+            t_us, v = line.split(",")[:2]
+            t_list.append(float(t_us) * 1e-6)
+            vis.append(float(v))
         except ValueError as exc:
             raise ConfigError(f"{path}: line {number}: malformed visibility "
                               f"row {line!r}: {exc}") from None
-    t_list, vis = np.array(values).reshape(-1, 2).T
-    return t_list, vis
+    return np.array(t_list), np.array(vis)
 
 
 def _cmd_fidelity_model(cfg: RunConfig, args) -> int:

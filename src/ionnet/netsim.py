@@ -71,6 +71,7 @@ _HEADER_KEYS = {"n_attempts": int, "n_executed": int,
 # characters that send a click-file body through line-by-line cleaning:
 # comment lines, and whitespace that ``str.strip`` would remove
 _BODY_IRREGULAR = b"# \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_NOT_LINE_END = re.compile(rb"[^\n]")
 
 
 def _read_header_line(line: str, meta: dict, path) -> None:
@@ -130,7 +131,8 @@ _WRITE_CHUNK = 1 << 16  # click rows formatted per pass
 
 
 def _byte_table(names) -> np.ndarray:
-    """(len(names), longest) table of the UTF-8 names, padded with 0."""
+    """(len(names), longest) table of the UTF-8 names, padded with 0; one
+    column wide at least, so that its rows are items of some size."""
     encoded = [name.encode() for name in names]
     table = np.zeros((len(encoded), max(map(len, encoded), default=0) or 1),
                      dtype=np.uint8)
@@ -318,7 +320,7 @@ class ClickRecords:
                     _read_header_line(line, meta, path)
                 elif line:
                     rows.append(line)
-        elif data.count(b"\n", pos) == len(data) - pos:
+        elif not _NOT_LINE_END.search(data, pos):
             rows = []  # nothing but line ends
         else:
             rows = io.BytesIO(data)

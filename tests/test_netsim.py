@@ -269,6 +269,12 @@ def _near_tie_times(j, nudge):
     return float(t)
 
 
+def _decimal_tie_times(k):
+    """The double nearest (k + 1/2) ps: a tie of the printed ``.6f`` step in
+    decimal, which binary holds only approximately."""
+    return float(f"{k}.5e-12")
+
+
 @st.composite
 def click_records(draw):
     # duplicate names read back at their last position
@@ -282,6 +288,7 @@ def click_records(draw):
         st.floats(-1.0, 1.0),
         st.builds(_near_tie_times, st.integers(0, 128 * 100),
                   st.integers(-2, 2)),
+        st.builds(_decimal_tie_times, st.integers(0, 10 ** 9)),
         st.sampled_from([0.0, -0.0, 1e-4, 5e-13, 1e300, 5e-324, 1e-3,
                          float("nan"), float("inf"), -float("inf")]))
     attempt = np.sort(np.array(draw(st.lists(
