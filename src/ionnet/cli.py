@@ -108,7 +108,8 @@ def _reject_unread(section: dict, known, name: str) -> None:
 
 
 def _check_replaced_section(key: str, value) -> None:
-    """Reject unread keys of a node or detector section, at any depth."""
+    """Reject unread keys of a node or detector section, of its node
+    ``overrides`` and of its detector entries."""
     if not isinstance(value, dict):
         return  # the section's own reader rejects it
     if "preset" in value:
@@ -133,13 +134,11 @@ def _check_keys(doc: dict) -> None:
         default = _DEFAULT_CONFIG[key]
         if key in _REPLACE_SECTIONS:
             _check_replaced_section(key, value)
-            continue
-        if not isinstance(default, dict):
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        _reject_unread(value, default.keys() | _OPTIONAL_KEYS.get(key, set()),
-                       key)
+        elif isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            _reject_unread(value,
+                           default.keys() | _OPTIONAL_KEYS.get(key, set()), key)
 
 
 def _merge(defaults, override, replace=()):

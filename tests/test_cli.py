@@ -21,6 +21,8 @@ FAST_CONFIG = {
 HERALD_CONFIG = {**FAST_CONFIG,
                  "simulate": {"n_attempts": 400_000, "herald_mode": True}}
 
+DETECTOR_DOC = hilbert.load_preset("detectors")
+
 # sha256 of the FAST_CONFIG --seed 7 artifacts (tomography.json from
 # ``--synthetic 200``); refactors keep these bytes, and with them the config
 # digest each artifact records
@@ -42,7 +44,6 @@ FAST_SEED7_SHA256 = {
     "visibility_data.csv":
         "87f08ea860906c6d8dea21e74eca31e20098859765d46cb1aee42dbe5a6624e5",
 }
-DETECTOR_DOC = hilbert.load_preset("detectors")
 
 # sha256 of the HERALD_CONFIG --seed 7 clicks.csv: the click order and the
 # blocks a herald cut short
