@@ -289,8 +289,9 @@ def _cmd_envelope(cfg: RunConfig, args) -> int:
             dynamics.jitter_ensemble(params.gamma_clj)
         p_v, p_h, p_s = dynamics.averaged_curves(params, grid, ensemble)
         path = _out_path(args, f"envelope_node{key.upper()}.csv")
-        dynamics.write_envelope_csv(path, grid, p_v, p_h, p_s,
-                                    header_lines=_headers(cfg))
+        _write_rows(path, cfg, "t_us,p_v,p_h,P_s",
+                    (f"{t:.6f},{pv:.9e},{ph:.9e},{ps:.9e}" for t, pv, ph, ps
+                     in zip(grid.times() * 1e6, p_v, p_h, p_s)))
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -307,8 +308,10 @@ def _cmd_visibility(cfg: RunConfig, args) -> int:
     curves = {mode: _model_curve(cfg, cfg.t_sweep, mode)
               for mode in pbsm.MODES}
     path = _out_path(args, "visibility.csv")
-    pbsm.write_visibility_csv(path, cfg.t_sweep, curves,
-                              header_lines=_headers(cfg))
+    _write_rows(path, cfg, "T_us,V_full,V_no_technical,V_pure",
+                (f"{t_win * 1e6:.3f}," + ",".join(
+                    f"{curves[mode].visibility[i]:.9f}" for mode in pbsm.MODES)
+                 for i, t_win in enumerate(cfg.t_sweep)))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -344,15 +347,17 @@ def _cmd_fidelity_model(cfg: RunConfig, args) -> int:
     opts = cfg.fidelity_options
     w0, w1 = cfg.sequence.detection_window
     curves = {}
-    for label, sign in (("plus", +1), ("minus", -1)):
-        for variant, dephase in (("full", True), ("nodephase", False)):
+    for variant, dephase in (("full", True), ("nodephase", False)):
+        for label, sign in (("plus", +1), ("minus", -1)):
             curves[f"F_{label}_{variant}"] = empirical.model_fidelity_curve(
                 t_list, vis, cfg.detectors, opts["f_ip_a"], opts["f_ip_b"],
                 sign, phi=opts["phi"], include_dephasing=dephase,
                 window_span=w1 - w0)
     path = _out_path(args, "fidelity_model.csv")
-    empirical.write_fidelity_csv(path, t_list, curves,
-                                 header_lines=_headers(cfg))
+    _write_rows(path, cfg, "T_us," + ",".join(curves),
+                (f"{t_win * 1e6:.3f}," + ",".join(
+                    f"{curve[i]:.9f}" for curve in curves.values())
+                 for i, t_win in enumerate(t_list)))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -452,7 +457,7 @@ def _cmd_tomography(cfg: RunConfig, args) -> int:
 
     rho = tomography.mle_reconstruct(counts)
     if args.optimize_phase:
-        phi, _ = tomography.optimize_phase(rho, args.sign)
+        phi = tomography.optimize_phase(rho, args.sign)
     else:
         phi = args.phi if args.phi is not None else \
             cfg.fidelity_options["phi"]

@@ -1,11 +1,14 @@
 """Master-equation integration: trajectories, photon envelopes, jitter.
 
-Two flavors of evolution are provided.  The restricted equation keeps the
-state inside the four-level photon-generation manifold, retaining the
-recycling terms only for the two channels that return population to it; its
-trace decays and equals the probability that no manifold-leaving event has
-fired yet.  The full equation evolves all six levels and is trace
-preserving; it exists for cross-validation.
+One generator builder, :func:`_generator`, serves three flavors of the
+node's ion--cavity master equation.  The full flavor is the six-level
+Liouvillian; it is trace preserving and exists for cross-validation.  The
+restricted flavor is its block on the four-level photon-generation manifold:
+it keeps the recycling terms only for the two channels that return
+population to the manifold, so its trace decays and equals the probability
+that no manifold-leaving event has fired yet.  The non-Hermitian flavor is
+the manifold block of ``-iH - 1/2 sum L^dag L`` and evolves the no-noise
+branch as a pure amplitude vector.
 
 The generator is stiff (drive detunings sit three orders of magnitude above
 every other rate), so trajectories are advanced with an exponential midpoint
@@ -142,65 +145,40 @@ def _commensurate_slots(params: NodeParams, grid: TimeGrid) -> int | None:
     return None
 
 
-# Each flavor's generator is ``coherent(H) + dissipator``, and the coherent
-# part is linear in the Hamiltonian.  Inside the pulse the Hamiltonian is
-# ``H_free + d |S,0><P,0| + d* |P,0><S,0|`` with the drive amplitude d, so the
-# generator is ``L_free + d K_plus + d* K_minus`` with K = coherent(unit).
-# The coherent part is built first and the noise terms are accumulated onto
-# it in place; the drive entries of K never meet a noise entry, so the sum
-# equals the generator built from the driven Hamiltonian bit for bit.
-
-def _restricted_coherent(h):
-    h4 = h[:RESTRICTED_DIM, :RESTRICTED_DIM]
-    eye = np.eye(RESTRICTED_DIM)
-    return -1j * (np.kron(h4, eye) - np.kron(eye, h4.T))
+# Row-major vec indices ``i * DIM + j`` (i, j < RESTRICTED_DIM) of the
+# manifold block inside the six-level Liouville space.
+_MANIFOLD = (np.arange(RESTRICTED_DIM)[:, None] * hilbert.DIM
+             + np.arange(RESTRICTED_DIM)).ravel()
 
 
-def _restricted_dissipate(params, gen):
-    """Add the manifold-confined noise terms (recycling for sp and ss only)."""
-    ops = hilbert.noise_operators(params)
-    eye = np.eye(RESTRICTED_DIM)
-    for idx, label in enumerate(hilbert.NOISE_LABELS):
-        op = ops[idx][:RESTRICTED_DIM, :RESTRICTED_DIM] \
-            if label in ("sp", "ss") else None
-        ldl = (ops[idx].conj().T @ ops[idx])[:RESTRICTED_DIM, :RESTRICTED_DIM]
-        gen -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-        if op is not None:
-            gen += np.kron(op, op.conj())
-    return gen
+def _generator(h: np.ndarray, jumps, flavor: str) -> np.ndarray:
+    """Generator of one flavor for Hamiltonian ``h`` and jump operators.
 
-
-def _full_coherent(h):
+    ``full`` is the six-level Liouvillian ``-i[H, .] + sum D[L]`` on
+    row-major vectorized density operators, adding each operator's jump
+    term and then its anticommutator, in the order given.  ``restricted``
+    is its manifold block.  The jumps that leave the manifold (dp, d'p and
+    the two cavity decays) land outside the block, so the block keeps
+    their decay but not their recycling; sp and ss jump inside it, and the
+    one block entry where a jump meets an anticommutator, ss at
+    (S0 S0, S0 S0), cancels to +0 in either order of the two.
+    ``nonhermitian`` is the manifold block of ``-iH - 1/2 sum L^dag L``.
+    With no jumps, each flavor's generator is its coherent part alone.
+    """
+    if flavor == "nonhermitian":
+        ldl = sum((op.conj().T @ op for op in jumps), np.zeros_like(h))
+        return (-(1j * h) - 0.5 * ldl)[:RESTRICTED_DIM, :RESTRICTED_DIM]
     eye = np.eye(hilbert.DIM)
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-
-def _full_dissipate(params, gen):
-    """Add the trace-preserving six-level noise terms."""
-    eye = np.eye(hilbert.DIM)
-    for op in hilbert.noise_operators(params):
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in jumps:
         ldl = op.conj().T @ op
         gen += np.kron(op, op.conj())
         gen -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    if flavor == "restricted":
+        return gen[np.ix_(_MANIFOLD, _MANIFOLD)]
+    if flavor != "full":
+        raise ValueError(f"unknown flavor {flavor!r}")
     return gen
-
-
-def _nonhermitian_coherent(h):
-    return -(1j * h[:RESTRICTED_DIM, :RESTRICTED_DIM])
-
-
-def _nonhermitian_dissipate(params, gen):
-    """Add -D/2: the no-noise branch on the four-level manifold."""
-    decay = hilbert.decay_diagonal(params)[:RESTRICTED_DIM]
-    gen -= 0.5 * np.diag(decay.astype(np.complex128))
-    return gen
-
-
-_FLAVORS = {
-    "restricted": (_restricted_coherent, _restricted_dissipate),
-    "full": (_full_coherent, _full_dissipate),
-    "nonhermitian": (_nonhermitian_coherent, _nonhermitian_dissipate),
-}
 
 
 @dataclass(frozen=True)
@@ -221,12 +199,12 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
     ``L_free`` (drive off) and the two drive pieces are built once, the
     slot generators follow from the drive amplitudes d at the slot
     midpoints, and one batched ``expm`` exponentiates the whole
-    ``(slots, m, m)`` stack.  Requires a grid commensurate with the node's
-    beat (see :meth:`TimeGrid.for_node`); the pulse edge is rounded to the
-    nearest grid point (sub-step rounding, relative error below 1e-4 of the
-    pulse).
+    ``(slots, m, m)`` stack.  ``flavor`` is ``"restricted"``, ``"full"``
+    or ``"nonhermitian"`` (see :func:`_generator`).  Requires a grid
+    commensurate with the node's beat (see :meth:`TimeGrid.for_node`); the
+    pulse edge is rounded to the nearest grid point (sub-step rounding,
+    relative error below 1e-4 of the pulse).
     """
-    coherent, dissipate = _FLAVORS[flavor]
     slots = _commensurate_slots(params, grid)
     if slots is None:
         raise ValueError(
@@ -235,11 +213,15 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
     pulse_steps = round((params.pulse_duration - grid.t_start) / grid.dt)
     pulse_steps = min(max(pulse_steps, 0), grid.n_steps)
 
-    l_free = dissipate(params, coherent(
-        hilbert.hamiltonian_with_phase(params, delta_omega, None)))
+    l_free = _generator(
+        hilbert.hamiltonian_with_phase(params, delta_omega, None),
+        hilbert.noise_operators(params), flavor)
+    # the coherent part is linear in H, and the drive entries of K never
+    # meet a noise entry, so the sum below equals the generator built from
+    # the driven Hamiltonian bit for bit
     unit = np.zeros((hilbert.DIM, hilbert.DIM), dtype=np.complex128)
     unit[hilbert.S0, hilbert.P0] = 1.0
-    k_plus, k_minus = coherent(unit), coherent(unit.T)
+    k_plus, k_minus = (_generator(u, (), flavor) for u in (unit, unit.T))
     t_mid = grid.t_start + (np.arange(slots) + 0.5) * grid.dt
     drive = hilbert.drive_amplitude(
         params, hilbert.beat_frequency(params) * t_mid)[:, None, None]
@@ -294,9 +276,10 @@ def propagate(props: StepPropagators, v0: np.ndarray,
 # -- public evolution API ----------------------------------------------------
 
 def _evolve(params: NodeParams, grid: TimeGrid, delta_omega: float,
-            flavor: str, dim: int) -> tuple[Trajectory, np.ndarray]:
+            flavor: str) -> tuple[Trajectory, np.ndarray]:
     """Trajectory from ``|S,0><S,0|`` and the change of its trace per step."""
     props = step_propagators(params, grid, delta_omega, flavor)
+    dim = math.isqrt(props.free.shape[0])
     rho0 = np.zeros(dim * dim, dtype=np.complex128)
     rho0[0] = 1.0
     vecs = propagate(props, rho0, grid.n_steps)
@@ -311,8 +294,7 @@ def evolve_restricted(params: NodeParams, grid: TimeGrid,
     The returned trajectory is unnormalized: its trace at time t is the
     probability that none of the manifold-leaving channels has fired.
     """
-    traj, change = _evolve(params, grid, delta_omega, "restricted",
-                           RESTRICTED_DIM)
+    traj, change = _evolve(params, grid, delta_omega, "restricted")
     if np.any(change > _TRACE_INCREASE_TOL):
         raise IntegratorError("restricted trace increased beyond tolerance")
     return traj
@@ -321,7 +303,7 @@ def evolve_restricted(params: NodeParams, grid: TimeGrid,
 def evolve_full(params: NodeParams, grid: TimeGrid,
                 delta_omega: float = 0.0) -> Trajectory:
     """Integrate the trace-preserving six-level equation from ``|S,0><S,0|``."""
-    traj, change = _evolve(params, grid, delta_omega, "full", hilbert.DIM)
+    traj, change = _evolve(params, grid, delta_omega, "full")
     if np.any(np.abs(change) > _FULL_TRACE_TOL):
         raise IntegratorError("full-equation trace drifted beyond tolerance")
     return traj
@@ -353,14 +335,3 @@ def averaged_curves(params: NodeParams, grid: TimeGrid,
         p_h += weight * ph_k
         p_s += weight * scattering_rate(traj, params)
     return p_v, p_h, p_s
-
-
-def write_envelope_csv(path, grid: TimeGrid, p_v, p_h, p_s,
-                       header_lines=()) -> None:
-    """Write envelope/scattering curves as CSV (t_us, rates in 1/s)."""
-    times_us = grid.times() * 1e6
-    with open(path, "w", newline="") as fh:
-        fh.writelines(f"# {line}\n" for line in header_lines)
-        fh.write("t_us,p_v,p_h,P_s\n")
-        for t, pv, ph, ps in zip(times_us, p_v, p_h, p_s):
-            fh.write(f"{t:.6f},{pv:.9e},{ph:.9e},{ps:.9e}\n")

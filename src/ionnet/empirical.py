@@ -198,16 +198,3 @@ def model_fidelity_curve(t_list, visibility, table: DetectorTable,
                              v if include_dephasing else None, f_ip_a, f_ip_b)
         out[i] = state_fidelity(rho, sign, phi)
     return out
-
-
-def write_fidelity_csv(path, t_list, curves: dict, header_lines=()) -> None:
-    """CSV mirroring the model fidelity figure (full and no-dephasing lines)."""
-    cols = ("F_plus_full", "F_minus_full", "F_plus_nodephase",
-            "F_minus_nodephase")
-    with open(path, "w", newline="") as fh:
-        fh.writelines(f"# {line}\n" for line in header_lines)
-        fh.write("T_us," + ",".join(cols) + "\n")
-        for i, t_win in enumerate(np.asarray(t_list)):
-            row = [f"{t_win * 1e6:.3f}"]
-            row += [f"{curves[c][i]:.9f}" for c in cols]
-            fh.write(",".join(row) + "\n")

@@ -306,7 +306,6 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
 class VisibilityCurve:
     t_list: np.ndarray
     visibility: np.ndarray
-    per_offset_visibility: np.ndarray  # (n_offsets, n_T)
 
 
 def visibility_from_model(model: InterferenceModel, t_list,
@@ -338,10 +337,7 @@ def visibility_from_model(model: InterferenceModel, t_list,
     orth = (weights * dets[:, 1, :]).sum(axis=0)
     if np.any(orth <= 0.0):
         raise UndefinedVisibilityError("no orthogonal coincidences in window")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_offset = 1.0 - dets[:, 0, :] / dets[:, 1, :]
-    return VisibilityCurve(t_list=t_list, visibility=1.0 - par / orth,
-                           per_offset_visibility=per_offset)
+    return VisibilityCurve(t_list=t_list, visibility=1.0 - par / orth)
 
 
 def model_visibility(node_a: NodeParams, node_b: NodeParams, t_list,
@@ -359,15 +355,3 @@ def model_visibility(node_a: NodeParams, node_b: NodeParams, t_list,
     model = build_interference_model(node_a, node_b, ensemble_a, mode,
                                      coarse_dt, target_dt)
     return visibility_from_model(model, t_list, window)
-
-
-def write_visibility_csv(path, t_list, curves: dict, header_lines=()) -> None:
-    """CSV with one column per mode (T_us, V_full, V_no_technical, V_pure)."""
-    with open(path, "w", newline="") as fh:
-        fh.writelines(f"# {line}\n" for line in header_lines)
-        fh.write("T_us,V_full,V_no_technical,V_pure\n")
-        for i, t_win in enumerate(np.asarray(t_list)):
-            row = [f"{t_win * 1e6:.3f}"]
-            for mode in MODES:
-                row.append(f"{curves[mode].visibility[i]:.9f}")
-            fh.write(",".join(row) + "\n")

@@ -300,22 +300,21 @@ def mle_reconstruct(counts: CountsRecord) -> np.ndarray:
     return _mle_batch(counts.stacked()[None, :])[0]
 
 
-def optimize_phase(rho: np.ndarray, sign: int) -> tuple[float, float]:
-    """Bell-state phase maximizing the fidelity, with the achieved value.
+def optimize_phase(rho: np.ndarray, sign: int) -> float:
+    """Bell-state phase maximizing :func:`ionnet.empirical.state_fidelity`.
 
-    The fidelity is sinusoidal in the phase, so the optimum follows in
-    closed form from the argument of the relevant coherence; a diagonal
-    state has no preference and reports phase 0.
+    The fidelity is sinusoidal in the phase,
+    ``(rho_11 + rho_22)/2 + sign * |c| * cos(phi - arg c)`` for the
+    coherence ``c = <D'D| rho |DD'>``, so the optimum follows in closed form
+    from ``arg c``; a diagonal state has no preference and reports phase 0.
     """
-    coherence = rho[1, 2]  # <D'D| rho |DD'>
-    populations = 0.5 * np.real(rho[1, 1] + rho[2, 2])
+    coherence = rho[1, 2]
     if abs(coherence) == 0.0:
-        return 0.0, float(populations)
-    # F(phi) = populations + sign * |coherence| * cos(phi - arg(coherence))
+        return 0.0
     phi = np.angle(coherence) % (2.0 * np.pi)
     if sign == -1:
         phi = (phi + np.pi) % (2.0 * np.pi)
-    return float(phi), float(populations + abs(coherence))
+    return float(phi)
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,11 @@ class TestBatchedPropagators:
         assert np.array_equal(props.pulse, pulse)
         assert np.array_equal(props.free, free)
 
+    def test_unknown_flavor_raises(self, node_b):
+        grid = TimeGrid.for_node(node_b, t_end=0.1e-6, target_dt=1e-9)
+        with pytest.raises(ValueError, match="flavor"):
+            dynamics.step_propagators(node_b, grid, 0.0, "six-level")
+
     @pytest.mark.parametrize("flavor", _FLAVORS)
     @pytest.mark.parametrize("node", ("nodeA", "nodeB"))
     def test_whole_pulse_matches_step_loop(self, node, flavor):
@@ -230,6 +235,44 @@ class TestBatchedPropagators:
         props = dynamics.step_propagators(params, grid, 0.0, flavor)
         assert props.n_pulse_steps > 100 * props.slots
         assert_matches_step_loop(props, grid.n_steps)
+
+
+@st.composite
+def node_params(draw):
+    """Nodes with and without recycling (sp, ss) and with and without a beat.
+
+    The beat, when on, lasts 10-40 steps of 1 ns, so the per-slot oracle
+    stays cheap.
+    """
+    rate = st.floats(0.01, 20.0)  # MHz
+    rate_or_zero = st.one_of(st.just(0.0), rate)
+    delta1 = draw(st.floats(200.0, 600.0))
+    beat = draw(st.one_of(st.just(0.0), st.floats(25.0, 100.0)))
+    return make_params(
+        omega1=mhz(draw(st.floats(1.0, 40.0))),
+        omega2=mhz(draw(st.one_of(st.just(0.0), st.floats(1.0, 40.0)))),
+        g1=mhz(draw(rate)), g2=mhz(draw(rate)),
+        delta1=mhz(delta1), delta2=mhz(delta1 + beat),
+        deltac1=mhz(delta1 + draw(st.floats(-5.0, 5.0))),
+        deltac2=mhz(delta1 + beat + draw(st.floats(-5.0, 5.0))),
+        kappa=mhz(draw(rate)), gamma_sp=mhz(draw(rate_or_zero)),
+        gamma_dp=mhz(draw(rate)), gamma_dprime_p=mhz(draw(rate_or_zero)),
+        gamma_ss=mhz(draw(rate_or_zero)), pulse_duration=0.1e-6,
+        detuning_convention=draw(st.sampled_from(("primed", "unprimed"))))
+
+
+@given(params=node_params(), offset_mhz=st.floats(-0.5, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_batched_propagators_equal_per_slot_build(params, offset_mhz):
+    # the restricted block identity and the affine split hold for any
+    # rates, not only for the presets' values
+    grid = TimeGrid.for_node(params, t_end=0.2e-6, target_dt=1e-9)
+    offset = mhz(offset_mhz)
+    for flavor in _FLAVORS:
+        props = dynamics.step_propagators(params, grid, offset, flavor)
+        pulse, free = per_slot_propagators(params, grid, offset, flavor)
+        assert np.array_equal(props.pulse, pulse), flavor
+        assert np.array_equal(props.free, free), flavor
 
 
 @lru_cache(maxsize=None)
@@ -369,16 +412,3 @@ class TestJitter:
             return np.sum((t - mean) ** 2 * w) / np.sum(w)
 
         assert arrival_variance(mhz(0.1)) >= arrival_variance(mhz(0.06))
-
-
-def test_envelope_csv(tmp_path, node_b_run):
-    p, grid, traj = node_b_run
-    p_v, p_h = dynamics.photon_envelopes(traj, p)
-    p_s = dynamics.scattering_rate(traj, p)
-    path = tmp_path / "env.csv"
-    dynamics.write_envelope_csv(path, grid, p_v, p_h, p_s,
-                                header_lines=["seed=1"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=1"
-    assert lines[1] == "t_us,p_v,p_h,P_s"
-    assert len(lines) == grid.n_steps + 3

@@ -229,16 +229,3 @@ class TestWindowFraction:
         vals = [empirical.background_window_fraction(t * 1e-6)
                 for t in np.linspace(0.0, 17.5, 30)]
         assert np.all(np.diff(vals) > 0)
-
-
-def test_fidelity_csv(tmp_path):
-    t_list = np.array([1.0, 2.0]) * 1e-6
-    curves = {"F_plus_full": np.array([0.9, 0.8]),
-              "F_minus_full": np.array([0.88, 0.78]),
-              "F_plus_nodephase": np.array([0.91, 0.9]),
-              "F_minus_nodephase": np.array([0.89, 0.88])}
-    path = tmp_path / "fid.csv"
-    empirical.write_fidelity_csv(path, t_list, curves, header_lines=["x=1"])
-    lines = path.read_text().splitlines()
-    assert lines[1].startswith("T_us,F_plus_full")
-    assert len(lines) == 4

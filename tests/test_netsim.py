@@ -311,8 +311,10 @@ def click_records(draw):
 @st.composite
 def edited_click_text(draw, text):
     """A file the reader accepts, made from a written click file: header
-    lines dropped, the origin column dropped or renamed, blank, padded and
-    comment lines added, and CRLF line ends."""
+    lines dropped, the origin column dropped or renamed, CRLF line ends, and
+    blank, padded and comment lines added to the whole body or to none of
+    it, so that clean bodies, which the reader parses as bytes, meet it
+    with and without a ``# detectors=`` header."""
     lines = text.split("\n")[:-1]
     column_at = next(i for i, line in enumerate(lines)
                      if not line.startswith("#"))
@@ -329,12 +331,15 @@ def edited_click_text(draw, text):
                                     "backgrounds"]))
         k = draw(st.integers(0, len(rows) - 1))
         rows[k] = rows[k].rsplit(",", 1)[0] + "," + odd
-    body = []
-    for row in rows:
-        body.append(draw(st.sampled_from(["", " ", "\t"])) + row
-                    + draw(st.sampled_from(["", " ", "\t"])))
-        body.extend(draw(st.lists(st.sampled_from(
-            ["", "  ", "\t", "# note", "# herald_mode=True"]), max_size=1)))
+    body = rows
+    if draw(st.booleans()):
+        body = []
+        for row in rows:
+            body.append(draw(st.sampled_from(["", " ", "\t"])) + row
+                        + draw(st.sampled_from(["", " ", "\t"])))
+            body.extend(draw(st.lists(st.sampled_from(
+                ["", "  ", "\t", "# note", "# herald_mode=True"]),
+                max_size=1)))
     lines = head + [columns] + body
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))

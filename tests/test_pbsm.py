@@ -228,11 +228,17 @@ class TestModelVisibility:
         node_a = hilbert.node_from_preset("nodeA")
         node_b = hilbert.node_from_preset("nodeB")
         ens = dynamics.jitter_ensemble(node_a.gamma_clj, k_max=1)
-        curve = pbsm.model_visibility(node_a, node_b,
-                                      np.array([0.5, 2.0, 8.0]) * 1e-6,
-                                      mode="full", ensemble_a=ens,
-                                      target_dt=1e-9)
-        best = np.nanmax(curve.per_offset_visibility, axis=0)
+        t_list = np.array([0.5, 2.0, 8.0]) * 1e-6
+        model = pbsm.build_interference_model(node_a, node_b, ens, "full",
+                                              target_dt=1e-9)
+        curve = pbsm.visibility_from_model(model, t_list)
+        # each offset alone is the model cut to that offset at unit weight
+        per_offset = [pbsm.visibility_from_model(replace(
+            model, offsets_a=model.offsets_a[k:k + 1], weights_a=np.ones(1),
+            kernels_a=model.kernels_a[k:k + 1],
+            fine_envelopes_a=model.fine_envelopes_a[k:k + 1]), t_list)
+            for k in range(len(ens.offsets))]
+        best = np.max([c.visibility for c in per_offset], axis=0)
         assert np.all(curve.visibility <= best + 1e-12)
 
     def test_one_restricted_run_per_node_and_offset(self, monkeypatch):
@@ -265,17 +271,3 @@ class TestModelVisibility:
         with pytest.raises(UndefinedVisibilityError):
             pbsm.model_visibility(dark, dark, [0.25e-6], mode="pure",
                                   target_dt=1e-9)
-
-
-def test_visibility_csv(tmp_path):
-    t_list = np.array([0.25, 0.5]) * 1e-6
-    curves = {}
-    for i, mode in enumerate(pbsm.MODES):
-        curves[mode] = pbsm.VisibilityCurve(
-            t_list=t_list, visibility=np.array([1.0 - 0.1 * i, 0.9 - 0.1 * i]),
-            per_offset_visibility=np.zeros((1, 2)))
-    path = tmp_path / "vis.csv"
-    pbsm.write_visibility_csv(path, t_list, curves, header_lines=["seed=0"])
-    lines = path.read_text().splitlines()
-    assert lines[1] == "T_us,V_full,V_no_technical,V_pure"
-    assert lines[2].startswith("0.250,")
