@@ -162,14 +162,6 @@ def noise_operators(params: NodeParams) -> tuple[np.ndarray, ...]:
     )
 
 
-def decay_diagonal(params: NodeParams) -> np.ndarray:
-    """Diagonal of sum_i L_i^dag L_i over the noise operators (real, length 6)."""
-    total = np.zeros(DIM)
-    for op in noise_operators(params):
-        total += np.einsum("ij,ij->j", op.conj(), op).real
-    return total
-
-
 def hamiltonian_with_phase(params: NodeParams, delta_omega: float,
                            beat_phase: float | None) -> np.ndarray:
     """Rotating-frame Hamiltonian at a given beat phase (``None`` = drive off).

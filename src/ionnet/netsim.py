@@ -167,9 +167,35 @@ def _put_digits(out: np.ndarray, col: int, width: int,
         out[:, col + j] *= values >= 10 ** (width - 1 - j)
 
 
-def _holds(column: np.ndarray, name: str) -> np.ndarray:
-    """Where a read text column, bytes (S) or str, holds ``name``."""
-    return column == (name.encode() if column.dtype.kind == "S" else name)
+def _text_field(kind: str, longest: int) -> str:
+    """A bytes (S) or str (U) field wider than ``longest``, so that a longer
+    value cannot read as a listed one; bytes fields come in whole 8-byte
+    words, which ``_name_codes`` compares."""
+    return f"S{8 * (longest // 8 + 1)}" if kind == "S" else f"U{longest + 1}"
+
+
+def _name_codes(column: np.ndarray, codes: dict, dtype) -> np.ndarray:
+    """The code of each item of a read text column, bytes (S) or str, and
+    -1 where ``codes`` holds no such name.
+
+    The items of a bytes column, a ``_text_field``, are compared as 8-byte
+    words.
+    """
+    out = np.full(column.size, -1, dtype=dtype)
+    if column.dtype.kind != "S":
+        for name, code in codes.items():
+            out[column == name] = code
+        return out
+    words = np.ascontiguousarray(column).view(np.uint64).reshape(
+        column.size, column.itemsize // 8)
+    for name, code in codes.items():
+        key = np.frombuffer(name.encode().ljust(column.itemsize, b"\0"),
+                            dtype=np.uint64)
+        match = words[:, 0] == key[0]
+        for j in range(1, key.size):
+            match &= words[:, j] == key[j]
+        out[match] = code
+    return out
 
 
 @dataclass
@@ -206,10 +232,10 @@ class ClickRecords:
     Reading, the ``origin`` column is optional and any other origin name
     reads as ``unknown`` (-1).  Blank lines, ``#`` lines, surrounding
     whitespace, and CRLF and CR line ends are allowed, and columns past the
-    last one read are ignored.  A body of plain rows is parsed from the
-    file's bytes in one pass; any other goes through line-by-line cleaning.
-    A row naming a detector missing from the ``detectors=`` header, or a
-    field that does not parse, raises ``ConfigError``.
+    last one read are ignored.  A body of plain rows is parsed in one pass
+    as it is read from the file; any other goes through line-by-line
+    cleaning.  A row naming a detector missing from the ``detectors=``
+    header, or a field that does not parse, raises ``ConfigError``.
     """
 
     attempt: np.ndarray  # int64
@@ -293,7 +319,8 @@ class ClickRecords:
     def from_csv(cls, path) -> "ClickRecords":
         with open(path, "rb") as fh:
             data = fh.read()
-        if b"\r" in data:  # CRLF and CR line ends, as text mode reads them
+        crlf = b"\r" in data
+        if crlf:  # CRLF and CR line ends, as text mode reads them
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         meta = {}
         columns = None
@@ -307,8 +334,8 @@ class ClickRecords:
                 _read_header_line(line, meta, path)
             elif line:
                 columns = line.split(",")
-        # a clean body is parsed from the bytes, names as bytes (S) fields;
-        # any other goes through line-by-line cleaning as text (U fields)
+        # a clean body is parsed as read, names as bytes (S) fields; any
+        # other goes through line-by-line cleaning as text (U fields)
         kind = "S"
         if not data.isascii() or any(data.find(c, pos) >= 0
                                      for c in _BODY_IRREGULAR):
@@ -323,14 +350,18 @@ class ClickRecords:
         elif not _NOT_LINE_END.search(data, pos):
             rows = []  # nothing but line ends
         else:
-            rows = io.BytesIO(data)
+            # loadtxt reads a clean body line by line; from the file itself
+            # where it has no CR to convert, so that its bytes are not held
+            rows = io.BytesIO(data) if crlf else open(path, "rb", 1 << 20)
             rows.seek(pos)
+        del data
         names = meta.get("detectors", ())
         longest = max((len(name.encode()) for name in names), default=0)
         fields = [("attempt", np.int64),
-                  ("detector", f"{kind}{longest + 1}" if names else object),
+                  ("detector",
+                   _text_field(kind, longest) if names else object),
                   ("t_us", np.float64),
-                  ("origin", f"{kind}{max(map(len, ORIGIN_CODES)) + 1}")]
+                  ("origin", _text_field(kind, max(map(len, ORIGIN_CODES))))]
         if columns is None or "origin" not in columns:
             fields.pop()
         if isinstance(rows, list) and not rows:
@@ -342,14 +373,16 @@ class ClickRecords:
                                   ndmin=1)
             except ValueError as exc:
                 raise _malformed_row(path, fields, exc) from None
+            finally:
+                if isinstance(rows, io.IOBase):
+                    rows.close()
 
         column = data["detector"]
         if not names:  # the column holds str objects
             names = tuple(sorted(set(column.tolist())))
         # duplicate names keep their last position, like a dict would
-        detector = np.full(data.size, -1, dtype=np.int16)
-        for i, name in enumerate(names):
-            detector[_holds(column, name)] = i
+        detector = _name_codes(column, {n: i for i, n in enumerate(names)},
+                               np.int16)
         unknown = np.flatnonzero(detector < 0)
         if unknown.size:
             line, _ = next(itertools.islice(_data_rows(path), unknown[0], None))
@@ -359,10 +392,10 @@ class ClickRecords:
                 f"{name.decode() if isinstance(name, bytes) else name!r}, "
                 f"which the '# detectors=' header ({','.join(names)}) does "
                 "not list")
-        origin = np.full(data.size, -1, dtype=np.int8)
         if "origin" in data.dtype.names:
-            for name, code in ORIGIN_CODES.items():
-                origin[_holds(data["origin"], name)] = code
+            origin = _name_codes(data["origin"], ORIGIN_CODES, np.int8)
+        else:
+            origin = np.full(data.size, -1, dtype=np.int8)
         attempt = data["attempt"].copy()
         return cls(attempt=attempt, detector=detector,
                    t=data["t_us"] * 1e-6, origin=origin,
@@ -581,11 +614,21 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
 
 
 def _sample_times(times, cdf_rows, group_idx, uniforms):
-    """Inverse-CDF sampling where each draw uses its group's CDF row."""
+    """Inverse-CDF sampling where each draw uses its group's CDF row.
+
+    ``np.interp`` maps each uniform on its own, so the draws may go in any
+    order; in increasing order its search for each one starts where the last
+    ended.  One sort by ``2 * group + uniform`` (uniforms in [0, 1]: the key
+    of a group lies in [2g, 2g + 1] even after rounding) makes each group's
+    draws a contiguous run in increasing order.
+    """
+    order = np.argsort(2.0 * group_idx + uniforms)
     out = np.empty(uniforms.size)
-    for g in np.unique(group_idx):
-        mask = group_idx == g
-        out[mask] = np.interp(uniforms[mask], cdf_rows[g], times)
+    start = 0
+    for g, count in enumerate(np.bincount(group_idx).tolist()):
+        run = order[start:start + count]
+        out[run] = np.interp(uniforms[run], cdf_rows[g], times)
+        start += count
     return out
 
 
@@ -762,10 +805,16 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                  ORIGIN_CODES["background"])
 
     attempt, detector, t_arr, origin = map(np.concatenate, zip(*chunks))
+    chunks.clear()
     order = _click_order(attempt, t_arr)
-    clicks = ClickRecords(attempt=attempt[order], detector=detector[order],
-                          t=t_arr[order], origin=origin[order],
-                          detector_names=names, n_attempts=n_attempts)
+    # one column at a time, each sorted copy replacing its unsorted column
+    attempt = attempt[order]
+    detector = detector[order]
+    t_arr = t_arr[order]
+    origin = origin[order]
+    clicks = ClickRecords(attempt=attempt, detector=detector, t=t_arr,
+                          origin=origin, detector_names=names,
+                          n_attempts=n_attempts)
 
     heralds = herald_attempts(clicks, table, window=(0.0, seq.detection_span))
     n_executed = n_attempts
@@ -784,15 +833,18 @@ def _pairs_in_window(clicks: ClickRecords, window):
     """All same-attempt pairs of clicks at distinct detectors in a window.
 
     Returns (attempt, det1, det2, t1, t2) arrays with ``det1 < det2``.  The
-    clicks are sorted by attempt, so the pairs ``lag`` places apart are
-    collected for lag 1, 2, ... until no attempt spans that many clicks.
+    clicks are sorted by attempt, unless they already are (as simulated and
+    as written), so the pairs ``lag`` places apart are collected for lag 1,
+    2, ... until no attempt spans that many clicks.
     """
     w0, w1 = window
     mask = (clicks.t >= w0) & (clicks.t <= w1)
-    order = np.argsort(clicks.attempt[mask], kind="stable")
-    att = clicks.attempt[mask][order]
-    det = clicks.detector[mask][order].astype(int)
-    tt = clicks.t[mask][order]
+    att = clicks.attempt[mask]
+    det = clicks.detector[mask]
+    tt = clicks.t[mask]
+    if np.any(att[1:] < att[:-1]):
+        order = np.argsort(att, kind="stable")
+        att, det, tt = att[order], det[order], tt[order]
     first, second = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     lag = 1
     same = att[lag:] == att[:-lag]
@@ -805,7 +857,7 @@ def _pairs_in_window(clicks: ClickRecords, window):
     i, j = np.concatenate(first), np.concatenate(second)
     swap = det[i] > det[j]
     i, j = np.where(swap, j, i), np.where(swap, i, j)
-    return att[i], det[i], det[j], tt[i], tt[j]
+    return att[i], det[i].astype(int), det[j].astype(int), tt[i], tt[j]
 
 
 def herald_attempts(clicks: ClickRecords, table: DetectorTable,

@@ -49,10 +49,18 @@ def _full_generator(params, delta_omega, beat_phase):
     return gen
 
 
+def decay_diagonal(params):
+    """Diagonal of sum_i L_i^dag L_i over the noise operators (length 6)."""
+    total = np.zeros(hilbert.DIM)
+    for op in hilbert.noise_operators(params):
+        total += np.einsum("ij,ij->j", op.conj(), op).real
+    return total
+
+
 def _nonhermitian_generator(params, delta_omega, beat_phase):
     h = hilbert.hamiltonian_with_phase(params, delta_omega, beat_phase)
     h4 = h[:hilbert.RESTRICTED_DIM, :hilbert.RESTRICTED_DIM]
-    decay = hilbert.decay_diagonal(params)[:hilbert.RESTRICTED_DIM]
+    decay = decay_diagonal(params)[:hilbert.RESTRICTED_DIM]
     return -(1j * h4 + 0.5 * np.diag(decay.astype(np.complex128)))
 
 

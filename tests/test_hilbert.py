@@ -104,14 +104,6 @@ class TestOperators:
             expected[level, level] = 2.0 * p.kappa
             assert np.allclose(ldl, expected)
 
-    def test_decay_diagonal(self):
-        p = make_params()
-        diag = hilbert.decay_diagonal(p)
-        assert diag[hilbert.S0] == pytest.approx(2 * p.gamma_ss)
-        assert diag[hilbert.P0] == pytest.approx(
-            2 * (p.gamma_sp + p.gamma_dp + p.gamma_dprime_p))
-        assert diag[hilbert.D1] == diag[hilbert.DP1] == pytest.approx(2 * p.kappa)
-
     def test_phase_form_matches_time_form(self):
         # the drive at time t inside the pulse is (omega1 + omega2 e^{i nu t})/2
         p = make_params()

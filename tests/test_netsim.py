@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ionnet import netsim, pbsm
+from ionnet import dynamics, hilbert, netsim, pbsm
 from ionnet.errors import (ConfigError, NumericalConsistencyError,
                            UndefinedVisibilityError)
 from ionnet.netsim import ClickRecords, SequenceConfig
@@ -106,6 +107,12 @@ class TestCalibration:
             netsim.calibrate_to_success_probability(model, 0.5 * background)
 
 
+# sha256 of the seed-11 herald-mode run with 13 node-A offsets below: the
+# bytes of the click columns and the herald attempts, then ``n_executed``
+THIRTEEN_OFFSETS_SHA256 = \
+    "5c34e8ccfdf822d998478f777424ad9813326c06002cb59fbe7534ddddd4ebc8"
+
+
 class TestSimulation:
     def test_no_sources_no_clicks(self, table):
         model = toy_detection_model(table, tau=0.0, bg_scale=0.0)
@@ -191,6 +198,25 @@ class TestSimulation:
         b, _ = netsim.simulate_attempts(SequenceConfig(), model, 10_000, seed=9)
         assert np.array_equal(a.attempt, b.attempt)
         assert np.array_equal(a.t, b.t)
+
+    def test_thirteen_offsets_pinned(self, table):
+        # 26 node-A sampling groups (13 offsets x 2 polarizations); the photon
+        # scale is raised fourfold so that every group draws hundreds of times
+        node_a = hilbert.node_from_preset("nodeA")
+        node_b = hilbert.node_from_preset("nodeB")
+        ensemble = dynamics.jitter_ensemble(node_a.gamma_clj, k_max=6)
+        model = netsim.build_detection_model(
+            node_a, node_b, table, ensemble_a=ensemble, target_dt=2e-9)
+        clicks, log = netsim.simulate_attempts(
+            SequenceConfig(), model.rescaled(4.0), 300_000, seed=11,
+            herald_mode=True)
+        digest = hashlib.sha256()
+        for arr in (clicks.attempt, clicks.detector, clicks.t, clicks.origin,
+                    log.herald_attempts):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(str(log.n_executed).encode())
+        assert model.cdf_a.shape[:2] == (13, 2)
+        assert digest.hexdigest() == THIRTEEN_OFFSETS_SHA256
 
 
 def to_csv_oracle(clicks, path, header_lines=()):
@@ -389,6 +415,19 @@ class TestClickRecords:
         assert all(type(name) is str for name in loaded.detector_names)
         assert loaded.origin.tolist() == [0, 1, -1]
 
+    def test_names_differing_after_eight_bytes(self, tmp_path):
+        # a clean body's names are compared as 8-byte words, and these
+        # agree in their first word
+        path = tmp_path / "clicks.csv"
+        path.write_text("# detectors=SNSPD_LONG_1,SNSPD_LONG_2\n"
+                        "attempt,detector,t_us,origin\n"
+                        "3,SNSPD_LONG_2,6.25,backgrounds\n"
+                        "4,SNSPD_LONG_1,7.5,background\n")
+        loaded = ClickRecords.from_csv(path)
+        assert_same_records(loaded, from_csv_oracle(path))
+        assert loaded.detector.tolist() == [1, 0]
+        assert loaded.origin.tolist() == [-1, 1]
+
     def test_csv_without_origin_column(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("# n_attempts=10\n# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
@@ -488,6 +527,49 @@ class TestClickRecords:
             ClickRecords.from_csv(path)
 
 
+def sample_times_oracle(times, cdf_rows, group_idx, uniforms):
+    """Per-group ``np.interp`` of the masked draws, in draw order."""
+    out = np.empty(uniforms.size)
+    for g in np.unique(group_idx):
+        mask = group_idx == g
+        out[mask] = np.interp(uniforms[mask], cdf_rows[g], times)
+    return out
+
+
+_N_KNOTS = 60
+
+
+class TestSampleTimes:
+    # 26 groups, as 13 node-A offsets times 2 polarizations make; a draw is
+    # a uniform in [0, 1] or, given as an int, a knot value of its group's
+    # CDF row
+    @given(seed=st.integers(0, 2 ** 16), draws=st.lists(st.tuples(
+        st.integers(0, 25),
+        st.floats(0.0, 1.0) | st.integers(0, _N_KNOTS - 1)), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    # one draw in one group; 0.0 in a group whose CDF starts flat
+    @example(seed=0, draws=[(7, 0.5)])
+    @example(seed=1, draws=[(25, 0.0), (0, 0.0), (25, 3), (25, 0.25)])
+    # the top of one group's range and the bottom of the next one's: keys
+    # g + u would round both to 18.0
+    @example(seed=2, draws=[(18, 1e-15), (17, 1.0 - 2.0 ** -50)])
+    def test_matches_masked_interp(self, seed, draws):
+        rng = np.random.default_rng(seed)
+        times = np.linspace(0.0, 50e-6, _N_KNOTS)
+        # envelopes with zero stretches, so rows repeat knot values; one
+        # row is all zero
+        env = rng.random((26, _N_KNOTS)) * (rng.random((26, _N_KNOTS)) < 0.7)
+        env[:, :3] = 0.0
+        env[rng.integers(26)] = 0.0
+        cdf_rows = np.array([netsim._envelope_cdf(times, e) for e in env])
+        group_idx = np.array([g for g, _ in draws], dtype=np.int64)
+        uniforms = np.array([cdf_rows[g, v] if isinstance(v, int) else v
+                             for g, v in draws], dtype=float)
+        got = netsim._sample_times(times, cdf_rows, group_idx, uniforms)
+        assert np.array_equal(
+            got, sample_times_oracle(times, cdf_rows, group_idx, uniforms))
+
+
 class TestClickOrder:
     @settings(max_examples=300, deadline=None)
     @given(runs=st.lists(st.tuples(st.booleans(), st.lists(st.tuples(
@@ -553,6 +635,16 @@ _windows = st.sampled_from([(0.0, 50e-6), (5.5e-6, 23e-6), (30e-6, 35e-6),
                             (25e-6, 1e-6)])
 
 
+def pair_records(rows):
+    """Click records of (attempt, detector code, t) rows, in row order."""
+    return ClickRecords(
+        attempt=np.array([r[0] for r in rows], dtype=np.int64),
+        detector=np.array([r[1] for r in rows], dtype=np.int16),
+        t=np.array([r[2] for r in rows], dtype=float),
+        origin=np.full(len(rows), -1, dtype=np.int8),
+        detector_names=pbsm.DETECTOR_NAMES, n_attempts=6)
+
+
 class TestPairExtraction:
     @given(rows=_click_rows, window=_windows)
     @settings(max_examples=300, deadline=None)
@@ -565,17 +657,29 @@ class TestPairExtraction:
     @example(rows=[(2, 0, 5e-6), (2, 1, 10e-6)], window=(30e-6, 35e-6))
     @example(rows=[], window=(0.0, 50e-6))
     def test_matches_per_attempt_loop(self, rows, window):
-        names = pbsm.DETECTOR_NAMES
-        clicks = ClickRecords(
-            attempt=np.array([r[0] for r in rows], dtype=np.int64),
-            detector=np.array([r[1] for r in rows], dtype=np.int16),
-            t=np.array([r[2] for r in rows], dtype=float),
-            origin=np.full(len(rows), -1, dtype=np.int8),
-            detector_names=names, n_attempts=6)
+        clicks = pair_records(rows)
         got = netsim._pairs_in_window(clicks, window)
         assert got[0].dtype == np.int64
         assert sorted(zip(*(arr.tolist() for arr in got))) == \
             pairs_oracle(clicks, window)
+
+    @given(rows=_click_rows, window=_windows, seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=200, deadline=None)
+    # the seed-7 shuffle puts attempt 1 between the two clicks of attempt 0
+    @example(rows=[(0, 0, 5e-6), (0, 2, 10e-6), (1, 1, 5e-6)],
+             window=(0.0, 50e-6), seed=7)
+    def test_sorted_and_shuffled_records_agree(self, rows, window, seed):
+        # sorted records are paired as they stand, shuffled ones sorted first
+        by_attempt = sorted(rows, key=lambda r: r[0])
+        shuffled = [rows[i] for i in np.random.default_rng(seed).permutation(
+            len(rows))]
+        got = [netsim._pairs_in_window(pair_records(r), window)
+               for r in (by_attempt, shuffled)]
+        for arrays in got:
+            assert [arr.dtype for arr in arrays] == [np.int64] * 3 + \
+                [np.float64] * 2
+        assert (sorted(zip(*(arr.tolist() for arr in got[0])))
+                == sorted(zip(*(arr.tolist() for arr in got[1]))))
 
 
 class TestHomAnalysis:

@@ -10,7 +10,7 @@ from ionnet.dynamics import TimeGrid
 from ionnet.errors import IntegratorError
 from ionnet.hilbert import mhz
 
-from test_dynamics import step_matrix
+from test_dynamics import decay_diagonal, step_matrix
 from test_hilbert import make_params
 
 
@@ -124,7 +124,7 @@ class TestNoNoiseBranch:
                         gamma_ss=mhz(0.05), detuning_convention="unprimed")
         grid = TimeGrid(0.0, 0.05e-9, 40_000)  # 2 us
         ptraj = purebranch.propagate_no_noise(p, grid)
-        decay = hilbert.decay_diagonal(p)[:4]
+        decay = decay_diagonal(p)[:4]
         norms = ptraj.norms_squared()
         expected = -np.einsum("ki,i,ki->k", ptraj.psi.conj(), decay,
                               ptraj.psi).real
