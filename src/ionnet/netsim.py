@@ -16,7 +16,6 @@ window; backgrounds extend to 100 us, past the photon envelopes.
 from __future__ import annotations
 
 import bisect
-import io
 import itertools
 import math
 import re
@@ -71,6 +70,8 @@ _HEADER_KEYS = {"n_attempts": int, "n_executed": int,
 # characters that send a click-file body through line-by-line cleaning:
 # comment lines, and whitespace that ``str.strip`` would remove
 _BODY_IRREGULAR = b"# \t\x0b\x0c\x1c\x1d\x1e\x1f"
+# file name endings that make np.loadtxt decompress the file it opens
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _NOT_LINE_END = re.compile(rb"[^\n]")
 
 
@@ -319,8 +320,7 @@ class ClickRecords:
     def from_csv(cls, path) -> "ClickRecords":
         with open(path, "rb") as fh:
             data = fh.read()
-        crlf = b"\r" in data
-        if crlf:  # CRLF and CR line ends, as text mode reads them
+        if b"\r" in data:  # CRLF and CR line ends, as text mode reads them
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         meta = {}
         columns = None
@@ -335,10 +335,12 @@ class ClickRecords:
             elif line:
                 columns = line.split(",")
         # a clean body is parsed as read, names as bytes (S) fields; any
-        # other goes through line-by-line cleaning as text (U fields)
+        # other, or one in a file np.loadtxt would decompress, goes through
+        # line-by-line cleaning as text (U fields)
         kind = "S"
-        if not data.isascii() or any(data.find(c, pos) >= 0
-                                     for c in _BODY_IRREGULAR):
+        skip = 0
+        if (not data.isascii() or str(path).endswith(_COMPRESSED_SUFFIXES)
+                or any(data.find(c, pos) >= 0 for c in _BODY_IRREGULAR)):
             kind = "U"
             rows = []
             for line in data[pos:].decode().split("\n"):
@@ -350,10 +352,10 @@ class ClickRecords:
         elif not _NOT_LINE_END.search(data, pos):
             rows = []  # nothing but line ends
         else:
-            # loadtxt reads a clean body line by line; from the file itself
-            # where it has no CR to convert, so that its bytes are not held
-            rows = io.BytesIO(data) if crlf else open(path, "rb", 1 << 20)
-            rows.seek(pos)
+            # np.loadtxt reads a clean body from the file itself, in blocks
+            # and in text mode (CR line ends read as above), past the lines
+            # of the header; the bytes read here are then let go
+            rows, skip = path, data.count(b"\n", 0, pos)
         del data
         names = meta.get("detectors", ())
         longest = max((len(name.encode()) for name in names), default=0)
@@ -369,13 +371,11 @@ class ClickRecords:
         else:
             try:
                 data = np.loadtxt(rows, dtype=fields, delimiter=",",
-                                  comments=None, usecols=range(len(fields)),
-                                  ndmin=1)
+                                  comments=None, skiprows=skip,
+                                  usecols=range(len(fields)), ndmin=1,
+                                  encoding="latin1")
             except ValueError as exc:
                 raise _malformed_row(path, fields, exc) from None
-            finally:
-                if isinstance(rows, io.IOBase):
-                    rows.close()
 
         column = data["detector"]
         if not names:  # the column holds str objects

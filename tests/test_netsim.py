@@ -428,6 +428,16 @@ class TestClickRecords:
         assert loaded.detector.tolist() == [1, 0]
         assert loaded.origin.tolist() == [-1, 1]
 
+    @pytest.mark.parametrize("suffix", netsim._COMPRESSED_SUFFIXES)
+    def test_plain_file_with_a_compression_suffix(self, suffix, tmp_path):
+        # np.loadtxt would take the file for a compressed one
+        path = tmp_path / f"clicks.csv{suffix}"
+        path.write_text("# detectors=SPCM1,SNSPD1\n"
+                        "attempt,detector,t_us,origin\n"
+                        "3,SNSPD1,6.25,photon\n4,SPCM1,7.5,background\n")
+        assert_same_records(ClickRecords.from_csv(path),
+                            from_csv_oracle(path))
+
     def test_csv_without_origin_column(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("# n_attempts=10\n# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
