@@ -18,7 +18,9 @@ phase, and it enters through the drive amplitude d alone, so every flavor's
 generator is affine, ``L_free + d K_plus + d* K_minus``.  Grids built with
 :meth:`TimeGrid.for_node` make the step commensurate with the beat period;
 :func:`step_propagators` then builds the three pieces once and
-exponentiates the generators of all beat slots in one batched ``expm``.
+exponentiates the generators of all beat slots in one batched ``expm``;
+scipy, which provides it, loads at the first :func:`step_propagators` call,
+so a process that takes no matrix exponential never imports it.
 :func:`propagate` is the one propagation routine; the restricted and full
 density operators here and the no-noise pure state in
 :mod:`ionnet.purebranch` all run through it.  It steps one state per beat
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import hilbert
 from .errors import IntegratorError
@@ -205,6 +206,8 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
     pulse edge is rounded to the nearest grid point (sub-step rounding,
     relative error below 1e-4 of the pulse).
     """
+    from scipy.linalg import expm
+
     slots = _commensurate_slots(params, grid)
     if slots is None:
         raise ValueError(

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DegenerateInputError
 from .pbsm import DETECTION_WINDOW, HERALD_PORTS, DetectorTable
 
-BASIS_LABELS = ("D'D'", "D'D", "DD'", "DD")
 _WINDOW_SPAN = DETECTION_WINDOW[1] - DETECTION_WINDOW[0]
 _IDX_DPRIME_D = 1  # |D'_A D_B>
 _IDX_D_DPRIME = 2  # |D_A D'_B>

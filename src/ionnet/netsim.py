@@ -678,6 +678,43 @@ def _click_order(attempt: np.ndarray, t: np.ndarray) -> np.ndarray:
     return order
 
 
+def _offset_cdf(weights, n_offsets: int) -> np.ndarray:
+    """Normalized cumulative offset weights, as ``rng.choice`` forms them.
+
+    The weights are checked as ``rng.choice`` checks its ``p``: 1-D, one per
+    offset, finite, non-negative and summing to 1 within sqrt(eps).
+    """
+    p = np.asarray(weights, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("offset weights must be 1-dimensional")
+    if p.size != n_offsets:
+        raise ValueError(f"{p.size} offset weights for {n_offsets} offsets")
+    if not np.isfinite(p).all():
+        raise ValueError("offset weights must be finite")
+    if (p < 0).any():
+        raise ValueError("offset weights must be non-negative")
+    if abs(math.fsum(p) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("offset weights do not sum to 1")
+    cdf = p.cumsum()
+    return cdf / cdf[-1]
+
+
+def _emitters(rng, n: int, cdf: np.ndarray, tau_tot: np.ndarray):
+    """Node A's emission uniforms, emitting attempts and their offsets.
+
+    Draws what ``k = rng.choice(len(cdf), size=n, p=...)`` followed by
+    ``u = rng.random(n)`` draws and returns ``u``, the attempts where
+    ``u < tau_tot[k]`` and ``k`` there.  Offsets are resolved only at the
+    attempts that any offset lets emit.
+    """
+    u_off = rng.random(n)
+    u = rng.random(n)
+    cand = np.flatnonzero(u < tau_tot.max())
+    k = cdf.searchsorted(u_off[cand], side="right")
+    emit = u[cand] < tau_tot[k]
+    return u, cand[emit], k[emit]
+
+
 # attempts drawn per pass: bounds the per-attempt temporaries; the draws of
 # each pass follow on from the last, so the value fixes the random stream
 _BATCH = 1_000_000
@@ -715,6 +752,7 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
 
     tau_a_tot = model.tau_a.sum(axis=1)
     tau_b_tot = model.tau_b.sum(axis=1)
+    offset_cdf = _offset_cdf(model.offset_weights, len(model.offsets))
 
     cdf_a = model.cdf_a.reshape(-1, model.cdf_a.shape[-1])
     cdf_b = model.cdf_b.reshape(-1, model.cdf_b.shape[-1])
@@ -725,11 +763,7 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     for start in range(0, n_attempts, _BATCH):
         n = min(_BATCH, n_attempts - start)
 
-        k_off = rng.choice(len(model.offsets), size=n,
-                           p=model.offset_weights)
-        u_a = rng.random(n)
-        idx_a = np.flatnonzero(u_a < tau_a_tot[k_off])
-        k_a = k_off[idx_a]
+        u_a, idx_a, k_a = _emitters(rng, n, offset_cdf, tau_a_tot)
         pol_a = np.where(u_a[idx_a] < model.tau_a[k_a, 0], 0, 1)
         u_b = rng.random(n)
         idx_b = np.flatnonzero(u_b < tau_b_tot[0])

@@ -208,23 +208,6 @@ def _lag_sums(rates: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.array([np.trace(sub, offset=k) for k in range(-(n - 1), n)])
 
 
-def integrated_coincidence(rates: np.ndarray, times: np.ndarray, t_window: float,
-                           window: tuple[float, float] | None = None) -> float:
-    """Integral of a two-time rate over the band ``|t1 - t2| <= t_window``.
-
-    ``rates[i, j]`` is treated as constant on the grid cell starting at
-    ``(times[i], times[j])``; cells crossing the band edge contribute their
-    exact overlap fraction, so the result is continuous and monotone in
-    ``t_window`` and vanishes at ``t_window = 0``.  ``window`` restricts the
-    detection times to cells inside ``[w0, w1]``.
-    """
-    if t_window < 0:
-        raise ValueError("t_window must be nonnegative")
-    keep, cell_dt = _window_cells(times, window)
-    weights = _band_weights(keep.size, cell_dt, t_window)
-    return float((_lag_sums(rates, keep) * weights).sum() * cell_dt * cell_dt)
-
-
 # -- full visibility pipeline ------------------------------------------------
 
 MODES = ("full", "no_technical", "pure")

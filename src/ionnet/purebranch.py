@@ -202,7 +202,8 @@ def node_kernels(params: NodeParams, grid: TimeGrid, delta_omega: float,
     """Full per-offset pipeline: ((G_v, G_h), (p_v, p_h)) for one node.
 
     One restricted trajectory gives the fine-grid photon envelopes and the
-    scattering rate that weights the exact kernel sweep.  Without scattering
+    scattering rate that weights the block-compressed kernel builder,
+    :func:`exact_coherence_kernels`.  Without scattering
     the photon state is pure and the kernels reduce to rank-1 outer products
     of the forward amplitudes.
     """

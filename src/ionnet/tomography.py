@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlog1py
 
 from .empirical import state_fidelity
 from .errors import ConfigError, EstimationError
@@ -175,7 +174,8 @@ def _nll_change(x: np.ndarray, step: np.ndarray, counts: np.ndarray,
     """NLL(x + step) - NLL(x) for each row, accurate to the change itself.
 
     q_k(x + d) - q_k(x) = d^T A_k (2x + d), and likewise for x^T x, so the
-    difference does not sink into the roundoff of an NLL of size ~N.
+    difference does not sink into the roundoff of an NLL of size ~N.  The
+    ratio is 0 wherever a count is 0, so those terms are exactly 0.
     """
     a_mid = ((2.0 * x + step) @ _FORMS_BY_ROW).reshape(len(x), 36, 16)
     dq = np.einsum("mki,mi->mk", a_mid, step)
@@ -184,7 +184,7 @@ def _nll_change(x: np.ndarray, step: np.ndarray, counts: np.ndarray,
     ds = np.sum(step * (2.0 * x + step), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (counts.sum(axis=1) * np.log1p(ds / s)
-                - np.sum(xlog1py(counts, ratio), axis=1))
+                - np.sum(counts * np.log1p(ratio), axis=1))
 
 
 # Linear inversion: rho = I/4 + sum_k f_k M_k for outcome frequencies f_k,

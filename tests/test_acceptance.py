@@ -17,6 +17,7 @@ from ionnet.dynamics import TimeGrid
 from ionnet.hilbert import mhz
 
 from test_dynamics import step_matrix
+from test_pbsm import integrated_coincidence
 
 SWEEP = np.arange(0.25e-6, 17.5e-6 + 1e-9, 0.25e-6)
 KEY_WINDOWS = np.array([0.25, 1.0, 5.0, 17.5]) * 1e-6
@@ -269,7 +270,7 @@ def test_criterion_05_hom_bunching_limit(node_b):
     worst_det = 0.0
     for rates in (det_hh, det_vv):
         for t_win in KEY_WINDOWS:
-            worst_det = max(worst_det, pbsm.integrated_coincidence(
+            worst_det = max(worst_det, integrated_coincidence(
                 rates, model.coarse_times, t_win, window=(5.5e-6, 23e-6)))
     unit_visibility = bool(np.allclose(curve.visibility, 1.0, atol=1e-10))
 

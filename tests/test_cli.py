@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionnet import cli, hilbert, netsim
+from ionnet import cli, hilbert, netsim, pbsm
 
 FAST_CONFIG = {
     "jitter": {"k_max": 0, "span_factor": 3.0},
@@ -443,3 +443,41 @@ def test_import_leaves_scipy_optimize_unloaded():
     proc = run_python(
         "-c", "import sys, ionnet.cli; sys.exit('scipy.optimize' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_without_matrix_exponential_leave_scipy_unloaded(
+        fast_config_path, tmp_path):
+    # analyze, tomography on a counts file and fidelity-model on a
+    # visibility file take no matrix exponential, so they never load scipy
+    rng = np.random.default_rng(0)
+    n = 4000  # two clicks per attempt on two different detectors
+    detector = rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1)[:, :2]
+    netsim.ClickRecords(
+        attempt=np.repeat(np.arange(n), 2),
+        detector=detector.ravel().astype(np.int16),
+        t=rng.uniform(5.5e-6, 23e-6, 2 * n),
+        origin=np.zeros(2 * n, dtype=np.int8),
+        detector_names=pbsm.DETECTOR_NAMES, n_attempts=n,
+    ).to_csv(tmp_path / "clicks.csv")
+    from ionnet import empirical, tomography
+    psi = empirical.bell_state(+1, 0.4)
+    counts = tomography.exact_counts(np.outer(psi, psi.conj()), 1000)
+    (tmp_path / "counts.json").write_text(
+        json.dumps(tomography.counts_to_json(counts)))
+    (tmp_path / "vin.csv").write_text("T_us,V\n1.000,0.930\n")
+    commands = [
+        ["analyze", "--clicks", str(tmp_path / "clicks.csv")],
+        ["tomography", "--counts", str(tmp_path / "counts.json"),
+         "--resamples", "5"],
+        ["fidelity-model", "--visibility-csv", str(tmp_path / "vin.csv")],
+    ]
+    script = (
+        "import sys\n"
+        "from ionnet import cli\n"
+        f"codes = [cli.run_command(['--config', {fast_config_path!r}, "
+        f"'--out', {str(tmp_path)!r}, *c]) for c in {commands!r}]\n"
+        "print(codes, sorted(m for m in sys.modules\n"
+        "                    if m.split('.')[0] == 'scipy'))\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []", proc.stdout

@@ -9,6 +9,9 @@ from ionnet.errors import DegenerateInputError
 
 from test_hilbert import assert_physical
 
+# the product basis of the two-qubit operators, first ion from node A
+BASIS_LABELS = ("D'D'", "D'D", "DD'", "DD")
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -23,8 +26,8 @@ def background_block_matrix(budget, sign, phi):
     """
     p_bgq = budget.p_tot_bg / 4.0
     p_cross = budget.p_ph_ph / 2.0 + p_bgq
-    i_dprime_d = empirical.BASIS_LABELS.index("D'D")
-    i_d_dprime = empirical.BASIS_LABELS.index("DD'")
+    i_dprime_d = BASIS_LABELS.index("D'D")
+    i_d_dprime = BASIS_LABELS.index("DD'")
     coher = sign * np.exp(1j * phi) * budget.p_ph_ph / 2.0
     rho = np.diag([p_bgq, p_cross, p_cross, p_bgq]).astype(np.complex128)
     rho[i_dprime_d, i_d_dprime] = coher

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -578,6 +578,70 @@ class TestSampleTimes:
         got = netsim._sample_times(times, cdf_rows, group_idx, uniforms)
         assert np.array_equal(
             got, sample_times_oracle(times, cdf_rows, group_idx, uniforms))
+
+
+class TestEmitters:
+    # the first n_offsets weights (some exactly 0) and emission
+    # probabilities (some 0 or 1) are used, so that offsets differ in which
+    # attempts they let emit
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n_offsets=st.sampled_from([1, 13]), n=st.integers(1, 4000),
+           weights=st.lists(st.just(0.0) | st.floats(1e-3, 1.0),
+                            min_size=13, max_size=13),
+           tau_tot=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                            min_size=13, max_size=13))
+    @settings(max_examples=150, deadline=None)
+    @example(seed=0, n_offsets=1, n=1000, weights=[1.0] * 13,
+             tau_tot=[0.3] * 13)
+    @example(seed=1, n_offsets=13, n=1001, weights=list(range(1, 14)),
+             tau_tot=list(np.linspace(0.6, 0.0, 13)))
+    def test_matches_choice_then_flatnonzero(self, seed, n_offsets, n,
+                                             weights, tau_tot):
+        weights = np.array(weights[:n_offsets], dtype=float)
+        tau_tot = np.array(tau_tot[:n_offsets])
+        assume(weights.sum() > 0.0)
+        p = weights / weights.sum()
+
+        rng = np.random.default_rng(seed)
+        k_off = rng.choice(n_offsets, size=n, p=p)
+        u = rng.random(n)
+        idx = np.flatnonzero(u < tau_tot[k_off])
+        want_next = rng.random()
+
+        rng = np.random.default_rng(seed)
+        got_u, got_idx, got_k = netsim._emitters(
+            rng, n, netsim._offset_cdf(p, n_offsets), tau_tot)
+        assert np.array_equal(got_u, u)
+        assert np.array_equal(got_idx, idx)
+        assert np.array_equal(got_k, k_off[idx])
+        assert got_k.dtype == k_off.dtype
+        assert rng.random() == want_next
+
+    @pytest.mark.parametrize("weights, n_offsets", [
+        ([[0.5, 0.5]], 2),              # not 1-D
+        ([0.5, 0.5], 3),                # one weight short
+        ([np.nan, 1.0], 2),
+        ([np.inf, 1.0], 2),
+        ([-0.1, 1.1], 2),
+        ([0.5, 0.4], 2),                # sums to 0.9
+        ([], 0),
+    ])
+    def test_weights_rejected_as_choice_rejects_them(self, weights,
+                                                     n_offsets):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(n_offsets, size=3, p=weights)
+        with pytest.raises(ValueError):
+            netsim._offset_cdf(weights, n_offsets)
+
+    def test_simulate_rejects_bad_weights(self, table):
+        model = replace(toy_detection_model(table), offset_weights=np.ones(2))
+        with pytest.raises(ValueError, match="offset weights"):
+            netsim.simulate_attempts(SequenceConfig(), model, 10)
+
+    def test_weights_within_sqrt_eps_accepted(self):
+        weights = [0.5, 0.5 + 1e-9]
+        np.random.default_rng(0).choice(2, size=3, p=weights)
+        assert netsim._offset_cdf(weights, 2)[-1] == 1.0
 
 
 class TestClickOrder:

@@ -19,6 +19,36 @@ def synthetic_kernel(times, amps, scattering_weights=None, shifted=None,
     return CoherenceKernel(times=times, matrix=g, kappa=kappa)
 
 
+def integrated_coincidence(rates, times, t_window, window=None):
+    """Oracle of ``pbsm.visibility_from_model``: one two-time rate integrated
+    over the band ``|t1 - t2| <= t_window``, cell by cell.
+
+    ``rates[i, j]`` is constant on the grid cell starting at
+    ``(times[i], times[j])``; a cell crossing the band edge contributes the
+    fraction of its area inside the band.  The lag ``t2 - t1`` over a square
+    cell of side dt is triangular on ``lag0 + [-dt, dt]``, so that fraction is
+    a difference of the triangle's CDF.  ``window`` keeps the cells inside
+    ``[w0, w1]``.
+    """
+    if t_window < 0:
+        raise ValueError("t_window must be nonnegative")
+    dt = float(times[1] - times[0])
+    start = np.asarray(times[:-1])
+    keep = np.ones(start.size, dtype=bool)
+    if window is not None:
+        keep = (start >= window[0] - 1e-12) & (start + dt <= window[1] + 1e-12)
+
+    def tri_cdf(v):
+        v = np.clip(v, -1.0, 1.0)
+        return np.where(v <= 0.0, 0.5 * (v + 1.0) ** 2,
+                        1.0 - 0.5 * (1.0 - v) ** 2)
+
+    lag = start[None, :] - start[:, None]
+    inside = tri_cdf((t_window - lag) / dt) - tri_cdf((-t_window - lag) / dt)
+    cells = (rates[:-1, :-1] * inside)[np.ix_(keep, keep)]
+    return float(cells.sum() * dt * dt)
+
+
 def random_amplitude_set(rng, n=20):
     times = np.linspace(0.0, 1.0, n)
     base = (rng.normal(size=n) + 1j * rng.normal(size=n)) * \
@@ -93,7 +123,7 @@ class TestOrthogonalCoincidence:
         det_vh = pbsm.orthogonal_coincidence(kern_a, kern_b)
         dt = times[1] - times[0]
         span = times[-1] + 1.0
-        total = pbsm.integrated_coincidence(det_vh, times, span)
+        total = integrated_coincidence(det_vh, times, span)
         p_v_a, p_h_a, p_v_b, p_h_b = (
             (2 * kern.kappa * kern.matrix.diagonal().real[:-1]).sum() * dt
             for kern in (*kern_a, *kern_b))
@@ -170,24 +200,24 @@ class TestIntegratedCoincidence:
 
     def test_zero_window(self, rates):
         arr, times = rates
-        assert pbsm.integrated_coincidence(arr, times, 0.0) == 0.0
+        assert integrated_coincidence(arr, times, 0.0) == 0.0
 
     def test_full_window_equals_total(self, rates):
         arr, times = rates
         dt = times[1] - times[0]
-        total = pbsm.integrated_coincidence(arr, times, 10.0)
+        total = integrated_coincidence(arr, times, 10.0)
         assert total == pytest.approx(arr[:-1, :-1].sum() * dt * dt, rel=1e-12)
 
     def test_monotone(self, rates):
         arr, times = rates
-        values = [pbsm.integrated_coincidence(arr, times, t)
+        values = [integrated_coincidence(arr, times, t)
                   for t in np.linspace(0.0, 1.2, 25)]
         assert np.all(np.diff(values) >= -1e-15)
 
     def test_detection_window_restricts(self, rates):
         arr, times = rates
-        full = pbsm.integrated_coincidence(arr, times, 10.0)
-        windowed = pbsm.integrated_coincidence(arr, times, 10.0,
+        full = integrated_coincidence(arr, times, 10.0)
+        windowed = integrated_coincidence(arr, times, 10.0,
                                                window=(0.2, 0.8))
         assert 0.0 < windowed < full
 
@@ -204,6 +234,38 @@ class TestModelVisibility:
     def test_identical_ideal_nodes_unit_visibility(self, pure_identical_curve):
         assert np.allclose(pure_identical_curve.visibility, 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("window", [None, (0.2, 0.8)])
+    def test_matches_integrated_coincidence_oracle(self, window):
+        rng = np.random.default_rng(7)
+        times, a1, w, sh = random_amplitude_set(rng)
+        kernels_a = []
+        for _ in range(2):
+            _, a2, w2, sh2 = random_amplitude_set(rng)
+            kernels_a.append((synthetic_kernel(times, a2, w2, sh2),
+                              synthetic_kernel(times, a1)))
+        kern_b = (synthetic_kernel(times, a1, w, sh),
+                  synthetic_kernel(times, a1))
+        weights = np.array([0.3, 0.7])
+        model = pbsm.InterferenceModel(
+            node_a=None, node_b=None, mode="full", coarse_times=times,
+            offsets_a=np.zeros(2), weights_a=weights,
+            kernels_a=tuple(kernels_a), kernels_b=kern_b, fine_times_a=None,
+            fine_times_b=None, fine_envelopes_a=(), fine_envelopes_b=())
+        t_list = [0.02, 0.1, 0.45, 2.0]
+        curve = pbsm.visibility_from_model(model, t_list, window)
+        par, orth = np.zeros(len(t_list)), np.zeros(len(t_list))
+        for weight, kern_a in zip(weights, kernels_a):
+            det_hh, det_vv = pbsm.parallel_coincidence(kern_a, kern_b)
+            det_orth = pbsm.orthogonal_coincidence(kern_a, kern_b)
+            for i, t_win in enumerate(t_list):
+                par[i] += weight * sum(
+                    integrated_coincidence(rates, times, t_win, window)
+                    for rates in (det_hh, det_vv))
+                orth[i] += 2.0 * weight * integrated_coincidence(
+                    det_orth, times, t_win, window)
+        assert np.allclose(curve.visibility, 1.0 - par / orth,
+                           rtol=1e-12, atol=0.0)
+
     def test_efficiency_cancellation(self):
         rng = np.random.default_rng(6)
         times, a1, w, sh = random_amplitude_set(rng)
@@ -217,9 +279,9 @@ class TestModelVisibility:
             det_hh, det_vv = (eta * det for det in
                               pbsm.parallel_coincidence(kern_a, kern_b))
             t_win = 0.3
-            par = (pbsm.integrated_coincidence(det_hh, times, t_win)
-                   + pbsm.integrated_coincidence(det_vv, times, t_win))
-            orth = 2.0 * pbsm.integrated_coincidence(det_orth, times, t_win)
+            par = (integrated_coincidence(det_hh, times, t_win)
+                   + integrated_coincidence(det_vv, times, t_win))
+            orth = 2.0 * integrated_coincidence(det_orth, times, t_win)
             return 1.0 - par / orth
 
         assert visibility(1.0) == pytest.approx(visibility(0.37), abs=1e-12)

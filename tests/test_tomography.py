@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.special import xlog1py
 
 from ionnet import empirical, tomography as tomo
 from ionnet.errors import EstimationError
@@ -35,6 +36,23 @@ def nll_of_params(x, counts):
     t = tomo._t_matrix(x)
     gram = t @ t.conj().T
     return nll(gram / np.trace(gram).real, counts)
+
+
+def step_changes(x, step):
+    """q_k(x + step) - q_k(x) per row, by the forms ``_nll_change`` uses."""
+    a_mid = ((2.0 * x + step) @ tomo._FORMS_BY_ROW).reshape(len(x), 36, 16)
+    return np.einsum("mki,mi->mk", a_mid, step)
+
+
+def nll_change_oracle(x, step, counts, q):
+    """``tomo._nll_change`` with its count terms through scipy's xlog1py."""
+    ratio = np.divide(step_changes(x, step), q, out=np.zeros_like(q),
+                      where=counts > 0)
+    s = np.sum(x * x, axis=1)
+    ds = np.sum(step * (2.0 * x + step), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (counts.sum(axis=1) * np.log1p(ds / s)
+                - np.sum(xlog1py(counts, ratio), axis=1))
 
 
 # -- L-BFGS-B reference fit: one scipy minimize call per count set -----------
@@ -146,6 +164,11 @@ class TestBornAndCounts:
         assert np.array_equal(counts.stacked(), back.stacked())
 
 
+_counts_with_zeros = st.just(0) | st.integers(1, 10 ** 6)
+# nonzero, so that q = dq / ratio stays finite
+_ratios = st.just(-1.0) | st.floats(-1.0, 10.0).filter(lambda r: abs(r) > 1e-9)
+
+
 class TestMLE:
     @staticmethod
     def _point(seed):
@@ -183,6 +206,62 @@ class TestMLE:
         change = tomo._nll_change(x0[None], step[None], counts[None], q)[0]
         direct = nll_of_params(x0 + step, counts) - nll_of_params(x0, counts)
         assert change == pytest.approx(direct, rel=1e-6)
+
+    # per row: 36 counts, zeros among them, and the ratio dq / q each
+    # outcome is given, down to -1, where a seen outcome's term is -inf
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.lists(st.tuples(
+        st.lists(_counts_with_zeros, min_size=36, max_size=36),
+        st.lists(_ratios, min_size=36, max_size=36)), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, rows=[([0] * 35 + [5], [-1.0] * 36)])
+    def test_nll_change_matches_xlog1py_oracle(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        counts = np.array([c for c, _ in rows], dtype=float)
+        target = np.array([r for _, r in rows])
+        x = rng.normal(size=(len(rows), 16))
+        step = rng.normal(size=(len(rows), 16)) * rng.uniform(1e-6, 1.0)
+        # q chosen so that dq / q is the drawn ratio; an outcome never seen
+        # may have no weight at all
+        q = step_changes(x, step) / target
+        q[(counts == 0) & (rng.random(q.shape) < 0.5)] = 0.0
+        got = tomo._nll_change(x, step, counts, q)
+        want = nll_change_oracle(x, step, counts, q)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # term by term: the count terms as _nll_change forms them
+        ratio = np.divide(step_changes(x, step), q, out=np.zeros_like(q),
+                          where=counts > 0)
+        with np.errstate(divide="ignore"):
+            terms = counts * np.log1p(ratio)
+        oracle_terms = xlog1py(counts, ratio)
+        zero = counts == 0
+        assert np.array_equal(terms[zero], oracle_terms[zero])
+        assert np.all(terms[zero] == 0.0)
+        np.testing.assert_allclose(terms[~zero], oracle_terms[~zero],
+                                   rtol=1e-14, atol=0.0)
+
+    def test_fits_equal_with_xlog1py_oracle(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        count_sets = [
+            tomo.sample_counts(bell_rho(mix=0.3), 200, rng),
+            tomo.sample_counts(bell_rho(-1, 0.7, mix=0.1), 20_000, rng),
+            tomo.sample_counts(random_full_rank_state(rng), 500, rng),
+            tomo.CountsRecord.from_stacked(  # rank one: outcomes never seen
+                tomo.sample_counts(bell_rho(+1, 0.2), 300, rng).stacked()
+                + np.tile([0, 0, 0, 1], 9)),
+        ]
+
+        def fit(counts):
+            rho = tomo.mle_reconstruct(counts)
+            est = tomo.resample_uncertainty(counts, (+1, 0.0),
+                                            m_resamples=20, seed=4)
+            return rho, est
+
+        shipped = [fit(c) for c in count_sets]
+        monkeypatch.setattr(tomo, "_nll_change", nll_change_oracle)
+        for counts, (rho, est) in zip(count_sets, shipped):
+            rho_oracle, est_oracle = fit(counts)
+            assert np.array_equal(rho, rho_oracle)
+            assert est == est_oracle
 
     @given(counts=count_sets())
     @settings(max_examples=40, deadline=None)
