@@ -171,9 +171,9 @@ class TestKernels:
         idx = purebranch.coarse_indices(grid)
         g_v, g_h = purebranch.exact_coherence_kernels(p, grid, 0.0, p_s, idx)
         for kern in (g_v, g_h):
-            assert np.abs(kern.matrix - kern.matrix.conj().T).max() < 1e-12
+            assert np.array_equal(kern.matrix, kern.matrix.conj().T)
             diag = kern.matrix.diagonal()
-            assert np.abs(diag.imag).max() < 1e-15
+            assert np.all(diag.imag == 0.0)
             assert diag.real.min() >= 0.0
 
     def test_diagonal_matches_envelope(self):
@@ -207,6 +207,30 @@ class TestKernels:
         for kern, ref in zip(kernels, sweep_kernels_oracle(*case)):
             err = np.abs(kern.matrix - ref).max() / np.abs(ref).max()
             assert err <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_production_scale_matches_sweep_oracle(self, k):
+        # node A at 1 ns: 81 coarse points with 250-step blocks, so the
+        # restart density accumulates over many more blocks than the drawn
+        # cases reach; k is the jitter offset index (k = 1: one step up)
+        p = hilbert.node_from_preset("nodeA")
+        offset = dynamics.jitter_ensemble(p.gamma_clj, k_max=1).offsets[1 + k]
+        grid = TimeGrid.for_node(p, t_end=20e-6, target_dt=1e-9)
+        p_s = dynamics.scattering_rate(
+            dynamics.evolve_restricted(p, grid, offset), p)
+        case = (p, grid, offset, p_s, purebranch.coarse_indices(grid))
+        kernels = purebranch.exact_coherence_kernels(*case)
+        for kern, ref in zip(kernels, sweep_kernels_oracle(*case)):
+            err = np.abs(kern.matrix - ref).max() / np.abs(ref).max()
+            assert err <= 1e-12
+
+    def test_negative_rate_raises(self, node_b):
+        grid = TimeGrid.for_node(node_b, t_end=2e-6, target_dt=1e-9)
+        p_s = np.full(grid.n_steps + 1, 1e5)
+        p_s[grid.n_steps // 2] = -1e-6
+        with pytest.raises(IntegratorError, match="negative"):
+            purebranch.exact_coherence_kernels(
+                node_b, grid, 0.0, p_s, purebranch.coarse_indices(grid))
 
     def test_non_finite_rate_raises(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=2e-6, target_dt=1e-9)
