@@ -226,11 +226,13 @@ class TestKernels:
 
     def test_negative_rate_raises(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=2e-6, target_dt=1e-9)
+        idx = purebranch.coarse_indices(grid)
         p_s = np.full(grid.n_steps + 1, 1e5)
+        p_s[grid.n_steps // 2] = -1e-8  # roundoff: 1e-13 of the largest
+        purebranch.exact_coherence_kernels(node_b, grid, 0.0, p_s, idx)
         p_s[grid.n_steps // 2] = -1e-6
         with pytest.raises(IntegratorError, match="negative"):
-            purebranch.exact_coherence_kernels(
-                node_b, grid, 0.0, p_s, purebranch.coarse_indices(grid))
+            purebranch.exact_coherence_kernels(node_b, grid, 0.0, p_s, idx)
 
     def test_non_finite_rate_raises(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=2e-6, target_dt=1e-9)
