@@ -15,7 +15,8 @@ the seed, so a fixed seed reproduces byte-identical outputs.
 Config reference
 ----------------
 ``--config`` names a JSON object that patches the defaults.  Units are in
-the key names, and a key the loader does not read is an error (exit 3).
+the key names.  A key the loader does not read is an error (exit 3), and so
+is a value of the wrong type or outside its range.
 
 node_a, node_b  ``{"preset", "overrides"}`` or a node document, replaced
                 wholesale: the two emitters
@@ -98,6 +99,28 @@ class RunConfig:
 _REPLACE_SECTIONS = ("node_a", "node_b", "detectors")
 # keys the loader reads that the default document leaves out
 _OPTIONAL_KEYS = {"sequence": {"max_iterations", "detection_span_us"}}
+
+
+# every scalar the loader reads, as ``section.key`` (``seed`` is top level):
+# its conversion, the test its finite converted value passes, in code and words
+_SCALARS = {
+    **dict.fromkeys(("seed", "jitter.k_max", "simulate.n_attempts"),
+                    (int, lambda v: v >= 0, "a non-negative integer")),
+    "sequence.max_iterations": (int, lambda v: v >= 1, "a positive integer"),
+    **dict.fromkeys((
+        "jitter.span_factor", "sequence.detection_span_us", "t_sweep_us.start",
+        "t_sweep_us.stop", "t_sweep_us.step", "integration.target_dt_ns",
+        "integration.coarse_dt_us", "analysis.bin_us"),
+        (float, lambda v: v > 0, "positive")),
+    "simulate.herald_mode": (lambda v: v, lambda v: isinstance(v, bool),
+                             "true or false"),
+    "simulate.target_success_probability": (
+        lambda v: 0.0 if v is None else float(v), lambda v: 0 <= v <= 1,
+        "in [0, 1] or null"),
+    "fidelity.f_ip_a": (float, lambda v: 0.25 <= v <= 1, "in [0.25, 1]"),
+    "fidelity.f_ip_b": (float, lambda v: 0.25 <= v <= 1, "in [0.25, 1]"),
+    "fidelity.phi": (float, lambda v: True, "finite"),
+}
 
 
 def _reject_unread(section: dict, known, name: str) -> None:
@@ -201,42 +224,45 @@ def load_config(path: str | None, seed_override: int | None = None,
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad detector table: {exc}") from exc
 
-    jitter = merged["jitter"]
-    ensemble_a = dynamics.jitter_ensemble(node_a.gamma_clj,
-                                          k_max=int(jitter["k_max"]),
-                                          span_factor=float(jitter["span_factor"]))
-
-    seq = merged["sequence"]
+    values = {"sequence": {}}  # per section, "" for the top level
     try:
+        for name, (convert, valid, rule) in _SCALARS.items():
+            section, _, key = name.rpartition(".")
+            part = merged[section] if section else merged
+            if key in part:  # the sequence keys are optional
+                value = convert(part[key])
+                if not (valid(value) and np.isfinite(float(value))):
+                    raise ValueError(f"must be {rule}, got {part[key]!r}")
+                values.setdefault(section, {})[key] = value
+        name = "analysis.window_us"
         lo, hi = merged["analysis"]["window_us"]
-        kwargs = {"detection_window": (float(lo) * 1e-6, float(hi) * 1e-6)}
-        if "max_iterations" in seq:
-            kwargs["max_iterations"] = int(seq["max_iterations"])
+        seq = values["sequence"]
         if "detection_span_us" in seq:
-            kwargs["detection_span"] = float(seq["detection_span_us"]) * 1e-6
-        sequence = netsim.SequenceConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sequence or analysis window: {exc}") from exc
+            seq["detection_span"] = seq.pop("detection_span_us") * 1e-6
+        sequence = netsim.SequenceConfig(
+            detection_window=(float(lo) * 1e-6, float(hi) * 1e-6), **seq)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad config value '{name}': {exc}") from exc
 
-    sweep = merged["t_sweep_us"]
-    t_sweep = np.arange(float(sweep["start"]),
-                        float(sweep["stop"]) + 1e-9,
-                        float(sweep["step"])) * 1e-6
+    ensemble_a = dynamics.jitter_ensemble(node_a.gamma_clj, **values["jitter"])
+    sweep = values["t_sweep_us"]
+    t_sweep = np.arange(sweep["start"], sweep["stop"] + 1e-9,
+                        sweep["step"]) * 1e-6
     if t_sweep.size == 0:
         raise ConfigError("empty coincidence-window sweep")
 
-    integ = merged["integration"]
+    integ = values["integration"]
     digest = hashlib.sha256(
         json.dumps(merged, sort_keys=True).encode()).hexdigest()[:16]
     return RunConfig(
         node_a=node_a, node_b=node_b, detectors=detectors,
         ensemble_a=ensemble_a, sequence=sequence, t_sweep=t_sweep,
-        seed=int(merged["seed"]),
-        target_dt=float(integ["target_dt_ns"]) * 1e-9,
-        coarse_dt=float(integ["coarse_dt_us"]) * 1e-6,
-        analysis_bin=float(merged["analysis"]["bin_us"]) * 1e-6,
-        simulate_options=dict(merged["simulate"]),
-        fidelity_options=dict(merged["fidelity"]),
+        seed=values[""]["seed"],
+        target_dt=integ["target_dt_ns"] * 1e-9,
+        coarse_dt=integ["coarse_dt_us"] * 1e-6,
+        analysis_bin=values["analysis"]["bin_us"] * 1e-6,
+        simulate_options=values["simulate"],
+        fidelity_options=values["fidelity"],
         digest=digest)
 
 
@@ -368,28 +394,31 @@ def _detection_model(cfg: RunConfig) -> netsim.DetectionModel:
         coarse_dt=cfg.coarse_dt, target_dt=cfg.target_dt)
     target = cfg.simulate_options["target_success_probability"]
     if target:
-        model = netsim.calibrate_to_success_probability(model, float(target))
+        model = netsim.calibrate_to_success_probability(model, target)
     return model
+
+
+def _print_metrics(cfg: RunConfig, clicks, log) -> None:
+    """Print the success metrics of a run's click records and log."""
+    metrics = netsim.success_metrics(clicks, log, cfg.detectors,
+                                     window=cfg.sequence.detection_window)
+    print(f"coincidences: {metrics.n_coincidences}")
+    print(f"success probability: {metrics.success_probability:.4e}")
+    print(f"herald rate: {metrics.herald_rate:.3f} /s")
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> int:
     opts = cfg.simulate_options
-    n_attempts = int(opts["n_attempts"])
-    model = _detection_model(cfg)
     clicks, log = netsim.simulate_attempts(
-        cfg.sequence, model, n_attempts, seed=cfg.seed,
-        herald_mode=bool(opts["herald_mode"]))
+        cfg.sequence, _detection_model(cfg), opts["n_attempts"],
+        seed=cfg.seed, herald_mode=opts["herald_mode"])
     path = _out_path(args, "clicks.csv")
     clicks.to_csv(path, header_lines=_headers(
         cfg, extra=[f"n_executed={log.n_executed}",
                     f"herald_mode={log.herald_mode}"]))
-    metrics = netsim.success_metrics(clicks, log, cfg.detectors,
-                                     window=cfg.sequence.detection_window)
     print(f"wrote {path}")
     print(f"attempts executed: {log.n_executed}")
-    print(f"coincidences: {metrics.n_coincidences}")
-    print(f"success probability: {metrics.success_probability:.4e}")
-    print(f"herald rate: {metrics.herald_rate:.3f} /s")
+    _print_metrics(cfg, clicks, log)
     return EXIT_OK
 
 
@@ -413,22 +442,11 @@ def _cmd_analyze(cfg: RunConfig, args) -> int:
                 (f"{t_win * 1e6:.3f},{hom.t_effective[i] * 1e6:.3f},"
                  f"{hom.visibility[i]:.6f}"
                  for i, t_win in enumerate(hom.t_list)))
-    # the run as ``simulate`` logged it: executed attempts from the file
-    # header, heralds re-selected in the window simulate_attempts uses
-    log = netsim.AttemptLog(
-        n_requested=clicks.n_attempts,
-        n_executed=(clicks.n_attempts if clicks.n_executed is None
-                    else clicks.n_executed),
-        block_size=cfg.sequence.max_iterations,
-        herald_mode=clicks.herald_mode,
-        herald_attempts=netsim.herald_attempts(
-            clicks, cfg.detectors, (0.0, cfg.sequence.detection_span)))
-    metrics = netsim.success_metrics(clicks, log, cfg.detectors, window=window)
     print(f"wrote {hist_path}")
     print(f"wrote {vis_path}")
-    print(f"coincidences: {metrics.n_coincidences}")
-    print(f"success probability: {metrics.success_probability:.4e}")
-    print(f"herald rate: {metrics.herald_rate:.3f} /s")
+    # the run as ``simulate`` logged it
+    _print_metrics(cfg, clicks,
+                   netsim.attempt_log(clicks, cfg.detectors, cfg.sequence))
     return EXIT_OK
 
 

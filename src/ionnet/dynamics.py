@@ -40,7 +40,6 @@ from .errors import IntegratorError
 from .hilbert import NodeParams, RESTRICTED_DIM, TWO_PI
 
 _TRACE_INCREASE_TOL = 1e-6
-_FULL_TRACE_TOL = 1e-8
 
 # Default fine step.  The exponential-midpoint step is second order in dt;
 # 0.4 ns keeps the pure-branch/master-equation cross-check below 1e-3 with
@@ -50,9 +49,8 @@ DEFAULT_TARGET_DT = 0.4e-9
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform integration grid with ``n_steps + 1`` sample points."""
+    """Uniform integration grid from t = 0 with ``n_steps + 1`` sample points."""
 
-    t_start: float
     dt: float
     n_steps: int
 
@@ -64,10 +62,10 @@ class TimeGrid:
 
     @property
     def t_end(self) -> float:
-        return self.t_start + self.dt * self.n_steps
+        return self.dt * self.n_steps
 
     def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.n_steps + 1)
+        return self.dt * np.arange(self.n_steps + 1)
 
     @classmethod
     def for_node(cls, params: NodeParams, t_end: float | None = None,
@@ -87,7 +85,7 @@ class TimeGrid:
         else:
             dt = target_dt
         n_steps = max(1, math.ceil(t_end / dt - 1e-9))
-        return cls(t_start=0.0, dt=dt, n_steps=n_steps)
+        return cls(dt=dt, n_steps=n_steps)
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,7 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
         raise ValueError(
             "grid step is not commensurate with the bichromatic beat; "
             "build the grid with TimeGrid.for_node")
-    pulse_steps = round((params.pulse_duration - grid.t_start) / grid.dt)
+    pulse_steps = round(params.pulse_duration / grid.dt)
     pulse_steps = min(max(pulse_steps, 0), grid.n_steps)
 
     l_free = _generator(
@@ -225,7 +223,7 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
     unit = np.zeros((hilbert.DIM, hilbert.DIM), dtype=np.complex128)
     unit[hilbert.S0, hilbert.P0] = 1.0
     k_plus, k_minus = (_generator(u, (), flavor) for u in (unit, unit.T))
-    t_mid = grid.t_start + (np.arange(slots) + 0.5) * grid.dt
+    t_mid = (np.arange(slots) + 0.5) * grid.dt
     drive = hilbert.drive_amplitude(
         params, hilbert.beat_frequency(params) * t_mid)[:, None, None]
     gens = l_free + drive * k_plus + drive.conj() * k_minus
@@ -300,15 +298,6 @@ def evolve_restricted(params: NodeParams, grid: TimeGrid,
     traj, change = _evolve(params, grid, delta_omega, "restricted")
     if np.any(change > _TRACE_INCREASE_TOL):
         raise IntegratorError("restricted trace increased beyond tolerance")
-    return traj
-
-
-def evolve_full(params: NodeParams, grid: TimeGrid,
-                delta_omega: float = 0.0) -> Trajectory:
-    """Integrate the trace-preserving six-level equation from ``|S,0><S,0|``."""
-    traj, change = _evolve(params, grid, delta_omega, "full")
-    if np.any(np.abs(change) > _FULL_TRACE_TOL):
-        raise IntegratorError("full-equation trace drifted beyond tolerance")
     return traj
 
 

@@ -12,7 +12,7 @@ from node A, second from node B; ``|0> = D'`` and ``|1> = D`` per qubit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -72,9 +72,11 @@ class BackgroundBudget:
                                 self.p_bg_bg * fraction)
 
 
-def mean_budget(budgets) -> BackgroundBudget:
-    arr = np.array([[b.p_ph_ph, b.p_ph_bg, b.p_bg_bg] for b in budgets])
-    return BackgroundBudget(*arr.mean(axis=0))
+def pair_budget(a1, b1, bg1, a2, b2, bg2) -> BackgroundBudget:
+    """Budget of a detector pair from each detector's click probabilities
+    from a node-A photon (a), a node-B photon (b) and background (bg)."""
+    return BackgroundBudget(a1 * b2 + b1 * a2,
+                            (a1 + b1) * bg2 + (a2 + b2) * bg1, bg1 * bg2)
 
 
 def coincidence_probs(table: DetectorTable, det1: str, det2: str) -> BackgroundBudget:
@@ -82,10 +84,7 @@ def coincidence_probs(table: DetectorTable, det1: str, det2: str) -> BackgroundB
     if det1 == det2:
         raise ValueError("coincidence requires two distinct detectors")
     r1, r2 = table[det1], table[det2]
-    p_ph_ph = r1.p_a * r2.p_b + r1.p_b * r2.p_a
-    p_ph_bg = (r1.p_a + r1.p_b) * r2.p_bg + (r2.p_a + r2.p_b) * r1.p_bg
-    p_bg_bg = r1.p_bg * r2.p_bg
-    return BackgroundBudget(p_ph_ph=p_ph_ph, p_ph_bg=p_ph_bg, p_bg_bg=p_bg_bg)
+    return pair_budget(r1.p_a, r1.p_b, r1.p_bg, r2.p_a, r2.p_b, r2.p_bg)
 
 
 def rho_with_background(budget: BackgroundBudget, sign: int,
@@ -152,9 +151,10 @@ def herald_budget(table: DetectorTable, sign: int) -> BackgroundBudget:
     The pairings are ``pbsm.HERALD_PORTS[sign]``: one pair for the + state,
     two for the - state, which enter as an arithmetic mean.
     """
-    return mean_budget(coincidence_probs(table, table.by_port(*port1).name,
-                                         table.by_port(*port2).name)
-                       for port1, port2 in HERALD_PORTS[sign])
+    budgets = [astuple(coincidence_probs(table, table.by_port(*p1).name,
+                                         table.by_port(*p2).name))
+               for p1, p2 in HERALD_PORTS[sign]]
+    return BackgroundBudget(*np.mean(budgets, axis=0))
 
 
 def heralded_state(budget: BackgroundBudget, sign: int, phi: float,

@@ -75,7 +75,6 @@ class NodeParams:
     gamma_dprime_p: float
     gamma_ss: float
     gamma_clj: float
-    eta: float
     pulse_duration: float
     detuning_convention: str = "primed"
 
@@ -84,8 +83,6 @@ class NodeParams:
                      "gamma_ss", "gamma_clj", "pulse_duration"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
         if self.detuning_convention not in ("primed", "unprimed"):
             raise ValueError("detuning_convention must be 'primed' or 'unprimed'")
 
@@ -209,7 +206,7 @@ def ground_state(dim: int = DIM) -> np.ndarray:
 
 _REQUIRED_KEYS = ("Omega1", "Omega2", "g", "Delta1", "Delta2", "kappa",
                   "gamma_sp", "gamma_dp_plus_dprimep", "gamma_ss",
-                  "gamma_clj", "eta", "pulse_us")
+                  "gamma_clj", "pulse_us")
 # every key node_params_from_dict reads, and the presets' free-text comment
 NODE_KEYS = frozenset(_REQUIRED_KEYS + (
     "g_weight_v", "g_weight_h", "dp_split", "detuning_convention", "Deltac1",
@@ -266,7 +263,6 @@ def node_params_from_dict(doc: dict) -> NodeParams:
         gamma_dprime_p=(1.0 - split) * gamma_dp_total,
         gamma_ss=mhz(doc["gamma_ss"]),
         gamma_clj=mhz(doc["gamma_clj"]),
-        eta=doc["eta"],
         pulse_duration=doc["pulse_us"] * 1e-6,
         detuning_convention=convention,
     )

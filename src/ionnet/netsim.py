@@ -19,11 +19,12 @@ import bisect
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .dynamics import DEFAULT_TARGET_DT, JitterEnsemble, jitter_ensemble
+from .empirical import pair_budget
 from .errors import (ConfigError, NumericalConsistencyError,
                      UndefinedVisibilityError)
 from .hilbert import NodeParams
@@ -434,7 +435,6 @@ class DetectionModel:
 
     detectors: DetectorTable
     seq: SequenceConfig
-    offsets: np.ndarray
     offset_weights: np.ndarray
     # per node: tau[offset, pol] with pol 0 = v, 1 = h (B has one offset row)
     tau_a: np.ndarray
@@ -483,25 +483,21 @@ def _herald_terms(model: DetectionModel) -> tuple[float, float, float]:
     wfrac_b = _window_fraction(model.times_b, model.cdf_b, window)
 
     table = model.detectors
-    q_a, q_b, p_bg = {}, {}, {}  # per port: in-window click probabilities
+    probs = {}  # per port: in-window A-photon, B-photon and background clicks
     for pol, pol_idx in _POL_INDEX.items():
         for output in ("u", "r"):
             rec = table.by_port(output, pol)
             share = 0.5 * table.acceptance(rec.name)
-            q_a[output, pol] = float((model.offset_weights
-                                      * model.tau_a[:, pol_idx]
-                                      * wfrac_a[:, pol_idx]).sum()) * share
-            q_b[output, pol] = float(model.tau_b[0, pol_idx]
-                                     * wfrac_b[0, pol_idx]) * share
-            p_bg[output, pol] = rec.background_rate * span
+            probs[output, pol] = (
+                float((model.offset_weights * model.tau_a[:, pol_idx]
+                       * wfrac_a[:, pol_idx]).sum()) * share,
+                float(model.tau_b[0, pol_idx] * wfrac_b[0, pol_idx]) * share,
+                rec.background_rate * span)
 
-    ph_ph = ph_bg = bg_bg = 0.0
+    terms = np.zeros(3)
     for r1, r2 in HERALD_PORTS[+1] + HERALD_PORTS[-1]:
-        ph_ph += q_a[r1] * q_b[r2] + q_b[r1] * q_a[r2]
-        ph_bg += ((q_a[r1] + q_b[r1]) * p_bg[r2]
-                  + (q_a[r2] + q_b[r2]) * p_bg[r1])
-        bg_bg += p_bg[r1] * p_bg[r2]
-    return ph_ph, ph_bg, bg_bg
+        terms += astuple(pair_budget(*probs[r1], *probs[r2]))
+    return tuple(terms.tolist())
 
 
 def expected_herald_probability(model: DetectionModel) -> float:
@@ -604,7 +600,7 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
             diag_a[k, pol_idx] = ka.matrix.diagonal().real
 
     return DetectionModel(
-        detectors=detectors, seq=seq, offsets=np.asarray(model.offsets_a),
+        detectors=detectors, seq=seq,
         offset_weights=np.asarray(model.weights_a), tau_a=tau_a, tau_b=tau_b,
         times_a=model.fine_times_a, cdf_a=cdf_a,
         times_b=model.fine_times_b, cdf_b=cdf_b,
@@ -752,7 +748,7 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
 
     tau_a_tot = model.tau_a.sum(axis=1)
     tau_b_tot = model.tau_b.sum(axis=1)
-    offset_cdf = _offset_cdf(model.offset_weights, len(model.offsets))
+    offset_cdf = _offset_cdf(model.offset_weights, len(model.tau_a))
 
     cdf_a = model.cdf_a.reshape(-1, model.cdf_a.shape[-1])
     cdf_b = model.cdf_b.reshape(-1, model.cdf_b.shape[-1])
@@ -850,15 +846,9 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                           origin=origin, detector_names=names,
                           n_attempts=n_attempts)
 
-    heralds = herald_attempts(clicks, table, window=(0.0, seq.detection_span))
-    n_executed = n_attempts
     if herald_mode:
-        clicks, heralds, n_executed = _truncate_blocks(
-            clicks, heralds, seq.max_iterations, n_attempts)
-    log = AttemptLog(n_requested=n_attempts, n_executed=n_executed,
-                     block_size=seq.max_iterations, herald_mode=herald_mode,
-                     herald_attempts=heralds)
-    return clicks, log
+        clicks = _truncate_blocks(clicks, table, seq)
+    return clicks, attempt_log(clicks, table, seq)
 
 
 # -- coincidence analysis -------------------------------------------------------
@@ -911,13 +901,28 @@ def herald_attempts(clicks: ClickRecords, table: DetectorTable,
     return np.unique(att[heralding[d1, d2]])
 
 
-def _truncate_blocks(clicks: ClickRecords, heralds: np.ndarray,
-                     block_size: int, n_attempts: int):
+def attempt_log(clicks: ClickRecords, table: DetectorTable,
+                seq: SequenceConfig) -> AttemptLog:
+    """The log of the run that made ``clicks``, heralds selected in
+    (0, ``seq.detection_span``); all attempts ran if none are recorded."""
+    return AttemptLog(
+        n_requested=clicks.n_attempts,
+        n_executed=(clicks.n_attempts if clicks.n_executed is None
+                    else clicks.n_executed),
+        block_size=seq.max_iterations, herald_mode=clicks.herald_mode,
+        herald_attempts=herald_attempts(clicks, table,
+                                        (0.0, seq.detection_span)))
+
+
+def _truncate_blocks(clicks: ClickRecords, table: DetectorTable,
+                     seq: SequenceConfig) -> ClickRecords:
     """Drop attempts following a herald within each handshake block.
 
-    ``heralds`` is sorted, so each block's first herald is where its block
+    The heralds are sorted, so each block's first herald is where its block
     index first appears.
     """
+    heralds = herald_attempts(clicks, table, (0.0, seq.detection_span))
+    n_attempts, block_size = clicks.n_attempts, seq.max_iterations
     blocks, first_idx = np.unique(heralds // block_size, return_index=True)
     first = heralds[first_idx]
     cutoff = np.full(math.ceil(n_attempts / block_size) + 1,
@@ -926,13 +931,10 @@ def _truncate_blocks(clicks: ClickRecords, heralds: np.ndarray,
     keep = clicks.attempt <= cutoff[clicks.attempt // block_size]
     block_end = np.minimum((blocks + 1) * block_size, n_attempts)
     n_executed = n_attempts - int((block_end - (first + 1)).sum())
-    clicks = ClickRecords(attempt=clicks.attempt[keep],
-                          detector=clicks.detector[keep], t=clicks.t[keep],
-                          origin=clicks.origin[keep],
-                          detector_names=clicks.detector_names,
-                          n_attempts=clicks.n_attempts,
-                          n_executed=n_executed, herald_mode=True)
-    return clicks, first, n_executed
+    return replace(clicks, attempt=clicks.attempt[keep],
+                   detector=clicks.detector[keep], t=clicks.t[keep],
+                   origin=clicks.origin[keep], n_executed=n_executed,
+                   herald_mode=True)
 
 
 @dataclass(frozen=True)

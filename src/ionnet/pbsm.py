@@ -190,17 +190,6 @@ def _band_weights(n_cells: int, cell_dt: float, t_window: float) -> np.ndarray:
     return tri_cdf(t_window - lags) - tri_cdf(-t_window - lags)
 
 
-def _window_cells(times: np.ndarray, window: tuple[float, float] | None):
-    """Indices of the rate cells inside the window, and the cell width."""
-    cell_dt = float(times[1] - times[0])
-    keep = np.arange(len(times) - 1)
-    if window is not None:
-        w0, w1 = window
-        t0 = times[keep]
-        keep = keep[(t0 >= w0 - 1e-12) & (t0 + cell_dt <= w1 + 1e-12)]
-    return keep, cell_dt
-
-
 def _lag_sums(rates: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Sum the kept rate cells along each lag diagonal."""
     sub = rates[np.ix_(keep, keep)]
@@ -217,8 +206,6 @@ MODES = ("full", "no_technical", "pure")
 class InterferenceModel:
     """Per-offset coherence kernels and envelopes for a node pair."""
 
-    node_a: NodeParams
-    node_b: NodeParams
     mode: str
     coarse_times: np.ndarray
     offsets_a: np.ndarray
@@ -247,8 +234,8 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
 
     Modes: ``full`` keeps every noise source and the node-A jitter ensemble;
     ``no_technical`` zeroes laser dephasing and cavity jitter;
-    ``pure`` additionally drops the scattering contributions, leaving the
-    no-scattering pure wavepackets.
+    ``pure`` also drops scattering, leaving pure wavepackets whose kernels
+    and fine envelopes both come from the no-noise run.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -277,7 +264,7 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
         node_b, grid_b, 0.0, idx_b, include_scattering)
 
     return InterferenceModel(
-        node_a=node_a, node_b=node_b, mode=mode, coarse_times=coarse_times,
+        mode=mode, coarse_times=coarse_times,
         offsets_a=np.asarray(ensemble_a.offsets),
         weights_a=np.asarray(ensemble_a.weights),
         kernels_a=tuple(kernels_a), kernels_b=kernels_b,
@@ -292,7 +279,7 @@ class VisibilityCurve:
 
 
 def visibility_from_model(model: InterferenceModel, t_list,
-                          window: tuple[float, float] | None = DETECTION_WINDOW,
+                          window: tuple[float, float] = DETECTION_WINDOW,
                           ) -> VisibilityCurve:
     """V(T) with jitter applied to the integrated rates, not the ratio.
 
@@ -300,10 +287,13 @@ def visibility_from_model(model: InterferenceModel, t_list,
     rates are equal, so its integral enters twice.
     """
     t_list = np.asarray(t_list, dtype=float)
-    times = model.coarse_times
     n_off = len(model.offsets_a)
     dets = np.zeros((n_off, 2, t_list.size))  # [offset, parallel/orthogonal, T]
-    keep, cell_dt = _window_cells(times, window)
+    # the rate cells inside the window, by the time where each starts
+    t0 = model.coarse_times[:-1]
+    cell_dt = float(model.coarse_times[1] - model.coarse_times[0])
+    keep = np.flatnonzero((t0 >= window[0] - 1e-12)
+                          & (t0 + cell_dt <= window[1] + 1e-12))
     band = [_band_weights(keep.size, cell_dt, t_win) for t_win in t_list]
     for k in range(n_off):
         det_hh, det_vv = parallel_coincidence(model.kernels_a[k],
@@ -326,7 +316,7 @@ def visibility_from_model(model: InterferenceModel, t_list,
 def model_visibility(node_a: NodeParams, node_b: NodeParams, t_list,
                      mode: str = "full",
                      ensemble_a: JitterEnsemble | None = None,
-                     window: tuple[float, float] | None = DETECTION_WINDOW,
+                     window: tuple[float, float] = DETECTION_WINDOW,
                      coarse_dt: float = 0.25e-6,
                      target_dt: float = DEFAULT_TARGET_DT) -> VisibilityCurve:
     """Model interference visibility V(T) for one noise mode.

@@ -105,7 +105,7 @@ def coarse_indices(grid: TimeGrid, coarse_dt: float = 0.25e-6) -> np.ndarray:
     grids of different nodes aligned to within one fine step even when their
     beat-commensurate fine steps differ.
     """
-    n_coarse = int(np.floor((grid.t_end - grid.t_start) / coarse_dt + 1e-9))
+    n_coarse = int(np.floor(grid.t_end / coarse_dt + 1e-9))
     idx = np.round(np.arange(n_coarse + 1) * coarse_dt / grid.dt).astype(int)
     return idx[idx <= grid.n_steps]
 
@@ -225,23 +225,23 @@ def node_kernels(params: NodeParams, grid: TimeGrid, delta_omega: float,
     One restricted trajectory gives the fine-grid photon envelopes and the
     scattering rate that weights the restarts of the kernel builder,
     :func:`exact_coherence_kernels`, which accumulates them into a restart
-    density per coarse point (quantum regression).  Without scattering
-    the photon state is pure and the kernels reduce to rank-1 outer products
-    of the forward amplitudes.
+    density per coarse point (quantum regression).  Without scattering the
+    photon state is pure, and the no-noise amplitudes a give both the rank-1
+    kernels and the envelopes ``2 kappa |a|^2``.
     """
-    traj = evolve_restricted(params, grid, delta_omega)
-    envelopes = photon_envelopes(traj, params)
     if include_scattering:
+        traj = evolve_restricted(params, grid, delta_omega)
         kernels = exact_coherence_kernels(params, grid, delta_omega,
                                           scattering_rate(traj, params),
                                           coarse_idx)
-        return kernels, envelopes
+        return kernels, photon_envelopes(traj, params)
     t_c = grid.times()[coarse_idx]
-    kernels = []
+    kernels, envelopes = [], []
     for amp in build_amplitudes(propagate_no_noise(params, grid, delta_omega),
                                 params):
         a_c = amp[coarse_idx]
         kernels.append(CoherenceKernel(times=t_c,
                                        matrix=np.outer(a_c, a_c.conj()),
                                        kappa=params.kappa))
-    return tuple(kernels), envelopes
+        envelopes.append(2.0 * params.kappa * (amp * amp.conj()).real)
+    return tuple(kernels), tuple(envelopes)

@@ -16,7 +16,7 @@ from ionnet import tomography as tomo
 from ionnet.dynamics import TimeGrid
 from ionnet.hilbert import mhz
 
-from test_dynamics import step_matrix
+from test_dynamics import evolve_full, step_matrix
 from test_pbsm import integrated_coincidence
 
 SWEEP = np.arange(0.25e-6, 17.5e-6 + 1e-9, 0.25e-6)
@@ -90,9 +90,9 @@ def test_criterion_01_two_level_rabi_oracle():
     params = hilbert.NodeParams(
         omega1=omega, omega2=0.0, g1=0.0, g2=0.0, delta1=delta, delta2=delta,
         deltac1=delta, deltac2=delta, kappa=0.0, gamma_sp=0.0, gamma_dp=0.0,
-        gamma_dprime_p=0.0, gamma_ss=0.0, gamma_clj=0.0, eta=0.5,
+        gamma_dprime_p=0.0, gamma_ss=0.0, gamma_clj=0.0,
         pulse_duration=100e-6, detuning_convention="unprimed")
-    grid = TimeGrid(0.0, 0.5e-9, 20_000)
+    grid = TimeGrid(0.5e-9, 20_000)
     traj = dynamics.evolve_restricted(params, grid)
     t = grid.times()
     rabi = np.sqrt(omega ** 2 + delta ** 2)
@@ -151,7 +151,7 @@ def _jump_survival_mc(params, grid, n_traj, seed):
         lam, vec = np.linalg.eig(-(1j * h4 + 0.5 * decay))
         return lam, vec, np.linalg.inv(vec)
 
-    gens = [eigen_generator(nu * (grid.t_start + (k + 0.5) * grid.dt))
+    gens = [eigen_generator(nu * ((k + 0.5) * grid.dt))
             for k in range(props.slots)] + [eigen_generator(None)]
     for (lam, vec, inv), mat in zip(gens, [*props.pulse, props.free]):
         step = vec @ (np.exp(lam * grid.dt)[:, None] * inv)
@@ -198,7 +198,7 @@ def _jump_survival_mc(params, grid, n_traj, seed):
 def test_criterion_02_trace_and_branch_consistency(node_b):
     start = time.monotonic()
     grid = TimeGrid.for_node(node_b, target_dt=1e-9)
-    full = dynamics.evolve_full(node_b, grid)
+    full = evolve_full(node_b, grid)
     trace_drift = float(np.abs(full.trace() - 1.0).max())
 
     restricted = dynamics.evolve_restricted(node_b, grid)

@@ -165,6 +165,25 @@ class TestExitCodes:
         named = key if section is None else f"{section}.{key}"
         assert f"'{named}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("fidelity", "f_ip_a", 0.1),
+        ("jitter", "k_max", -1),
+        ("integration", "target_dt_ns", 0),
+        ("t_sweep_us", "start", "a"),
+        (None, "seed", "x"),
+        ("simulate", "n_attempts", "abc"),
+        ("simulate", "target_success_probability", "x"),
+        ("analysis", "bin_us", 0),
+    ])
+    def test_bad_value(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        doc = {key: value} if section is None else {section: {key: value}}
+        cfg.write_text(json.dumps(doc))
+        code = run_cli(["--config", str(cfg), "envelope", "--node", "b"])
+        assert code == cli.EXIT_CONFIG
+        named = key if section is None else f"{section}.{key}"
+        assert f"'{named}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, named", [
         ({"node_a": {"preset": "nodeA", "overide": {"kappa": 1.0}}},
          "node_a.overide"),
@@ -177,6 +196,8 @@ class TestExitCodes:
         ({"detectors": {**DETECTOR_DOC, "SNSPD1": {**DETECTOR_DOC["SNSPD1"],
                                                    "p_A_pc": 0.2}}},
          "detectors.SNSPD1.p_A_pc"),
+        ({"node_a": {**hilbert.load_preset("nodeA"), "eta": 0.0745}},
+         "node_a.eta"),
     ])
     def test_unread_node_or_detector_key(self, tmp_path, capsys, doc, named):
         cfg = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ def make_params(**overrides) -> NodeParams:
         delta1=mhz(400.0), delta2=mhz(407.0), deltac1=mhz(401.0),
         deltac2=mhz(408.0), kappa=mhz(0.07), gamma_sp=mhz(10.0),
         gamma_dp=mhz(0.375), gamma_dprime_p=mhz(0.375), gamma_ss=mhz(0.01),
-        gamma_clj=0.0, eta=0.1, pulse_duration=50e-6)
+        gamma_clj=0.0, pulse_duration=50e-6)
     base.update(overrides)
     return NodeParams(**base)
 
@@ -130,7 +130,6 @@ class TestIngestion:
         assert p.gamma_sp == pytest.approx(mhz(10.74))
         assert p.gamma_dp == pytest.approx(p.gamma_dprime_p)
         assert p.gamma_dp + p.gamma_dprime_p == pytest.approx(mhz(0.75))
-        assert p.eta == 0.095
         assert p.pulse_duration == pytest.approx(50e-6)
 
     def test_missing_key_raises(self):
@@ -165,10 +164,6 @@ class TestIngestion:
         doc = dict(hilbert.load_preset("nodeB"), Delta1=0.0)
         with pytest.raises(ZeroDetuningError):
             hilbert.node_params_from_dict(doc)
-
-    def test_eta_range_enforced(self):
-        with pytest.raises(ValueError):
-            make_params(eta=1.2)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ def toy_detection_model(table, tau=0.25, bg_scale=1.0, n_times=2001,
     return netsim.DetectionModel(
         detectors=scaled_background_table(table, bg_scale),
         seq=SequenceConfig(),
-        offsets=np.zeros(1), offset_weights=np.ones(1),
+        offset_weights=np.ones(1),
         tau_a=np.array([[tau / 2, tau / 2]]),
         tau_b=np.array([[tau / 2, tau / 2]]),
         times_a=times, cdf_a=np.array([[cdf, cdf]]),

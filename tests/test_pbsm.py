@@ -234,7 +234,7 @@ class TestModelVisibility:
     def test_identical_ideal_nodes_unit_visibility(self, pure_identical_curve):
         assert np.allclose(pure_identical_curve.visibility, 1.0, atol=1e-10)
 
-    @pytest.mark.parametrize("window", [None, (0.2, 0.8)])
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.2, 0.8)])
     def test_matches_integrated_coincidence_oracle(self, window):
         rng = np.random.default_rng(7)
         times, a1, w, sh = random_amplitude_set(rng)
@@ -247,7 +247,7 @@ class TestModelVisibility:
                   synthetic_kernel(times, a1))
         weights = np.array([0.3, 0.7])
         model = pbsm.InterferenceModel(
-            node_a=None, node_b=None, mode="full", coarse_times=times,
+            mode="full", coarse_times=times,
             offsets_a=np.zeros(2), weights_a=weights,
             kernels_a=tuple(kernels_a), kernels_b=kern_b, fine_times_a=None,
             fine_times_b=None, fine_envelopes_a=(), fine_envelopes_b=())
@@ -322,6 +322,26 @@ class TestModelVisibility:
         pbsm.build_interference_model(node_a, node_b, ens, "full",
                                       target_dt=2e-9)
         assert offsets == [*ens.offsets, 0.0]
+        # pure mode takes kernels and envelopes from the no-noise run alone
+        offsets.clear()
+        pbsm.build_interference_model(node_a, node_b, ens, "pure",
+                                      target_dt=2e-9)
+        assert offsets == []
+
+    def test_pure_kernels_match_envelopes(self):
+        node_a = hilbert.node_from_preset("nodeA")
+        node_b = hilbert.node_from_preset("nodeB")
+        model = pbsm.build_interference_model(node_a, node_b, mode="pure",
+                                              target_dt=1e-9)
+        for kernels, envelopes, fine_times in (
+                (model.kernels_a[0], model.fine_envelopes_a[0],
+                 model.fine_times_a),
+                (model.kernels_b, model.fine_envelopes_b, model.fine_times_b)):
+            for kern, env in zip(kernels, envelopes):
+                idx = np.searchsorted(fine_times, kern.times)
+                assert np.array_equal(fine_times[idx], kern.times)
+                assert np.abs(kern.envelope() - env[idx]).max() \
+                    <= 1e-15 * env.max()
 
     def test_visibility_bounded(self, pure_identical_curve):
         v = pure_identical_curve.visibility

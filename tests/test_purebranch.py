@@ -122,7 +122,7 @@ class TestNoNoiseBranch:
                         deltac2=mhz(3.0), kappa=mhz(0.3), gamma_sp=mhz(0.5),
                         gamma_dp=mhz(0.1), gamma_dprime_p=mhz(0.1),
                         gamma_ss=mhz(0.05), detuning_convention="unprimed")
-        grid = TimeGrid(0.0, 0.05e-9, 40_000)  # 2 us
+        grid = TimeGrid(0.05e-9, 40_000)  # 2 us
         ptraj = purebranch.propagate_no_noise(p, grid)
         decay = decay_diagonal(p)[:4]
         norms = ptraj.norms_squared()
@@ -293,8 +293,9 @@ class TestEmissionProbabilities:
         assert 0.0 < p_v < 1.0 and 0.0 < p_h < 1.0
         assert p_v + p_h <= 1.0
         # measured summed detection probability for this node, one shared
-        # efficiency scale, generous tolerance for per-path differences
-        assert node_b.eta * (p_v + p_h) == pytest.approx(0.097, rel=0.20)
+        # efficiency scale (node B's measured overall detection efficiency,
+        # 0.095), generous tolerance for per-path differences
+        assert 0.095 * (p_v + p_h) == pytest.approx(0.097, rel=0.20)
 
 
 def residual_chirp(params, target_dt, t_end=30e-6):
