@@ -12,6 +12,10 @@ tomography      maximum-likelihood state reconstruction and uncertainties
 All artifacts start with header lines recording the resolved-config hash and
 the seed, so a fixed seed reproduces byte-identical outputs.
 
+A tomography flag out of range (``--synthetic`` < 1, ``--resamples`` < 2,
+``--t-window-us`` <= 0) exits 2, as any bad command line does; an input
+path that cannot be read, or an ``--out`` that cannot be written, exits 3.
+
 Config reference
 ----------------
 ``--config`` names a JSON object that patches the defaults.  Units are in
@@ -19,7 +23,7 @@ the key names.  A key the loader does not read is an error (exit 3), and so
 is a value of the wrong type or outside its range.
 
 node_a, node_b  ``{"preset", "overrides"}`` or a node document, replaced
-                wholesale: the two emitters
+                wholesale: the two emitters; node B's gamma_clj must be 0
 detectors       ``{"preset"}`` or a detector table, replaced wholesale
 jitter          k_max, span_factor: node A's cavity-jitter ensemble, 2 k_max
                 + 1 offsets over +-span_factor * gamma_clj
@@ -189,6 +193,14 @@ def _node_from_section(section) -> hilbert.NodeParams:
         raise ConfigError(f"bad node parameters: {exc}") from exc
 
 
+def _read_json(path, what: str):
+    """The JSON document in the ``what`` file at ``path``."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"bad {what} file {path}: {exc}") from None
+
+
 def load_config(path: str | None, seed_override: int | None = None,
                 overrides: dict | None = None) -> RunConfig:
     """Load, default-fill, validate, and hash a run configuration.
@@ -198,12 +210,7 @@ def load_config(path: str | None, seed_override: int | None = None,
     """
     doc = {}
     if path is not None:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        doc = _read_json(path, "config")
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
         _check_keys(doc)
@@ -214,6 +221,8 @@ def load_config(path: str | None, seed_override: int | None = None,
 
     node_a = _node_from_section(merged["node_a"])
     node_b = _node_from_section(merged["node_b"])
+    if node_b.gamma_clj != 0:  # node B's cavity jitter is neglected
+        raise ConfigError("bad config value 'node_b.gamma_clj': must be 0")
 
     det_section = merged["detectors"]
     if "preset" in det_section:
@@ -344,16 +353,8 @@ def _cmd_visibility(cfg: RunConfig, args) -> int:
 
 def _read_visibility_csv(path):
     """(T in s, V) from the first two columns of a ``T_us,V`` CSV."""
-    try:
-        with open(path) as fh:
-            lines = [(number, line.strip())
-                     for number, line in enumerate(fh, 1)]
-    except FileNotFoundError as exc:
-        raise ConfigError(f"visibility file not found: {path}") from exc
-    rows = [(number, line) for number, line in lines
-            if line and not line.startswith("#")][1:]  # after the column line
     t_list, vis = [], []
-    for number, line in rows:
+    for number, line in netsim.data_rows(path):
         try:
             t_us, v = line.split(",")[:2]
             t_list.append(float(t_us) * 1e-6)
@@ -423,10 +424,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig, args) -> int:
-    try:
-        clicks = netsim.ClickRecords.from_csv(args.clicks)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"click file not found: {args.clicks}") from exc
+    clicks = netsim.ClickRecords.from_csv(args.clicks)
     window = cfg.sequence.detection_window
     hom = netsim.hom_analysis(clicks, cfg.detectors, delta=cfg.analysis_bin,
                               t_list=cfg.t_sweep, window=window)
@@ -452,13 +450,7 @@ def _cmd_analyze(cfg: RunConfig, args) -> int:
 
 def _cmd_tomography(cfg: RunConfig, args) -> int:
     if args.counts:
-        try:
-            doc = json.loads(Path(args.counts).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"counts file not found: {args.counts}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"counts file is not valid JSON: {exc}") from exc
-        counts = tomography.counts_from_json(doc)
+        counts = tomography.counts_from_json(_read_json(args.counts, "counts"))
     elif args.synthetic:
         opts = cfg.fidelity_options
         t_win = args.t_window_us * 1e-6
@@ -495,6 +487,16 @@ def _cmd_tomography(cfg: RunConfig, args) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+def _checked(convert, valid, rule: str):
+    """An argparse ``type=`` that converts a flag's text and tests it."""
+    def parse(text):
+        if not valid(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in its own errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionnet",
@@ -521,14 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tom = sub.add_parser("tomography", help="state reconstruction")
     p_tom.add_argument("--counts", help="counts JSON path")
-    p_tom.add_argument("--synthetic", type=int,
+    p_tom.add_argument("--synthetic",
+                       type=_checked(int, lambda v: v >= 1, ">= 1"),
                        help="generate synthetic counts with this many shots "
                             "per setting from the empirical-model state")
     p_tom.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p_tom.add_argument("--phi", type=float)
     p_tom.add_argument("--optimize-phase", action="store_true")
-    p_tom.add_argument("--resamples", type=int, default=200)
-    p_tom.add_argument("--t-window-us", type=float, default=1.0)
+    p_tom.add_argument("--resamples", default=200,
+                       type=_checked(int, lambda v: v >= 2, ">= 2"))
+    p_tom.add_argument("--t-window-us", default=1.0,
+                       type=_checked(float, lambda v: 0 < v < np.inf,
+                                     "positive and finite"))
     return parser
 
 
@@ -553,7 +559,7 @@ def run_command(argv) -> int:
     except PresetNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRESET
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IonnetError as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -39,16 +39,6 @@ TWO_PI = 2.0 * math.pi
 def mhz(value: float) -> float:
     """Convert a configuration-style frequency (MHz, pre-2*pi) to rad/s."""
     return TWO_PI * 1.0e6 * value
-
-
-def coupling_constants(g: float, weight_v: float = 1.0, weight_h: float = 1.0):
-    """Split a bare coupling constant into the two polarization couplings.
-
-    The two transitions see the bare constant scaled by a dimensionless
-    transition-strength/polarization-projection weight that is not pinned
-    down numerically by the shipped presets; both default to 1.
-    """
-    return g * weight_v, g * weight_h
 
 
 @dataclass(frozen=True)
@@ -87,20 +77,6 @@ class NodeParams:
             raise ValueError("detuning_convention must be 'primed' or 'unprimed'")
 
 
-def _stark_sum(omega1: float, delta1: float, omega2: float,
-               delta2: float) -> float:
-    """omega1**2/(4*delta1) + omega2**2/(4*delta2), skipping tones that are off."""
-    total = 0.0
-    for omega, delta, name in ((omega1, delta1, "delta1"),
-                               (omega2, delta2, "delta2")):
-        if omega == 0.0:
-            continue
-        if delta == 0.0:
-            raise ZeroDetuningError(f"{name} is zero while its drive tone is on")
-        total += omega * omega / (4.0 * delta)
-    return total
-
-
 def stark_shift(params: NodeParams) -> float:
     """AC Stark shift of the driven transition from the two drive tones.
 
@@ -108,8 +84,15 @@ def stark_shift(params: NodeParams) -> float:
     when its Rabi frequency is zero, and a zero detuning under a nonzero
     drive raises :class:`ZeroDetuningError`.
     """
-    return _stark_sum(params.omega1, params.delta1, params.omega2,
-                      params.delta2)
+    total = 0.0
+    for omega, delta, name in ((params.omega1, params.delta1, "delta1"),
+                               (params.omega2, params.delta2, "delta2")):
+        if omega == 0.0:
+            continue
+        if delta == 0.0:
+            raise ZeroDetuningError(f"{name} is zero while its drive tone is on")
+        total += omega * omega / (4.0 * delta)
+    return total
 
 
 def calibrated_detunings(params: NodeParams) -> tuple[float, float]:
@@ -217,9 +200,11 @@ def node_params_from_dict(doc: dict) -> NodeParams:
     """Build :class:`NodeParams` from a preset-style document.
 
     Frequencies are MHz pre-2*pi; ``pulse_us`` is in microseconds.  The
-    combined ``gamma_dp_plus_dprimep`` rate is split according to
-    ``dp_split`` (default equal halves).  When ``Deltac1``/``Deltac2`` are
-    absent, the cavity detunings default to the drive-resonance condition
+    couplings are ``g`` times ``g_weight_v``/``g_weight_h`` (default 1),
+    transition-strength/polarization-projection weights that the presets do
+    not pin down numerically.  ``dp_split`` (default 0.5) is the share of
+    ``gamma_dp_plus_dprimep`` that decays to D.  When ``Deltac1``/``Deltac2``
+    are absent, the cavity detunings default to the drive-resonance condition
     ``deltac = delta' + 2|stark shift|`` (the dressed ground level sits one
     Stark shift above the bare one, and the photon level must match it), so
     that photon emission is resonant and unchirped at zero jitter up to
@@ -229,34 +214,18 @@ def node_params_from_dict(doc: dict) -> NodeParams:
     if missing:
         raise KeyError(f"node document missing keys: {missing}")
 
-    convention = doc.get("detuning_convention", "primed")
-    omega1, omega2 = mhz(doc["Omega1"]), mhz(doc["Omega2"])
-    delta1, delta2 = mhz(doc["Delta1"]), mhz(doc["Delta2"])
-    g1, g2 = coupling_constants(mhz(doc["g"]),
-                                doc.get("g_weight_v", 1.0),
-                                doc.get("g_weight_h", 1.0))
     split = doc.get("dp_split", 0.5)
     if not 0.0 <= split <= 1.0:
         raise ValueError("dp_split must lie in [0, 1]")
     gamma_dp_total = mhz(doc["gamma_dp_plus_dprimep"])
-
-    shift = abs(_stark_sum(omega1, delta1, omega2, delta2))
-    if convention == "primed":
-        d1_eff, d2_eff = delta1, delta2
-    else:
-        d1_eff, d2_eff = delta1 - shift, delta2 - shift
-    deltac1 = mhz(doc["Deltac1"]) if "Deltac1" in doc else d1_eff + 2.0 * shift
-    deltac2 = mhz(doc["Deltac2"]) if "Deltac2" in doc else d2_eff + 2.0 * shift
-
-    return NodeParams(
-        omega1=omega1,
-        omega2=omega2,
-        g1=g1,
-        g2=g2,
-        delta1=delta1,
-        delta2=delta2,
-        deltac1=deltac1,
-        deltac2=deltac2,
+    params = NodeParams(
+        omega1=mhz(doc["Omega1"]),
+        omega2=mhz(doc["Omega2"]),
+        g1=mhz(doc["g"]) * doc.get("g_weight_v", 1.0),
+        g2=mhz(doc["g"]) * doc.get("g_weight_h", 1.0),
+        delta1=mhz(doc["Delta1"]),
+        delta2=mhz(doc["Delta2"]),
+        deltac1=0.0, deltac2=0.0,  # replaced below
         kappa=mhz(doc["kappa"]),
         gamma_sp=mhz(doc["gamma_sp"]),
         gamma_dp=split * gamma_dp_total,
@@ -264,8 +233,14 @@ def node_params_from_dict(doc: dict) -> NodeParams:
         gamma_ss=mhz(doc["gamma_ss"]),
         gamma_clj=mhz(doc["gamma_clj"]),
         pulse_duration=doc["pulse_us"] * 1e-6,
-        detuning_convention=convention,
+        detuning_convention=doc.get("detuning_convention", "primed"),
     )
+    shift = abs(stark_shift(params))  # raises on a zero drive detuning
+    d1, d2 = calibrated_detunings(params)
+    return replace(
+        params,
+        deltac1=mhz(doc["Deltac1"]) if "Deltac1" in doc else d1 + 2 * shift,
+        deltac2=mhz(doc["Deltac2"]) if "Deltac2" in doc else d2 + 2 * shift)
 
 
 def load_preset(name: str) -> dict:

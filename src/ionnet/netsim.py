@@ -30,6 +30,7 @@ from .errors import (ConfigError, NumericalConsistencyError,
 from .hilbert import NodeParams
 from .pbsm import (DETECTION_WINDOW, HERALD_PORTS, DetectorTable,
                    InterferenceModel, build_interference_model)
+from .purebranch import DEFAULT_COARSE_DT
 
 BG_SPAN = 100e-6  # background-generation span per attempt
 
@@ -89,19 +90,29 @@ def _read_header_line(line: str, meta: dict, path) -> None:
             return
 
 
-def _data_rows(path):
-    """(line number from 1, stripped text) of each click row of a file.
+def _utf8(data: bytes, path) -> str:
+    """``data`` read from ``path`` as UTF-8 text."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
-    The rows are what ``ClickRecords.from_csv`` reads: the lines after the
-    column line that are neither blank nor ``#`` lines.  Used on error paths
-    only, to name a bad row by its line in the file.
+
+def data_rows(path):
+    """(line number from 1, stripped text) of each row of a UTF-8 CSV file:
+    the lines after the column line that are neither blank nor ``#`` lines.
+
+    Reads V(T) files, and names bad click rows by their line in the file.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = ((number, line.strip()) for number, line in enumerate(fh, 1))
         rows = ((number, line) for number, line in lines
                 if line and not line.startswith("#"))
-        next(rows, None)  # the column line
-        yield from rows
+        try:
+            next(rows, None)  # the column line
+            yield from rows
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _malformed_row(path, fields, exc: ValueError) -> ConfigError:
@@ -114,7 +125,7 @@ def _malformed_row(path, fields, exc: ValueError) -> ConfigError:
     """
     quoted = re.search(r" at row (\d+)", str(exc))
     first = max(int(quoted[1]) - 1, 0) if quoted else 0
-    for line, text in itertools.islice(_data_rows(path), first,
+    for line, text in itertools.islice(data_rows(path), first,
                                        first + 2 if quoted else None):
         try:
             np.loadtxt([text], dtype=fields, delimiter=",", comments=None,
@@ -207,7 +218,7 @@ class ClickRecords:
     ``n_executed`` and ``herald_mode`` describe the run that made the clicks;
     a herald-mode simulation sets them, they are read back from a file's
     ``n_executed=`` and ``herald_mode=`` header lines, and ``n_executed`` is
-    ``None`` where it was not recorded.
+    ``n_attempts`` (every attempt ran) where it was not recorded.
 
     The click file (``to_csv``/``from_csv``) is UTF-8 text:
 
@@ -248,6 +259,10 @@ class ClickRecords:
     n_attempts: int
     n_executed: int | None = None
     herald_mode: bool = False
+
+    def __post_init__(self):
+        if self.n_executed is None:
+            self.n_executed = self.n_attempts
 
     def __len__(self):
         return self.attempt.size
@@ -329,7 +344,7 @@ class ClickRecords:
         # header: '#' lines up to the column line
         while columns is None and pos < len(data):
             end = data.find(b"\n", pos) + 1 or len(data)
-            line = data[pos:end].decode().strip()
+            line = _utf8(data[pos:end], path).strip()
             pos = end
             if line.startswith("#"):
                 _read_header_line(line, meta, path)
@@ -344,7 +359,7 @@ class ClickRecords:
                 or any(data.find(c, pos) >= 0 for c in _BODY_IRREGULAR)):
             kind = "U"
             rows = []
-            for line in data[pos:].decode().split("\n"):
+            for line in _utf8(data[pos:], path).split("\n"):
                 line = line.strip()
                 if line.startswith("#"):
                     _read_header_line(line, meta, path)
@@ -386,7 +401,7 @@ class ClickRecords:
                                np.int16)
         unknown = np.flatnonzero(detector < 0)
         if unknown.size:
-            line, _ = next(itertools.islice(_data_rows(path), unknown[0], None))
+            line, _ = next(itertools.islice(data_rows(path), unknown[0], None))
             name = column[unknown[0]]
             raise ConfigError(
                 f"{path}: line {line}: click row names detector "
@@ -451,13 +466,16 @@ class DetectionModel:
     diag_b: np.ndarray  # (2, C)
     photon_scale: float
 
+    def __post_init__(self):
+        tau_tot = np.append(self.tau_a.sum(axis=1), self.tau_b.sum(axis=1))
+        if np.any(tau_tot > 1.0):
+            raise ConfigError(f"photon click probabilities at scale "
+                              f"{self.photon_scale:.6g} exceed 1")
+
     def rescaled(self, factor: float) -> "DetectionModel":
         """Copy with all photon click probabilities scaled by ``factor``."""
-        tau_a = self.tau_a * factor
-        tau_b = self.tau_b * factor
-        if np.any(tau_a.sum(axis=1) > 1.0) or np.any(tau_b.sum(axis=1) > 1.0):
-            raise ValueError("rescaled photon probabilities exceed 1")
-        return replace(self, tau_a=tau_a, tau_b=tau_b,
+        return replace(self, tau_a=self.tau_a * factor,
+                       tau_b=self.tau_b * factor,
                        photon_scale=self.photon_scale * factor)
 
 
@@ -516,11 +534,12 @@ def calibrate_to_success_probability(model: DetectionModel,
     The herald probability is ``a s**2 + b s + c`` in the photon scale s,
     with a, b and c the photon-photon, photon-background and
     background-background terms, so the factor is the positive root.
-    Raises ``ValueError`` when no positive scale reaches the target.
+    Raises ``ConfigError`` when no positive scale reaches the target.
     """
     a, b, c = _herald_terms(model)
     if a <= 0 or target < c:
-        raise ValueError("cannot reach the target success probability")
+        raise ConfigError(f"cannot reach the target success probability "
+                          f"{target:.6g}; backgrounds alone give {c:.6g}")
     factor = (-b + math.sqrt(b * b - 4.0 * a * (c - target))) / (2.0 * a)
     return model.rescaled(factor)
 
@@ -537,8 +556,9 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
                           seq: SequenceConfig | None = None,
                           ensemble_a: JitterEnsemble | None = None,
                           model: InterferenceModel | None = None,
-                          coarse_dt: float = 0.25e-6,
-                          target_dt: float | None = None) -> DetectionModel:
+                          coarse_dt: float = DEFAULT_COARSE_DT,
+                          target_dt: float = DEFAULT_TARGET_DT
+                          ) -> DetectionModel:
     """Assemble the stochastic click model from physics and detector data."""
     seq = seq or SequenceConfig()
     if ensemble_a is None:
@@ -546,7 +566,7 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
     if model is None:
         model = build_interference_model(
             node_a, node_b, ensemble_a, mode="full", coarse_dt=coarse_dt,
-            target_dt=target_dt or DEFAULT_TARGET_DT)
+            target_dt=target_dt)
 
     w0, w1 = seq.detection_window
 
@@ -579,8 +599,6 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
                      model.weights_a, total_a)
     tau_b = node_tau(model.fine_times_b, [model.fine_envelopes_b],
                      np.ones(1), total_b)
-    if np.any(tau_a.sum(axis=1) > 1.0) or np.any(tau_b.sum(axis=1) > 1.0):
-        raise ValueError("calibrated photon probabilities exceed 1")
 
     cdf_a = np.array([[_envelope_cdf(model.fine_times_a, env[pol])
                        for pol in (0, 1)] for env in model.fine_envelopes_a])
@@ -904,11 +922,10 @@ def herald_attempts(clicks: ClickRecords, table: DetectorTable,
 def attempt_log(clicks: ClickRecords, table: DetectorTable,
                 seq: SequenceConfig) -> AttemptLog:
     """The log of the run that made ``clicks``, heralds selected in
-    (0, ``seq.detection_span``); all attempts ran if none are recorded."""
+    (0, ``seq.detection_span``)."""
     return AttemptLog(
         n_requested=clicks.n_attempts,
-        n_executed=(clicks.n_attempts if clicks.n_executed is None
-                    else clicks.n_executed),
+        n_executed=clicks.n_executed,
         block_size=seq.max_iterations, herald_mode=clicks.herald_mode,
         herald_attempts=herald_attempts(clicks, table,
                                         (0.0, seq.detection_span)))
@@ -1003,8 +1020,7 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
     sorted_t = [np.sort(click_t[click_det == d])
                 for d in range(len(clicks.detector_names))]
     # attempts cut short after a herald made no clicks, background included
-    n_att = max(clicks.n_attempts if clicks.n_executed is None
-                else clicks.n_executed, 1)
+    n_att = max(clicks.n_executed, 1)
 
     def expected_bg(det_u, det_r):
         """Expected background-involved pairs per tau bin for one class.

@@ -227,7 +227,7 @@ def _mode_params(params: NodeParams, mode: str) -> NodeParams:
 def build_interference_model(node_a: NodeParams, node_b: NodeParams,
                              ensemble_a: JitterEnsemble | None = None,
                              mode: str = "full",
-                             coarse_dt: float = 0.25e-6,
+                             coarse_dt: float = purebranch.DEFAULT_COARSE_DT,
                              target_dt: float = DEFAULT_TARGET_DT,
                              ) -> InterferenceModel:
     """Compute kernels and envelopes for both nodes under a noise mode.
@@ -317,7 +317,7 @@ def model_visibility(node_a: NodeParams, node_b: NodeParams, t_list,
                      mode: str = "full",
                      ensemble_a: JitterEnsemble | None = None,
                      window: tuple[float, float] = DETECTION_WINDOW,
-                     coarse_dt: float = 0.25e-6,
+                     coarse_dt: float = purebranch.DEFAULT_COARSE_DT,
                      target_dt: float = DEFAULT_TARGET_DT) -> VisibilityCurve:
     """Model interference visibility V(T) for one noise mode.
 

@@ -34,6 +34,7 @@ from .hilbert import D1, DP1, NodeParams, RESTRICTED_DIM
 
 _NORM_INCREASE_TOL = 1e-8
 _NEGATIVE_RATE_TOL = 1e-12  # relative to the largest restart rate
+DEFAULT_COARSE_DT = 0.25e-6  # s, step of the coarse kernel grid
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ def build_amplitudes(traj: PureTrajectory, params: NodeParams):
     return alpha, beta
 
 
-def coarse_indices(grid: TimeGrid, coarse_dt: float = 0.25e-6) -> np.ndarray:
+def coarse_indices(grid: TimeGrid,
+                   coarse_dt: float = DEFAULT_COARSE_DT) -> np.ndarray:
     """Fine-grid indices nearest the nominal coarse times 0, dc, 2*dc, ...
 
     Rounding to nominal multiples (rather than a fixed stride) keeps coarse

@@ -51,6 +51,19 @@ HERALD_SEED7_CLICKS_SHA256 = \
     "bc19c8996ab5486df9d7660677acbdc2f89f35c411797740e564a6030078598c"
 
 
+# the command line naming each input file, and bytes of it that are not UTF-8
+INPUT_FILES = {
+    "config": (lambda path: ["--config", path, "envelope", "--node", "b"],
+               b'{"seed": "\xe9"}\n'),
+    "counts": (lambda path: ["tomography", "--counts", path],
+               b'{"settings": "\xe9"}\n'),
+    "clicks": (lambda path: ["analyze", "--clicks", path],
+               b"attempt,detector,t_us\n3,SN\xe9SPD1,6.25\n"),
+    "visibility": (lambda path: ["fidelity-model", "--visibility-csv", path],
+                   b"T_us,V\n1.000,0.93\xe9\n"),
+}
+
+
 @pytest.fixture(scope="module")
 def fast_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "fast.json"
@@ -291,6 +304,72 @@ class TestExitCodes:
                         "--clicks", str(clicks)])
         assert code == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    @pytest.mark.parametrize("name", sorted(INPUT_FILES))
+    def test_unreadable_input_file(self, tmp_path, capsys, name, kind):
+        command, not_utf8 = INPUT_FILES[name]
+        path = tmp_path / f"{name}.in"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(not_utf8)
+        out = tmp_path / "out"
+        code = run_cli(["--out", str(out), *command(str(path))])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert not out.exists()
+
+    def test_out_not_a_directory(self, tmp_path, capsys):
+        vis_path = tmp_path / "vin.csv"
+        vis_path.write_text("T_us,V\n1.000,0.930\n")
+        out = tmp_path / "out"
+        out.write_text("")
+        code = run_cli(["--out", str(out), "fidelity-model",
+                        "--visibility-csv", str(vis_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_unreachable_target(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "jitter": {"k_max": 0}, "integration": {"target_dt_ns": 2.0},
+            "simulate": {"n_attempts": 10,
+                         "target_success_probability": 1e-12}}))
+        code = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                        "simulate"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot reach" in err and "1e-12" in err
+        assert not (tmp_path / "clicks.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--synthetic", "-5"), ("--synthetic", "0"), ("--synthetic", "2.5"),
+        ("--resamples", "1"), ("--t-window-us", "-1"), ("--t-window-us", "0"),
+        ("--t-window-us", "nan"), ("--t-window-us", "inf"),
+    ])
+    def test_bad_tomography_flag(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(["--out", str(tmp_path), "tomography", flag, value])
+        assert exited.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "tomography.json").exists()
+
+    @pytest.mark.parametrize("node_b", [
+        {"preset": "nodeB", "overrides": {"gamma_clj": 0.06}},
+        {**hilbert.load_preset("nodeB"), "gamma_clj": 0.06},
+    ])
+    def test_node_b_jitter_rejected(self, tmp_path, capsys, node_b):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"node_b": node_b}))
+        code = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                        "envelope", "--node", "b"])
+        assert code == cli.EXIT_CONFIG
+        assert "'node_b.gamma_clj'" in capsys.readouterr().err
+        assert not (tmp_path / "envelope_nodeB.csv").exists()
 
     def test_missing_click_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"

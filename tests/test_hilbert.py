@@ -148,9 +148,11 @@ class TestIngestion:
         assert p.gamma_clj == pytest.approx(mhz(0.1))
 
     def test_coupling_weights(self):
-        g1, g2 = hilbert.coupling_constants(mhz(1.0), 0.5, 0.7)
-        assert g1 == pytest.approx(mhz(0.5))
-        assert g2 == pytest.approx(mhz(0.7))
+        p = hilbert.node_params_from_dict({
+            **hilbert.load_preset("nodeA"), "g": 1.0, "g_weight_v": 0.5,
+            "g_weight_h": 0.7})
+        assert p.g1 == pytest.approx(mhz(0.5))
+        assert p.g2 == pytest.approx(mhz(0.7))
 
     def test_resonance_rule_default(self):
         doc = dict(hilbert.load_preset("nodeB"))
@@ -159,6 +161,21 @@ class TestIngestion:
         shift = abs(hilbert.stark_shift(p))
         assert p.deltac1 == pytest.approx(p.delta1 + 2 * shift)
         assert p.deltac2 == pytest.approx(p.delta2 + 2 * shift)
+
+    @pytest.mark.parametrize("convention", ["primed", "unprimed"])
+    def test_resonance_rule_default_is_exact(self, convention):
+        doc = dict(hilbert.load_preset("nodeA"),
+                   detuning_convention=convention)
+        doc.pop("Deltac1"), doc.pop("Deltac2")
+        p = hilbert.node_params_from_dict(doc)
+        o1, o2 = mhz(doc["Omega1"]), mhz(doc["Omega2"])
+        d1, d2 = mhz(doc["Delta1"]), mhz(doc["Delta2"])
+        shift = abs(o1 * o1 / (4.0 * d1) + o2 * o2 / (4.0 * d2))
+        if convention == "unprimed":
+            d1, d2 = d1 - shift, d2 - shift
+        assert p.detuning_convention == convention
+        assert p.deltac1 == d1 + 2.0 * shift
+        assert p.deltac2 == d2 + 2.0 * shift
 
     def test_zero_drive_detuning_raises(self):
         doc = dict(hilbert.load_preset("nodeB"), Delta1=0.0)

@@ -106,6 +106,14 @@ class TestCalibration:
         with pytest.raises(ValueError, match="cannot reach"):
             netsim.calibrate_to_success_probability(model, 0.5 * background)
 
+    def test_probabilities_above_one_raise(self, table):
+        model = toy_detection_model(table, tau=0.05)
+        assert model.rescaled(10.0).photon_scale == 10.0
+        with pytest.raises(ConfigError, match="exceed 1"):
+            model.rescaled(25.0)
+        with pytest.raises(ConfigError, match="exceed 1"):
+            netsim.calibrate_to_success_probability(model, 0.9)
+
 
 # sha256 of the seed-11 herald-mode run with 13 node-A offsets below: the
 # bytes of the click columns and the herald attempts, then ``n_executed``
@@ -438,13 +446,24 @@ class TestClickRecords:
         assert_same_records(ClickRecords.from_csv(path),
                             from_csv_oracle(path))
 
+    @pytest.mark.parametrize("text", [
+        b"# detectors=SPCM1,SN\xe9SPD\nattempt,detector,t_us\n3,SPCM1,6.25\n",
+        b"attempt,detector,t_us\n3,SPCM1,6.25\n4,SN\xe9SPD,7.5\n",
+    ], ids=["header", "body"])
+    def test_not_utf8_raises(self, text, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="not UTF-8") as err:
+            ClickRecords.from_csv(path)
+        assert str(path) in str(err.value)
+
     def test_csv_without_origin_column(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("# n_attempts=10\n# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
                         "attempt,detector,t_us\n3,SNSPD1,6.25\n3,SNSPD2,7.5\n")
         loaded = ClickRecords.from_csv(path)
         assert len(loaded) == 2
-        assert loaded.n_executed is None and loaded.herald_mode is False
+        assert loaded.n_executed == 10 and loaded.herald_mode is False
         assert np.all(loaded.origin == -1)
         assert loaded.t[1] == pytest.approx(7.5e-6)
 
