@@ -362,6 +362,8 @@ def _read_visibility_csv(path):
         except ValueError as exc:
             raise ConfigError(f"{path}: line {number}: malformed visibility "
                               f"row {line!r}: {exc}") from None
+    if not t_list:
+        raise ConfigError(f"{path}: no visibility rows after the column line")
     return np.array(t_list), np.array(vis)
 
 

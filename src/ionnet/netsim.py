@@ -72,9 +72,6 @@ _HEADER_KEYS = {"n_attempts": int, "n_executed": int,
 # characters that send a click-file body through line-by-line cleaning:
 # comment lines, and whitespace that ``str.strip`` would remove
 _BODY_IRREGULAR = b"# \t\x0b\x0c\x1c\x1d\x1e\x1f"
-# file name endings that make np.loadtxt decompress the file it opens
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-_NOT_LINE_END = re.compile(rb"[^\n]")
 
 
 def _read_header_line(line: str, meta: dict, path) -> None:
@@ -115,16 +112,18 @@ def data_rows(path):
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _malformed_row(path, fields, exc: ValueError) -> ConfigError:
-    """The error for a click file that ``np.loadtxt`` rejects.
+def _malformed_row(path, fields, exc: ValueError,
+                   first_row: int) -> ConfigError:
+    """The error for click rows that ``np.loadtxt`` rejects, the first of
+    them the file's data row ``first_row`` (from 0).
 
-    numpy's message counts click rows, from 0 for a value that does not
-    convert and from 1 for a missing column, so the first bad row is row
-    n - 1 or n for the n it quotes; each candidate is parsed again alone to
-    find the line.
+    numpy's message counts the rows it was given, from 0 for a value that
+    does not convert and from 1 for a missing column, so the first bad row
+    is row n - 1 or n for the n it quotes; each candidate is parsed again
+    alone to find the line.
     """
     quoted = re.search(r" at row (\d+)", str(exc))
-    first = max(int(quoted[1]) - 1, 0) if quoted else 0
+    first = first_row + (max(int(quoted[1]) - 1, 0) if quoted else 0)
     for line, text in itertools.islice(data_rows(path), first,
                                        first + 2 if quoted else None):
         try:
@@ -137,10 +136,126 @@ def _malformed_row(path, fields, exc: ValueError) -> ConfigError:
     return ConfigError(f"{path}: malformed click row: {exc}")
 
 
-# the three-digit groups 000 to 999 in ASCII, one row each
-_DIGITS3 = np.array([list(f"{i:03d}".encode()) for i in range(1000)],
-                    dtype=np.uint8)
-_WRITE_CHUNK = 1 << 16  # click rows formatted per pass
+# -- click rows as 8-byte words --------------------------------------------------
+#
+# A row is ``{attempt},{detector},{whole}.{micro},{origin}\n``.  Both
+# directions handle its numbers as little-endian 8-byte words that end at a
+# field's last byte, the word's top byte: the attempt in one or two words,
+# and ``{units digit}.{micro}`` in one.  A word holds k bytes of a field in
+# its top k bytes, which ``_KEEP[k]`` selects.  The reader also reads the
+# whole digits before the point, and compares the names, as such words; the
+# writer copies the names, and the time's hundreds and tens, from tables.
+
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)],
+                 dtype=np.uint64)
+_ASCII_ZEROS = 0x3030303030303030
+_POW10 = np.array([10 ** k for k in range(1, 16)])
+_WRITE_CHUNK = 1 << 14  # click rows formatted per pass
+_READ_BLOCK = 1 << 20  # click-file body bytes parsed per pass
+
+
+def _digit_words(values: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each of ``values`` (in [0, 1e8)) in ASCII,
+    leading zeros included, as words: a divmod by 1e4 into 32-bit lanes,
+    then by 100 and 10 inside the lanes by multiply and shift."""
+    high, low = np.divmod(values.astype(np.uint64), 10 ** 4)
+    lanes = high | low << 32
+    q = ((lanes * 5243) >> 19) & 0x0000007F0000007F  # x // 100, x < 1e4
+    lanes = q | (lanes - q * 100) << 16
+    q = ((lanes * 103) >> 10) & 0x000F000F000F000F  # x // 10, x < 100
+    return q | (lanes - q * 10) << 8 | _ASCII_ZEROS
+
+
+def _word_digits(words: np.ndarray, keep: np.ndarray):
+    """(value, ok) of the decimal digits in the kept bytes of each word, the
+    others read as '0'; ``ok`` is False where a kept byte is not a digit."""
+    v = (words & keep) | (_ASCII_ZEROS & ~keep)
+    ok = ((v & 0xF0F0F0F0F0F0F0F0)
+          | ((v + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4
+          ) == 0x3333333333333333
+    v = ((v & 0x0F0F0F0F0F0F0F0F) * 2561) >> 8
+    v = ((v & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    return ((v & 0x0000FFFF0000FFFF) * 42949672960001) >> 32, ok
+
+
+def _field_codes(words: np.ndarray, end: np.ndarray, length: np.ndarray,
+                 codes: dict, dtype) -> np.ndarray:
+    """The code of each field of ``length`` bytes ending before byte
+    ``end`` that holds a name of ``codes``, and -1 for any other field.
+
+    Each field's last word, masked to the field, is compared with each
+    name's; a name longer than 8 bytes is checked word by word where its
+    last word matched.  No load starts before byte 0.
+    """
+    last = words[np.maximum(end - 8, 0)] & _KEEP[np.minimum(length, 8)]
+    out = np.full(end.size, -1, dtype=dtype)
+    for name, code in codes.items():
+        name = name.encode()
+        hit = np.flatnonzero(
+            last == int.from_bytes(name[-8:].rjust(8, b"\0"), "little"))
+        hit = hit[length[hit] == len(name)]
+        for k in range(8, len(name), 8):
+            piece = name[max(len(name) - k - 8, 0):len(name) - k]
+            hit = hit[(words[end[hit] - k - 8] & _KEEP[len(piece)])
+                      == int.from_bytes(piece.rjust(8, b"\0"), "little")]
+        out[hit] = code
+    return out
+
+
+# origin codes + 1 by origin name, the order of ``_ORIGIN_ROWS``
+_ORIGIN_INDEX = {ORIGIN_NAMES[code]: code + 1 for code in (-1, 0, 1)}
+
+
+def _word_rows(u8: np.ndarray, words: np.ndarray, start: int, end: int,
+               detector_codes: dict):
+    """(attempt, detector, t_us, origin) of the rows in ``u8[start:end]``,
+    or None if any row there is outside the grammar the writer uses::
+
+        [0-9]{1,16} , <listed detector> , [0-9]{1,8} . [0-9]{6} , <origin> \\n
+
+    The origin is ``photon``, ``background`` or ``unknown``.  One scan for
+    bytes up to ',' finds the separators, which must come as ``, , , \\n``;
+    the last row of the file may lack its line end.  ``words`` is the
+    overlapping word view of ``u8`` (``words[i]`` holds bytes i to i + 7);
+    every load ends at a field's last byte and starts at most 7 bytes before
+    the field, so inside the file: the ``# detectors=`` and column lines
+    before the rows are longer than that.  The time is
+    ``(whole * 1e6 + micro) / 1e6``: both are exact doubles, so the quotient
+    is the double nearest the decimal, which is what ``strtod`` gives.
+    """
+    sep = np.flatnonzero(u8[start:end] <= ord(","))
+    sep += start
+    marks = u8[sep]
+    if u8[end - 1] != ord("\n"):  # a last row without its line end
+        sep = np.append(sep, end)
+        marks = np.append(marks, np.uint8(ord("\n")))
+    if sep.size % 4 or not (marks.view("<u4") == 0x0A2C2C2C).all():
+        return None
+    c1, c2, c3, nl = sep.reshape(-1, 4).T.copy()
+    digits = c1 - np.concatenate(([start], nl[:-1] + 1))
+    whole_digits = c3 - c2 - 8
+    if (digits.min() < 1 or digits.max() > 16 or whole_digits.min() < 1
+            or whole_digits.max() > 8):
+        return None
+
+    attempt, ok = _word_digits(words[c1 - 8], _KEEP[np.minimum(digits, 8)])
+    long = np.flatnonzero(digits > 8)
+    if long.size:
+        high, ok_high = _word_digits(words[c1[long] - 16],
+                                     _KEEP[digits[long] - 8])
+        attempt[long] += high * 10 ** 8
+        ok[long] &= ok_high
+    whole, ok_whole = _word_digits(words[c3 - 15], _KEEP[whole_digits])
+    point = words[c3 - 8]  # last whole digit, '.', six decimals
+    micro, ok_micro = _word_digits(point, _KEEP[6])
+    ok &= ok_whole & ok_micro & ((point >> 8) & 0xFF == ord("."))
+    detector = _field_codes(words, c2, c2 - c1 - 1, detector_codes, np.int16)
+    origin = _field_codes(words, nl, nl - c3 - 1, _ORIGIN_INDEX, np.int8)
+    if not (ok.all() and (detector >= 0).all() and (origin >= 0).all()):
+        return None
+    origin -= 1
+    return (attempt.view(np.int64), detector,
+            (whole * 10 ** 6 + micro).astype(np.float64) / 1e6, origin)
 
 
 def _byte_table(names) -> np.ndarray:
@@ -154,8 +269,13 @@ def _byte_table(names) -> np.ndarray:
     return table
 
 
-# origin names by code + 1
-_ORIGIN_BYTES = _byte_table([ORIGIN_NAMES[code] for code in (-1, 0, 1)])
+# the hundreds and tens digits of a time below 1000 us, by whole // 10, as
+# two bytes padded with 0
+_LEADING = np.frombuffer(b"".join(str(u).encode().rjust(2, b"\0") if u
+                                  else b"\0\0" for u in range(100)),
+                         dtype="<u2")
+# ``,{origin}\n`` by origin code + 1
+_ORIGIN_ROWS = _byte_table([f",{name}\n" for name in _ORIGIN_INDEX])
 
 
 def _put_rows(out: np.ndarray, col: int, table: np.ndarray,
@@ -167,17 +287,9 @@ def _put_rows(out: np.ndarray, col: int, table: np.ndarray,
         table.view(item)[index, 0]
 
 
-def _put_digits(out: np.ndarray, col: int, width: int,
-                values: np.ndarray) -> None:
-    """Write the decimal digits of non-negative ``values`` right aligned
-    into ``out[:, col:col + width]`` (width a multiple of 3), turning the
-    leading zeros but the last to 0 (padding)."""
-    rest = values
-    for k in range(width // 3 - 1, -1, -1):
-        rest, group = np.divmod(rest, 1000)
-        _put_rows(out, col + 3 * k, _DIGITS3, group)
-    for j in range(width - 1):
-        out[:, col + j] *= values >= 10 ** (width - 1 - j)
+def _put_words(out: np.ndarray, col: int, words: np.ndarray) -> None:
+    """Store one word per row at ``out[:, col:col + 8]``."""
+    out[:, col:col + 8].view("<u8")[:, 0] = words
 
 
 def _text_field(kind: str, longest: int) -> str:
@@ -211,6 +323,89 @@ def _name_codes(column: np.ndarray, codes: dict, dtype) -> np.ndarray:
     return out
 
 
+def _row_fields(kind: str, names: tuple, has_origin: bool) -> list:
+    """The ``np.loadtxt`` fields of a click row, names as ``kind`` fields
+    (``_text_field``), or as str objects where no names are listed."""
+    longest = max((len(name.encode()) for name in names), default=0)
+    fields = [("attempt", np.int64),
+              ("detector", _text_field(kind, longest) if names else object),
+              ("t_us", np.float64),
+              ("origin", _text_field(kind, max(map(len, ORIGIN_CODES))))]
+    return fields if has_origin else fields[:-1]
+
+
+def _loaded_rows(path, lines: list, fields, first_row: int):
+    """The click rows ``lines``, the file's data rows from ``first_row``
+    (from 0), read by ``np.loadtxt`` into a record array of ``fields``."""
+    if not lines:
+        return np.empty(0, dtype=fields)
+    try:
+        return np.loadtxt(lines, dtype=fields, delimiter=",", comments=None,
+                          usecols=range(len(fields)), ndmin=1,
+                          encoding="latin1")
+    except ValueError as exc:
+        raise _malformed_row(path, fields, exc, first_row) from None
+
+
+def _coded_rows(data: np.ndarray, names: tuple):
+    """(attempt, detector, t_us, origin) of the rows ``np.loadtxt`` read,
+    detector -1 for a name that ``names`` does not list."""
+    # duplicate names keep their last position, like a dict would
+    detector = _name_codes(data["detector"],
+                           {n: i for i, n in enumerate(names)}, np.int16)
+    if "origin" in data.dtype.names:
+        origin = _name_codes(data["origin"], ORIGIN_CODES, np.int8)
+    else:
+        origin = np.full(data.size, -1, dtype=np.int8)
+    return data["attempt"], detector, data["t_us"], origin
+
+
+def _irregular(data: bytes, pos: int) -> bool:
+    """Whether the body ``data[pos:]`` needs line-by-line cleaning."""
+    return any(data.find(c, pos) >= 0 for c in _BODY_IRREGULAR)
+
+
+def _block_rows(path, data: bytes, pos: int, names: tuple):
+    """(rows, loaded) of the ASCII body ``data[pos:]`` read in blocks of
+    whole rows, or None if it needs line-by-line cleaning.
+
+    ``rows`` is (attempt, detector, t_us, origin).  A block of rows in the
+    writer's grammar is read by ``_word_rows``, and any other by
+    ``np.loadtxt``; ``loaded`` holds (first data row, detector column) of
+    each block ``np.loadtxt`` read.
+    """
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray((u8.size - 7,), dtype="<u8", buffer=data, strides=(1,))
+    codes = {n: i for i, n in enumerate(names)}
+    fields = _row_fields("S", names, True)
+    n_max = data.count(b"\n", pos) + 1
+    rows = (np.empty(n_max, dtype=np.int64), np.empty(n_max, dtype=np.int16),
+            np.empty(n_max), np.empty(n_max, dtype=np.int8))
+    loaded = []
+    n = 0
+    body, checked = pos, False
+    while pos < len(data):
+        end = data.find(b"\n", min(pos + _READ_BLOCK, len(data)) - 1) + 1
+        end = end or len(data)
+        block = _word_rows(u8, words, pos, end, codes)
+        if block is None:
+            # bytes that call for cleaning are outside the grammar too, so
+            # they are looked for once a block is
+            if not checked and _irregular(data, body):
+                return None
+            checked = True
+            text = data[pos:end].decode().split("\n")
+            read = _loaded_rows(path, [line for line in text if line],
+                                fields, n)
+            block = _coded_rows(read, names)
+            loaded.append((n, read["detector"]))
+        for out, part in zip(rows, block):
+            out[n:n + part.size] = part
+        n += block[0].size
+        pos = end
+    return tuple(out[:n] for out in rows), loaded
+
+
 @dataclass
 class ClickRecords:
     """Columnar click storage: one row per detector click.
@@ -234,21 +429,29 @@ class ClickRecords:
       window (``%.6f``, so 1 ps steps) and the origin, one of ``photon``,
       ``background`` or ``unknown``.
 
-    Writing, rows are assembled as bytes, a chunk of rows at a time, from
-    digit and name tables; the time is its rounded picosecond count where
+    Writing, a chunk of rows is assembled as fixed-width byte rows, padded
+    with 0 bytes that one compaction drops: the attempt and time digits are
+    stored as 8-byte words (``_digit_words``, cut to their significant
+    digits by ``_KEEP``), and the names, with the commas around them, are
+    copied from byte tables.  The time is its rounded picosecond count where
     that equals ``%.6f`` (see ``_write_rows``).  The rest, rows with a
-    negative attempt or a time that is negative, non-finite, 1 ms or longer,
-    or within 1e-7 ps of a half-picosecond tie, are formatted one by one
-    with Python's ``.6f``.  Both give the bytes that formatting every row
-    gives.
+    negative attempt or one of 17 digits or more, or a time that is
+    negative, non-finite, 1 ms or longer, or within 1e-7 ps of a
+    half-picosecond tie, are formatted one by one with Python's ``.6f``.
+    Both give the bytes that formatting every row gives.
 
     Reading, the ``origin`` column is optional and any other origin name
     reads as ``unknown`` (-1).  Blank lines, ``#`` lines, surrounding
     whitespace, and CRLF and CR line ends are allowed, and columns past the
-    last one read are ignored.  A body of plain rows is parsed in one pass
-    as it is read from the file; any other goes through line-by-line
-    cleaning.  A row naming a detector missing from the ``detectors=``
-    header, or a field that does not parse, raises ``ConfigError``.
+    last one read are ignored.  A body of plain ASCII rows is read in
+    blocks of about 1 MB where the header lists the detectors and the
+    column line names ``origin``, and as one block otherwise; a block whose
+    rows are all in the writer's grammar is parsed as 8-byte words
+    (``_word_rows``), any other by ``np.loadtxt``.  A body with ``#``
+    lines, padding or non-ASCII text is cleaned line by line, then read by
+    ``np.loadtxt``.  A row naming a detector missing from the
+    ``detectors=`` header, or a field that does not parse, raises
+    ``ConfigError``.
     """
 
     attempt: np.ndarray  # int64
@@ -268,7 +471,7 @@ class ClickRecords:
         return self.attempt.size
 
     def to_csv(self, path, header_lines=()) -> None:
-        names = _byte_table(self.detector_names)
+        names = _byte_table([f",{name}," for name in self.detector_names])
         with open(path, "wb") as fh:
             fh.write("".join(
                 f"# {line}\n" for line in (
@@ -284,39 +487,43 @@ class ClickRecords:
     def _write_rows(self, fh, names, attempt, detector, t_us, origin):
         """Write one chunk of rows, ``{attempt},{name},{t_us:.6f},{origin}``.
 
-        A row's bytes are assembled from digit and name tables, with 0 as
-        padding that one compaction drops.  ``t_us`` prints as its picosecond
-        count ``rint(t_us * 1e6)`` where that is exactly what ``.6f`` prints:
-        t_us finite, not negative (``-0.0`` prints a sign), below 1e3 and,
-        since the product is within 6e-8 of the exact value there, more than
-        1e-7 from a half-picosecond tie.  Other rows, and negative attempts,
-        are formatted by Python.
+        A row is assembled as bytes: its attempt digits as one or two words,
+        ``,{name},`` from ``names``, the time's hundreds and tens, a
+        ``{units}.{micro}`` word and ``,{origin}\\n``, with 0 as padding
+        that one compaction drops.  ``t_us`` prints as its picosecond count
+        ``rint(t_us * 1e6)`` where that is exactly what ``.6f`` prints: t_us
+        finite, not negative (``-0.0`` prints a sign), below 1e3 and, since
+        the product is within 6e-8 of the exact value there, more than 1e-7
+        from a half-picosecond tie.  Other rows, and attempts that are
+        negative or have 17 digits or more, are formatted by Python.
         """
-        fast = ((attempt >= 0) & np.isfinite(t_us) & ~np.signbit(t_us)
-                & (t_us < 1e3))
+        fast = ((attempt >= 0) & (attempt < 10 ** 16) & np.isfinite(t_us)
+                & ~np.signbit(t_us) & (t_us < 1e3))
         scaled = np.where(fast, t_us, 0.0) * 1e6
         fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-7
         ticks = np.rint(scaled).astype(np.int64)
         fast &= ticks < 10 ** 9  # t_us rounds to 1000.000000 or more
         attempt_fast = np.where(fast, attempt, 0)
-        # columns: attempt, name and time end at a_end, d_end and t_end, each
-        # followed by a comma, then the origin and the line end
-        a_end = 3 * -(-len(str(attempt_fast.max(initial=0))) // 3)
-        d_end = a_end + 1 + names.shape[1]
-        t_end = d_end + 11
-        rows = np.empty((attempt.size, t_end + 2 + _ORIGIN_BYTES.shape[1]),
+        # columns: the attempt's digit words, ",{name},", the time's two
+        # leading digits and its "{units}.{micro}" word, ",{origin}\n"
+        a_end = 8 if attempt_fast.max(initial=0) < 10 ** 8 else 16
+        t_col = a_end + names.shape[1]
+        rows = np.empty((attempt.size, t_col + 10 + _ORIGIN_ROWS.shape[1]),
                         dtype=np.uint8)
-        _put_digits(rows, 0, a_end, attempt_fast)
-        rows[:, a_end] = rows[:, d_end] = rows[:, t_end] = ord(",")
-        _put_rows(rows, a_end + 1, names, detector)
+        digits = np.searchsorted(_POW10, attempt_fast, side="right") + 1
+        high, low = np.divmod(attempt_fast, 10 ** 8)
+        _put_words(rows, a_end - 8,
+                   _digit_words(low) & _KEEP[np.minimum(digits, 8)])
+        if a_end > 8:
+            _put_words(rows, 0, _digit_words(high)
+                       & _KEEP[np.maximum(digits - 8, 0)])
+        _put_rows(rows, a_end, names, detector)
         whole, micro = np.divmod(np.where(fast, ticks, 0), 10 ** 6)
-        _put_digits(rows, d_end + 1, 3, whole)
-        rows[:, d_end + 4] = ord(".")
-        milli, micro = np.divmod(micro, 1000)
-        _put_rows(rows, d_end + 5, _DIGITS3, milli)
-        _put_rows(rows, d_end + 8, _DIGITS3, micro)
-        _put_rows(rows, t_end + 1, _ORIGIN_BYTES, origin + 1)
-        rows[:, -1] = ord("\n")
+        rows[:, t_col:t_col + 2].view("<u2")[:, 0] = _LEADING[whole // 10]
+        # the units digit's word, its second byte turned from '0' to '.'
+        _put_words(rows, t_col + 2, _digit_words(whole % 10 * 10 ** 7 + micro)
+                   - (ord("0") - ord(".") << 8))
+        _put_rows(rows, t_col + 10, _ORIGIN_ROWS, origin + 1)
         slow = np.flatnonzero(~fast)
         rows[slow] = 0
         text = rows[rows != 0]
@@ -350,71 +557,50 @@ class ClickRecords:
                 _read_header_line(line, meta, path)
             elif line:
                 columns = line.split(",")
-        # a clean body is parsed as read, names as bytes (S) fields; any
-        # other, or one in a file np.loadtxt would decompress, goes through
-        # line-by-line cleaning as text (U fields)
-        kind = "S"
-        skip = 0
-        if (not data.isascii() or str(path).endswith(_COMPRESSED_SUFFIXES)
-                or any(data.find(c, pos) >= 0 for c in _BODY_IRREGULAR)):
-            kind = "U"
-            rows = []
-            for line in _utf8(data[pos:], path).split("\n"):
-                line = line.strip()
-                if line.startswith("#"):
-                    _read_header_line(line, meta, path)
-                elif line:
-                    rows.append(line)
-        elif not _NOT_LINE_END.search(data, pos):
-            rows = []  # nothing but line ends
-        else:
-            # np.loadtxt reads a clean body from the file itself, in blocks
-            # and in text mode (CR line ends read as above), past the lines
-            # of the header; the bytes read here are then let go
-            rows, skip = path, data.count(b"\n", 0, pos)
-        del data
+        has_origin = columns is not None and "origin" in columns
         names = meta.get("detectors", ())
-        longest = max((len(name.encode()) for name in names), default=0)
-        fields = [("attempt", np.int64),
-                  ("detector",
-                   _text_field(kind, longest) if names else object),
-                  ("t_us", np.float64),
-                  ("origin", _text_field(kind, max(map(len, ORIGIN_CODES))))]
-        if columns is None or "origin" not in columns:
-            fields.pop()
-        if isinstance(rows, list) and not rows:
-            data = np.empty(0, dtype=fields)
-        else:
-            try:
-                data = np.loadtxt(rows, dtype=fields, delimiter=",",
-                                  comments=None, skiprows=skip,
-                                  usecols=range(len(fields)), ndmin=1,
-                                  encoding="latin1")
-            except ValueError as exc:
-                raise _malformed_row(path, fields, exc) from None
+        read = None
+        if names and has_origin and data.isascii():
+            read = _block_rows(path, data, pos, names)
+        if read is None:
+            # the body is one block for np.loadtxt: plain rows, names as
+            # bytes (S) fields, or after line-by-line cleaning, as text (U)
+            kind, lines = "S", []
+            if data.isascii() and not _irregular(data, pos):
+                lines = [line for line in data[pos:].decode().split("\n")
+                         if line]
+            else:
+                kind = "U"
+                for line in _utf8(data[pos:], path).split("\n"):
+                    line = line.strip()
+                    if line.startswith("#"):
+                        _read_header_line(line, meta, path)
+                    elif line:
+                        lines.append(line)
+            names = meta.get("detectors", ())
+            block = _loaded_rows(path, lines,
+                                 _row_fields(kind, names, has_origin), 0)
+            if not names:  # the column holds str objects
+                names = tuple(sorted(set(block["detector"].tolist())))
+            attempt, detector, t_us, origin = _coded_rows(block, names)
+            read = ((attempt.copy(), detector, t_us.copy(), origin),
+                    [(0, block["detector"])])
+        del data
+        (attempt, detector, t, origin), loaded = read
 
-        column = data["detector"]
-        if not names:  # the column holds str objects
-            names = tuple(sorted(set(column.tolist())))
-        # duplicate names keep their last position, like a dict would
-        detector = _name_codes(column, {n: i for i, n in enumerate(names)},
-                               np.int16)
-        unknown = np.flatnonzero(detector < 0)
-        if unknown.size:
-            line, _ = next(itertools.islice(data_rows(path), unknown[0], None))
-            name = column[unknown[0]]
-            raise ConfigError(
-                f"{path}: line {line}: click row names detector "
-                f"{name.decode() if isinstance(name, bytes) else name!r}, "
-                f"which the '# detectors=' header ({','.join(names)}) does "
-                "not list")
-        if "origin" in data.dtype.names:
-            origin = _name_codes(data["origin"], ORIGIN_CODES, np.int8)
-        else:
-            origin = np.full(data.size, -1, dtype=np.int8)
-        attempt = data["attempt"].copy()
-        return cls(attempt=attempt, detector=detector,
-                   t=data["t_us"] * 1e-6, origin=origin,
+        for first, column in loaded:  # blocks of np.loadtxt rows, in order
+            unknown = np.flatnonzero(detector[first:first + column.size] < 0)
+            if unknown.size:
+                line, _ = next(itertools.islice(data_rows(path),
+                                                first + unknown[0], None))
+                name = column[unknown[0]]
+                raise ConfigError(
+                    f"{path}: line {line}: click row names detector "
+                    f"{name.decode() if isinstance(name, bytes) else name!r}, "
+                    f"which the '# detectors=' header ({','.join(names)}) "
+                    "does not list")
+        t *= 1e-6
+        return cls(attempt=attempt, detector=detector, t=t, origin=origin,
                    detector_names=names, n_attempts=meta.get("n_attempts", 0)
                    or (int(attempt.max()) + 1 if attempt.size else 0),
                    n_executed=meta.get("n_executed"),
@@ -631,12 +817,17 @@ def _sample_times(times, cdf_rows, group_idx, uniforms):
     """Inverse-CDF sampling where each draw uses its group's CDF row.
 
     ``np.interp`` maps each uniform on its own, so the draws may go in any
-    order; in increasing order its search for each one starts where the last
-    ended.  One sort by ``2 * group + uniform`` (uniforms in [0, 1]: the key
-    of a group lies in [2g, 2g + 1] even after rounding) makes each group's
-    draws a contiguous run in increasing order.
+    order; in increasing order its search for each one starts near where the
+    last ended.  A stable sort by a 16-bit key, the group times
+    ``B = 65536 // n_groups`` plus the uniform's bucket ``floor(u * B)``
+    (uniforms in [0, 1], the top one in the last bucket), makes each group's
+    draws a contiguous run in nearly increasing order; numpy sorts such keys
+    by radix.  There are at most 65536 groups.
     """
-    order = np.argsort(2.0 * group_idx + uniforms)
+    buckets = 65536 // len(cdf_rows)
+    key = np.minimum(uniforms * buckets, buckets - 1).astype(np.uint16)
+    key += (group_idx * buckets).astype(np.uint16)
+    order = np.argsort(key, kind="stable")
     out = np.empty(uniforms.size)
     start = 0
     for g, count in enumerate(np.bincount(group_idx).tolist()):

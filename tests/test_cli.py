@@ -75,12 +75,30 @@ def run_cli(args):
     return cli.run_command(list(args))
 
 
-def run_python(*args):
-    """A fresh interpreter that imports the ionnet under test."""
+def run_python(*args, env=None):
+    """A fresh interpreter that imports the ionnet under test, in
+    ``env`` (default: this process's environment)."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    path = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env={**env, "PYTHONPATH": path})
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.mark.parametrize("given", [None, "3"])
+def test_import_sets_one_thread_pools(given):
+    # every pool defaults to one thread, and a value the user set is kept
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = run_python("-c", "import os, ionnet; print(*(os.environ[v] for v "
+                      f"in {THREAD_VARS!r}))", env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [given or "1"] + ["1"] * 4
 
 
 class TestConfig:
@@ -235,6 +253,8 @@ class TestExitCodes:
         (None, "absent.csv"),
         ("T_us,V\n1.000,0.930\n# note\n\n2.000,abc\n", "line 5"),
         ("T_us,V\n1.000\n", "line 2"),
+        ("", "no visibility rows"),
+        ("T_us,V\n", "no visibility rows"),
     ])
     def test_bad_visibility_csv(self, fast_config_path, tmp_path, capsys,
                                 text, named):
@@ -247,6 +267,7 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(vis_path) in err and named in err
+        assert "Traceback" not in err
         assert not (tmp_path / "fidelity_model.csv").exists()
 
     @pytest.mark.parametrize("window", [[23.0, 5.5], [5.5, 5.5], [-1.0, 23.0],

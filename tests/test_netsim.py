@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -289,9 +290,11 @@ def from_csv_oracle(path):
                         n_executed=n_executed, herald_mode=herald_mode)
 
 
-# names that are prefixes of one another, one that sorts first, and one
-# that is not ASCII
-NAME_POOL = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2", "SNSPD10", "D", "SNSPDé")
+# names that are prefixes of one another, one that sorts first, one that
+# is not ASCII, two that agree in their first 8 bytes, and one that ends
+# with another
+NAME_POOL = ("SPCM1", "SPCM2", "SNSPD1", "SNSPD2", "SNSPD10", "D", "SNSPDé",
+             "SNSPD_LONG_1", "SNSPD_LONG_2", "A_SNSPD_LONG_1")
 
 
 def _near_tie_times(j, nudge):
@@ -342,6 +345,26 @@ def click_records(draw):
         n_attempts=draw(st.integers(0, 2 ** 41)))
 
 
+# (column, pattern) of click fields next to the writer's grammar: +5 and
+# 007; 5 or 7 decimals; no point; 9 whole digits or more; an exponent,
+# some with 6 characters after the point; an origin that extends one
+NEAR_GRAMMAR = [
+    (0, r"\+[0-9]{1,5}|0[0-9]{1,5}"),
+    (2, r"[0-9]{1,3}\.[0-9]{5}|[0-9]{1,3}\.[0-9]{7}"),
+    (2, r"[0-9]{9,12}"),
+    (2, r"[0-9]{9,10}\.[0-9]{6}"),
+    (2, r"1e-05|[0-9]\.[0-9]E[0-9]{4}"),
+    (3, r"photons"),
+]
+
+
+# one field of each kind of NEAR_GRAMMAR
+NEAR_GRAMMAR_FIELDS = [(0, "+5"), (0, "007"), (2, "6.25000"),
+                       (2, "6.2500001"), (2, "123456789"),
+                       (2, "123456789.250000"), (2, "1e-05"),
+                       (2, "6.2E0000"), (3, "photons")]
+
+
 @st.composite
 def edited_click_text(draw, text):
     """A file the reader accepts, made from a written click file: header
@@ -365,6 +388,14 @@ def edited_click_text(draw, text):
                                     "backgrounds"]))
         k = draw(st.integers(0, len(rows) - 1))
         rows[k] = rows[k].rsplit(",", 1)[0] + "," + odd
+    if rows and draw(st.booleans()):
+        # a field just outside, or just inside, the grammar the writer uses
+        k = draw(st.integers(0, len(rows) - 1))
+        fields = rows[k].split(",")
+        column, pattern = draw(st.sampled_from(NEAR_GRAMMAR))
+        if column < len(fields):
+            fields[column] = draw(st.from_regex(pattern, fullmatch=True))
+        rows[k] = ",".join(fields)
     body = rows
     if draw(st.booleans()):
         body = []
@@ -436,9 +467,9 @@ class TestClickRecords:
         assert loaded.detector.tolist() == [1, 0]
         assert loaded.origin.tolist() == [-1, 1]
 
-    @pytest.mark.parametrize("suffix", netsim._COMPRESSED_SUFFIXES)
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_file_with_a_compression_suffix(self, suffix, tmp_path):
-        # np.loadtxt would take the file for a compressed one
+        # np.loadtxt, given the path, would take it for a compressed file
         path = tmp_path / f"clicks.csv{suffix}"
         path.write_text("# detectors=SPCM1,SNSPD1\n"
                         "attempt,detector,t_us,origin\n"
@@ -485,6 +516,67 @@ class TestClickRecords:
             assert_same_records(ClickRecords.from_csv(edited),
                                 from_csv_oracle(edited))
 
+    @pytest.mark.parametrize("near", [False, True])
+    @pytest.mark.parametrize("block", [1, 100, 4096])
+    def test_rows_across_blocks(self, block, near, tmp_path, monkeypatch):
+        # a written file of many blocks, its rows straddling block edges.
+        # Its rows are in the writer's grammar, so no block reaches
+        # np.loadtxt; or some have a field next to it, and only their
+        # blocks do.  The first name ends with the last one.
+        rng = np.random.default_rng(block)
+        n = 2000
+        clicks = ClickRecords(
+            attempt=np.sort(rng.integers(0, 10 ** rng.integers(1, 17, n))),
+            detector=rng.integers(0, 4, n).astype(np.int16),
+            t=rng.random(n) * 10.0 ** rng.integers(-9, -1, n),
+            origin=rng.integers(-1, 2, n).astype(np.int8),
+            detector_names=("A_SNSPD_LONG_1", "SNSPD_LONG_2", "D",
+                            "SNSPD_LONG_1"),
+            n_attempts=10 ** 16)
+        path = tmp_path / "clicks.csv"
+        clicks.to_csv(path)
+        assert path.stat().st_size > 3 * 4096
+        monkeypatch.setattr(netsim, "_READ_BLOCK", block)
+        loads = []
+        if near:
+            lines = path.read_text().split("\n")
+            rows = len(lines) - n - 1  # the first row's line
+            for i, (column, field) in enumerate(NEAR_GRAMMAR_FIELDS):
+                fields = lines[rows + 200 * i].split(",")
+                fields[column] = field
+                lines[rows + 200 * i] = ",".join(fields)
+            path.write_text("\n".join(lines))
+            loadtxt = np.loadtxt
+            monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: (
+                loads.append(args) or loadtxt(*args, **kwargs)))
+        else:
+            monkeypatch.setattr(np, "loadtxt", None)
+        assert_same_records(ClickRecords.from_csv(path),
+                            from_csv_oracle(path))
+        # of those fields only 007 is inside the grammar
+        assert len(loads) == (len(NEAR_GRAMMAR_FIELDS) - 1 if near else 0)
+
+    @pytest.mark.parametrize("text", [
+        # the shortest header that lets rows be read as words
+        "#detectors=\norigin\n0,,0.000000,photon\n",
+        "#detectors=A\norigin\n7,A,1.500000,unknown\n",
+        # a last row without its line end
+        "#detectors=A\norigin\n7,A,1.500000,unknown",
+        "# detectors=SPCM1,SNSPD_LONG_2\nattempt,detector,t_us,origin\n"
+        "3,SPCM1,6.250000,photon\n12345678901,SNSPD_LONG_2,999.999999,"
+        "background",
+    ])
+    @pytest.mark.parametrize("block", [1, 1 << 20])
+    def test_short_header_and_unended_row(self, text, block, tmp_path,
+                                          monkeypatch):
+        # a word load that started before the file would wrap to its end
+        path = tmp_path / "clicks.csv"
+        path.write_text(text)
+        monkeypatch.setattr(netsim, "_READ_BLOCK", block)
+        monkeypatch.setattr(np, "loadtxt", None)
+        assert_same_records(ClickRecords.from_csv(path),
+                            from_csv_oracle(path))
+
     @pytest.mark.parametrize("text", ["", "# n_executed=4\n",
                                       "attempt,detector,t_us,origin\n",
                                       "# detectors=A,B\nattempt,detector,t_us"
@@ -516,6 +608,22 @@ class TestClickRecords:
                         f"3,SNSPD2,6.25,photon\n{row}\n")
         with pytest.raises(ConfigError, match="line 4: malformed click row"):
             ClickRecords.from_csv(path)
+
+    @pytest.mark.parametrize("row, reason", [
+        ("x3,SNSPD1,6.250000,photon", "'x3' to int64"),
+        (",SNSPD1,6.250000,photon", "'' to int64"),
+        ("3,SNSPD1,6.25000x,photon", "'6.25000x' to float64"),
+    ])
+    def test_row_shaped_like_the_grammar_raises(self, row, reason, tmp_path):
+        # the fields sit where the writer puts them, but one is no number
+        path = tmp_path / "clicks.csv"
+        path.write_text("# detectors=SPCM1,SNSPD1\n"
+                        "attempt,detector,t_us,origin\n"
+                        f"3,SNSPD1,6.250000,photon\n{row}\n")
+        with pytest.raises(ConfigError, match="line 4: malformed click row") \
+                as info:
+            ClickRecords.from_csv(path)
+        assert reason in str(info.value)
 
     # header, blank, comment and padded lines before and between the rows;
     # the bad row is the ninth line of the file, or the eighth without the
@@ -597,6 +705,18 @@ class TestSampleTimes:
         got = netsim._sample_times(times, cdf_rows, group_idx, uniforms)
         assert np.array_equal(
             got, sample_times_oracle(times, cdf_rows, group_idx, uniforms))
+
+    def test_top_uniform_stays_in_its_group(self):
+        # a uniform of 1.0 sorts into the last bucket of its group, not
+        # into the first bucket of the next group, which holds the other draw
+        times = np.linspace(0.0, 50e-6, _N_KNOTS)
+        env = np.random.default_rng(0).random((2, _N_KNOTS))
+        cdf_rows = np.array([netsim._envelope_cdf(times, e) for e in env])
+        group_idx = np.array([1, 0])
+        uniforms = np.array([0.5 / (65536 // 2), 1.0])
+        assert np.array_equal(
+            netsim._sample_times(times, cdf_rows, group_idx, uniforms),
+            sample_times_oracle(times, cdf_rows, group_idx, uniforms))
 
 
 class TestEmitters:
