@@ -6,6 +6,12 @@ slower when handed off between threads.  A value the environment already
 sets is kept.  The pools read these variables when numpy first loads, so
 this holds for the ``ionnet`` command and for programs that import ionnet
 before numpy; a program that imported numpy first keeps the pools it has.
+
+BLAS stays at one thread, but ``netsim.simulate_attempts`` and the click
+file's ``ClickRecords.to_csv`` and ``ClickRecords.from_csv`` use up to two
+Python worker threads, one per usable CPU, for their numpy work; the
+threads end before the call returns, and its output does not depend on
+them.
 """
 
 import os

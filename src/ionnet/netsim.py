@@ -16,10 +16,14 @@ window; backgrounds extend to 100 us, past the photon envelopes.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
+import os
 import re
+from contextlib import closing
 from dataclasses import astuple, dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,6 +37,41 @@ from .pbsm import (DETECTION_WINDOW, HERALD_PORTS, DetectorTable,
 from .purebranch import DEFAULT_COARSE_DT
 
 BG_SPAN = 100e-6  # background-generation span per attempt
+# worker threads of ``_in_order`` at most; fewer where fewer CPUs are usable
+_WORKERS = 2
+
+
+def _in_order(fn, items):
+    """``map(fn, items)`` with the calls of ``fn`` on worker threads.
+
+    ``items`` is pulled lazily in the calling thread, and at most one item
+    per worker is in flight, so few items and results are held at once;
+    the results come in the order of ``items``.  There are ``_WORKERS``
+    threads at most and one per usable CPU; with one CPU this is ``map``.
+    The threads live only while the generator runs: an error in ``fn``
+    ends it, and closing it drops the items not yet started.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(_WORKERS, cpus)
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        pending = collections.deque()
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) == workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 # -- sequence and click records ------------------------------------------------
@@ -370,9 +409,11 @@ def _block_rows(path, data: bytes, pos: int, names: tuple):
     whole rows, or None if it needs line-by-line cleaning.
 
     ``rows`` is (attempt, detector, t_us, origin).  A block of rows in the
-    writer's grammar is read by ``_word_rows``, and any other by
-    ``np.loadtxt``; ``loaded`` holds (first data row, detector column) of
-    each block ``np.loadtxt`` read.
+    writer's grammar is read by ``_word_rows``, on a worker thread
+    (``_in_order``); any other block is read by ``np.loadtxt`` in the
+    calling thread, which copies every block's rows into place in file
+    order.  ``loaded`` holds (first data row, detector column) of each
+    block ``np.loadtxt`` read.
     """
     u8 = np.frombuffer(data, dtype=np.uint8)
     words = np.ndarray((u8.size - 7,), dtype="<u8", buffer=data, strides=(1,))
@@ -381,28 +422,36 @@ def _block_rows(path, data: bytes, pos: int, names: tuple):
     n_max = data.count(b"\n", pos) + 1
     rows = (np.empty(n_max, dtype=np.int64), np.empty(n_max, dtype=np.int16),
             np.empty(n_max), np.empty(n_max, dtype=np.int8))
+
+    def spans():
+        start = pos
+        while start < len(data):
+            end = data.find(b"\n", min(start + _READ_BLOCK, len(data)) - 1) + 1
+            yield start, end or len(data)
+            start = end or len(data)
+
+    def parse(span):
+        return span, _word_rows(u8, words, *span, codes)
+
     loaded = []
     n = 0
-    body, checked = pos, False
-    while pos < len(data):
-        end = data.find(b"\n", min(pos + _READ_BLOCK, len(data)) - 1) + 1
-        end = end or len(data)
-        block = _word_rows(u8, words, pos, end, codes)
-        if block is None:
-            # bytes that call for cleaning are outside the grammar too, so
-            # they are looked for once a block is
-            if not checked and _irregular(data, body):
-                return None
-            checked = True
-            text = data[pos:end].decode().split("\n")
-            read = _loaded_rows(path, [line for line in text if line],
-                                fields, n)
-            block = _coded_rows(read, names)
-            loaded.append((n, read["detector"]))
-        for out, part in zip(rows, block):
-            out[n:n + part.size] = part
-        n += block[0].size
-        pos = end
+    checked = False
+    with closing(_in_order(parse, spans())) as blocks:
+        for (start, end), block in blocks:
+            if block is None:
+                # bytes that call for cleaning are outside the grammar too,
+                # so they are looked for once a block is
+                if not checked and _irregular(data, pos):
+                    return None
+                checked = True
+                text = data[start:end].decode().split("\n")
+                read = _loaded_rows(path, [line for line in text if line],
+                                    fields, n)
+                block = _coded_rows(read, names)
+                loaded.append((n, read["detector"]))
+            for out, part in zip(rows, block):
+                out[n:n + part.size] = part
+            n += block[0].size
     return tuple(out[:n] for out in rows), loaded
 
 
@@ -434,11 +483,14 @@ class ClickRecords:
     stored as 8-byte words (``_digit_words``, cut to their significant
     digits by ``_KEEP``), and the names, with the commas around them, are
     copied from byte tables.  The time is its rounded picosecond count where
-    that equals ``%.6f`` (see ``_write_rows``).  The rest, rows with a
+    that equals ``%.6f`` (see ``_row_text``).  The rest, rows with a
     negative attempt or one of 17 digits or more, or a time that is
     negative, non-finite, 1 ms or longer, or within 1e-7 ps of a
     half-picosecond tie, are formatted one by one with Python's ``.6f``.
-    Both give the bytes that formatting every row gives.
+    Both give the bytes that formatting every row gives.  Chunks are
+    formatted on worker threads (``_in_order``), and the calling thread
+    writes each one's bytes in chunk order, so the file does not depend on
+    which thread formatted what.
 
     Reading, the ``origin`` column is optional and any other origin name
     reads as ``unknown`` (-1).  Blank lines, ``#`` lines, surrounding
@@ -447,7 +499,10 @@ class ClickRecords:
     blocks of about 1 MB where the header lists the detectors and the
     column line names ``origin``, and as one block otherwise; a block whose
     rows are all in the writer's grammar is parsed as 8-byte words
-    (``_word_rows``), any other by ``np.loadtxt``.  A body with ``#``
+    (``_word_rows``) on a worker thread, any other by ``np.loadtxt`` in the
+    calling thread, which copies each block's rows into place in file
+    order and alone decides on cleaning and errors, so row numbers and
+    messages do not depend on the threads.  A body with ``#``
     lines, padding or non-ASCII text is cleaned line by line, then read by
     ``np.loadtxt``.  A row naming a detector missing from the
     ``detectors=`` header, or a field that does not parse, raises
@@ -472,20 +527,26 @@ class ClickRecords:
 
     def to_csv(self, path, header_lines=()) -> None:
         names = _byte_table([f",{name}," for name in self.detector_names])
+
+        def chunk_text(start):
+            chunk = slice(start, start + _WRITE_CHUNK)
+            return self._row_text(names, self.attempt[chunk],
+                                  self.detector[chunk], self.t[chunk] * 1e6,
+                                  self.origin[chunk])
+
         with open(path, "wb") as fh:
             fh.write("".join(
                 f"# {line}\n" for line in (
                     *header_lines, f"n_attempts={self.n_attempts}",
                     f"detectors={','.join(self.detector_names)}")).encode())
             fh.write(b"attempt,detector,t_us,origin\n")
-            for start in range(0, len(self), _WRITE_CHUNK):
-                chunk = slice(start, start + _WRITE_CHUNK)
-                self._write_rows(fh, names, self.attempt[chunk],
-                                 self.detector[chunk], self.t[chunk] * 1e6,
-                                 self.origin[chunk])
+            with closing(_in_order(chunk_text, range(0, len(self),
+                                                     _WRITE_CHUNK))) as texts:
+                for text in texts:
+                    fh.write(text)
 
-    def _write_rows(self, fh, names, attempt, detector, t_us, origin):
-        """Write one chunk of rows, ``{attempt},{name},{t_us:.6f},{origin}``.
+    def _row_text(self, names, attempt, detector, t_us, origin) -> bytes:
+        """One chunk of rows, ``{attempt},{name},{t_us:.6f},{origin}``.
 
         A row is assembled as bytes: its attempt digits as one or two words,
         ``,{name},`` from ``names``, the time's hundreds and tens, a
@@ -528,16 +589,17 @@ class ClickRecords:
         rows[slow] = 0
         text = rows[rows != 0]
         if not slow.size:
-            fh.write(text)
-            return
+            return text.tobytes()
         # the formatted rows go where their empty fast rows were
         ends = np.cumsum(np.count_nonzero(rows, axis=1))[slow]
+        pieces = []
         for piece, i in zip(np.split(text, ends), slow.tolist()):
-            fh.write(piece)
-            fh.write((f"{attempt[i]},{self.detector_names[detector[i]]},"
-                      f"{t_us[i]:.6f},{ORIGIN_NAMES[int(origin[i])]}\n"
-                      ).encode())
-        fh.write(text[ends[-1]:])
+            pieces.append(piece.tobytes())
+            pieces.append((f"{attempt[i]},{self.detector_names[detector[i]]},"
+                           f"{t_us[i]:.6f},{ORIGIN_NAMES[int(origin[i])]}\n"
+                           ).encode())
+        pieces.append(text[ends[-1]:].tobytes())
+        return b"".join(pieces)
 
     @classmethod
     def from_csv(cls, path) -> "ClickRecords":
@@ -822,8 +884,11 @@ def _sample_times(times, cdf_rows, group_idx, uniforms):
     ``B = 65536 // n_groups`` plus the uniform's bucket ``floor(u * B)``
     (uniforms in [0, 1], the top one in the last bucket), makes each group's
     draws a contiguous run in nearly increasing order; numpy sorts such keys
-    by radix.  There are at most 65536 groups.
+    by radix.  There are at most 65536 groups; more raise ``ValueError``.
     """
+    if len(cdf_rows) > 65536:
+        raise ValueError(f"{len(cdf_rows)} sampling groups; at most 65536 "
+                         "fit the 16-bit sort key")
     buckets = 65536 // len(cdf_rows)
     key = np.minimum(uniforms * buckets, buckets - 1).astype(np.uint16)
     key += (group_idx * buckets).astype(np.uint16)
@@ -925,6 +990,14 @@ def _emitters(rng, n: int, cdf: np.ndarray, tau_tot: np.ndarray):
 _BATCH = 1_000_000
 
 
+def _with_room(column: np.ndarray, n: int, size: int) -> np.ndarray:
+    """An empty array of ``size`` items of ``column``'s dtype, the first
+    ``n`` items of ``column`` copied in."""
+    out = np.empty(size, dtype=column.dtype)
+    out[:n] = column[:n]
+    return out
+
+
 def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                       n_attempts: int, seed: int = 0,
                       herald_mode: bool = False):
@@ -937,23 +1010,27 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     detector over the full 100 us span.  In herald mode a heralding
     coincidence (a ``pbsm.HERALD_PORTS`` pair inside the detection span)
     terminates the remaining attempts of its block.
+
+    The attempts go in batches of ``_BATCH``.  The calling thread makes
+    every random draw of a batch, in the order and sizes that fix the
+    random stream, and keeps only the entries that are read.  The
+    per-photon work (emission times, the interference lookup and its
+    check, routing, acceptance and merging) needs no draw, and runs on a
+    worker thread (``_in_order``) while the next batch is drawn; it also
+    finds the order that sorts the batch's clicks by attempt, then time,
+    ties in emission order.  The calling thread puts each batch in that
+    order after the batches before it.  Batches cover increasing attempt
+    ranges, so the clicks come sorted, and they do not depend on which
+    thread ran what.
     """
     rng = np.random.default_rng(seed)
     table = model.detectors
     names = table.names()
     ports = table.port_index(names)
     det_for = np.array([[ports["u", "v"], ports["u", "h"]],
-                        [ports["r", "v"], ports["r", "h"]]])
+                        [ports["r", "v"], ports["r", "h"]]], dtype=np.int16)
     acceptance = np.array([table.acceptance(n) for n in names])
-
-    chunks = []  # (attempt, detector, t, origin) per emission
-
-    def emit(attempt, detector, t, origin_code):
-        chunks.append((attempt, detector.astype(np.int16), t,
-                       np.full(attempt.size, origin_code, dtype=np.int8)))
-
-    # a typed empty chunk, so that a run without clicks concatenates
-    emit(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 0)
+    bg_means = [table[name].background_rate * BG_SPAN for name in names]
 
     tau_a_tot = model.tau_a.sum(axis=1)
     tau_b_tot = model.tau_b.sum(axis=1)
@@ -962,95 +1039,133 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     cdf_a = model.cdf_a.reshape(-1, model.cdf_a.shape[-1])
     cdf_b = model.cdf_b.reshape(-1, model.cdf_b.shape[-1])
 
-    # Every draw keeps its size and place, which fixes the random stream;
-    # per-photon values live only at the attempts where that node emitted
-    # (``idx_a``, ``idx_b``), in attempt order.
-    for start in range(0, n_attempts, _BATCH):
-        n = min(_BATCH, n_attempts - start)
+    def draw(start):
+        """Every random draw of the batch at ``start``, in stream order.
 
+        Per-photon values live only at the attempts where that node
+        emitted (``idx_a``, ``idx_b``), in attempt order: a full-size draw
+        is cut to them at once.
+        """
+        n = min(_BATCH, n_attempts - start)
         u_a, idx_a, k_a = _emitters(rng, n, offset_cdf, tau_a_tot)
-        pol_a = np.where(u_a[idx_a] < model.tau_a[k_a, 0], 0, 1)
+        u_a = u_a[idx_a]
         u_b = rng.random(n)
         idx_b = np.flatnonzero(u_b < tau_b_tot[0])
-        pol_b = np.where(u_b[idx_b] < model.tau_b[0, 0], 0, 1)
-
-        t_a = _sample_times(model.times_a, cdf_a, k_a * 2 + pol_a,
-                            rng.random(idx_a.size))
-        t_b = _sample_times(model.times_b, cdf_b, pol_b,
-                            rng.random(idx_b.size))
-
+        # attempts where both nodes emitted, as positions in idx_a and idx_b
+        both_a = np.flatnonzero(u_b[idx_a] < tau_b_tot[0])
+        both_b = idx_b.searchsorted(idx_a[both_a])
+        u_b = u_b[idx_b]
+        pol_a = np.where(u_a < model.tau_a[k_a, 0], 0, 1)
+        pol_b = np.where(u_b < model.tau_b[0, 0], 0, 1)
+        same = pol_a[both_a] == pol_b[both_b]
+        u_t_a = rng.random(idx_a.size)
+        u_t_b = rng.random(idx_b.size)
         # routing: 0 -> output u, 1 -> output r
         out_a = rng.integers(0, 2, size=n)[idx_a]
         out_b = rng.integers(0, 2, size=n)[idx_b]
-        # attempts where both nodes emitted, as positions in idx_a and idx_b
-        _, both_a, both_b = np.intersect1d(idx_a, idx_b, assume_unique=True,
-                                           return_indices=True)
-        same = pol_a[both_a] == pol_b[both_b]
-        sa, sb = both_a[same], both_b[same]
-        if sa.size:
-            lead = (k_a[sa], pol_a[sa])
-            ts_a, ts_b = t_a[sa], t_b[sb]
-            dt = model.coarse_dt
-            num = _bilinear(model.interference_num, lead, ts_a, ts_b, dt)
-            d_a = _interp_rows(model.diag_a, lead, ts_a, dt)
-            d_a2 = _interp_rows(model.diag_a, lead, ts_b, dt)
-            d_b = _interp_rows(model.diag_b, lead[1:], ts_b, dt)
-            d_b2 = _interp_rows(model.diag_b, lead[1:], ts_a, dt)
-            denom = d_a * d_b + d_a2 * d_b2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_corr = np.where(denom > 0, 2.0 * num / denom, 0.0)
-            outside = ~(np.abs(x_corr) <= 1.0 + 1e-9)
-            if outside.any():
-                raise NumericalConsistencyError(
-                    f"{int(outside.sum())} interference correlations fall "
-                    "outside [-1, 1] by more than 1e-9 (largest |x| = "
-                    f"{np.abs(x_corr[outside]).max():.6g})")
-            x_corr = np.clip(x_corr, -1.0, 1.0)  # roundoff only
-            u = rng.random(sa.size)
-            # outcomes: both u with (1+X)/4, both r with (1+X)/4, else split
-            p_uu = 0.25 * (1.0 + x_corr)
-            both_u = u < p_uu
-            both_r = (~both_u) & (u < 2.0 * p_uu)
-            swap = rng.random(sa.size) < 0.5
-            out_a[sa] = np.where(both_u, 0, np.where(both_r, 1, swap))
-            out_b[sb] = np.where(both_u, 0, np.where(both_r, 1, ~swap))
+        n_same = int(np.count_nonzero(same))
+        u_pair = rng.random(n_same)
+        swap = rng.random(n_same) < 0.5
+        u_keep_a = rng.random(n)[idx_a]
+        u_keep_b = rng.random(n)[idx_b]
+        backgrounds = []  # (detector, attempt in the batch, uniform time)
+        for d, lam in enumerate(bg_means):
+            count = rng.poisson(lam * n)
+            if count:
+                backgrounds.append((d, rng.integers(0, n, size=count),
+                                    rng.random(count)))
+        return SimpleNamespace(
+            start=start, idx_a=idx_a, k_a=k_a, pol_a=pol_a, u_t_a=u_t_a,
+            out_a=out_a, u_keep_a=u_keep_a, idx_b=idx_b, pol_b=pol_b,
+            u_t_b=u_t_b, out_b=out_b, u_keep_b=u_keep_b, both_a=both_a,
+            both_b=both_b, same=same, u_pair=u_pair, swap=swap,
+            backgrounds=backgrounds)
 
-        det_a = det_for[out_a, pol_a]
-        det_b = det_for[out_b, pol_b]
-        keep_a = rng.random(n)[idx_a] < acceptance[det_a]
-        keep_b = rng.random(n)[idx_b] < acceptance[det_b]
+    def work(d):
+        """(attempt, detector, t, origin) of a drawn batch's clicks, and the
+        order that sorts them (``_click_order``)."""
+        t_a = _sample_times(model.times_a, cdf_a, d.k_a * 2 + d.pol_a, d.u_t_a)
+        t_b = _sample_times(model.times_b, cdf_b, d.pol_b, d.u_t_b)
+
+        sa, sb = d.both_a[d.same], d.both_b[d.same]
+        lead = (d.k_a[sa], d.pol_a[sa])
+        ts_a, ts_b = t_a[sa], t_b[sb]
+        dt = model.coarse_dt
+        num = _bilinear(model.interference_num, lead, ts_a, ts_b, dt)
+        d_a = _interp_rows(model.diag_a, lead, ts_a, dt)
+        d_a2 = _interp_rows(model.diag_a, lead, ts_b, dt)
+        d_b = _interp_rows(model.diag_b, lead[1:], ts_b, dt)
+        d_b2 = _interp_rows(model.diag_b, lead[1:], ts_a, dt)
+        denom = d_a * d_b + d_a2 * d_b2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_corr = np.where(denom > 0, 2.0 * num / denom, 0.0)
+        outside = ~(np.abs(x_corr) <= 1.0 + 1e-9)
+        if outside.any():
+            raise NumericalConsistencyError(
+                f"{int(outside.sum())} interference correlations fall "
+                "outside [-1, 1] by more than 1e-9 (largest |x| = "
+                f"{np.abs(x_corr[outside]).max():.6g})")
+        x_corr = np.clip(x_corr, -1.0, 1.0)  # roundoff only
+        # outcomes: both u with (1+X)/4, both r with (1+X)/4, else split
+        p_uu = 0.25 * (1.0 + x_corr)
+        both_u = d.u_pair < p_uu
+        both_r = (~both_u) & (d.u_pair < 2.0 * p_uu)
+        d.out_a[sa] = np.where(both_u, 0, np.where(both_r, 1, d.swap))
+        d.out_b[sb] = np.where(both_u, 0, np.where(both_r, 1, ~d.swap))
+
+        det_a = det_for[d.out_a, d.pol_a]
+        det_b = det_for[d.out_b, d.pol_b]
+        keep_a = d.u_keep_a < acceptance[det_a]
+        keep_b = d.u_keep_b < acceptance[det_b]
 
         # photons landing on the same detector produce a single click, the
         # earlier one
+        both_a, both_b = d.both_a, d.both_b
         merged = keep_a[both_a] & keep_b[both_b] \
             & (det_a[both_a] == det_b[both_b])
         b_later = t_b[both_b] >= t_a[both_a]
         keep_a[both_a[merged & ~b_later]] = False
         keep_b[both_b[merged & b_later]] = False
 
-        emit(start + idx_a[keep_a], det_a[keep_a], t_a[keep_a],
-             ORIGIN_CODES["photon"])
-        emit(start + idx_b[keep_b], det_b[keep_b], t_b[keep_b],
-             ORIGIN_CODES["photon"])
+        # node A's photons, node B's, then each detector's backgrounds
+        bg = d.backgrounds
+        attempt = np.concatenate([d.idx_a[keep_a], d.idx_b[keep_b],
+                                  *(at for _, at, _ in bg)])
+        attempt += d.start
+        t = np.concatenate([t_a[keep_a], t_b[keep_b],
+                            *(u * BG_SPAN for _, _, u in bg)])
+        detector = np.concatenate([
+            det_a[keep_a], det_b[keep_b],
+            *(np.full(at.size, det, dtype=np.int16) for det, at, _ in bg)])
+        origin = np.repeat(
+            np.array([ORIGIN_CODES["photon"]] * 2
+                     + [ORIGIN_CODES["background"]] * len(bg), dtype=np.int8),
+            [np.count_nonzero(keep_a), np.count_nonzero(keep_b),
+             *(at.size for _, at, _ in bg)])
+        return (attempt, detector, t, origin), _click_order(attempt, t)
 
-        for d, name in enumerate(names):
-            lam = table[name].background_rate * BG_SPAN
-            count = rng.poisson(lam * n)
-            if count == 0:
-                continue
-            at = start + rng.integers(0, n, size=count).astype(np.int64)
-            tt = rng.random(count) * BG_SPAN
-            emit(at, np.full(count, d, dtype=np.int16), tt,
-                 ORIGIN_CODES["background"])
-
-    attempt, detector, t_arr, origin = map(np.concatenate, zip(*chunks))
-    chunks.clear()
-    order = _click_order(attempt, t_arr)
-    # one column at a time, each sorted copy replacing its unsorted column
-    attempt = attempt[order]
-    detector = detector[order]
-    t_arr = t_arr[order]
-    origin = origin[order]
+    # The calling thread gathers each batch straight into the run's columns,
+    # so the clicks are never held twice.  The columns are sized, at the
+    # first batch and whenever a batch does not fit, for the batches left at
+    # that batch's size and an eighth more; room that no click fills is never
+    # written, and ``resize`` gives it back.
+    columns = [np.empty(0, dtype=dtype)
+               for dtype in (np.int64, np.int16, np.float64, np.int8)]
+    n_clicks = 0
+    starts = range(0, n_attempts, _BATCH)
+    with closing(_in_order(work, map(draw, starts))) as batches:
+        for k, (batch, order) in enumerate(batches):
+            end = n_clicks + order.size
+            if end > columns[0].size:
+                size = end + (len(starts) - k - 1) * order.size * 9 // 8
+                columns = [_with_room(column, n_clicks, size)
+                           for column in columns]
+            for column, part in zip(columns, batch):
+                np.take(part, order, out=column[n_clicks:end])
+            n_clicks = end
+    for column in columns:
+        column.resize(n_clicks, refcheck=False)
+    attempt, detector, t_arr, origin = columns
     clicks = ClickRecords(attempt=attempt, detector=detector, t=t_arr,
                           origin=origin, detector_names=names,
                           n_attempts=n_attempts)

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import json
 import math
 import re
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,10 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ionnet import dynamics, hilbert, netsim, pbsm
+from ionnet import cli, dynamics, hilbert, netsim, pbsm
 from ionnet.errors import (ConfigError, NumericalConsistencyError,
                            UndefinedVisibilityError)
 from ionnet.netsim import ClickRecords, SequenceConfig
+from test_cli import HERALD_CONFIG, HERALD_SEED7_CLICKS_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -209,23 +212,31 @@ class TestSimulation:
         assert np.array_equal(a.t, b.t)
 
     def test_thirteen_offsets_pinned(self, table):
-        # 26 node-A sampling groups (13 offsets x 2 polarizations); the photon
-        # scale is raised fourfold so that every group draws hundreds of times
-        node_a = hilbert.node_from_preset("nodeA")
-        node_b = hilbert.node_from_preset("nodeB")
-        ensemble = dynamics.jitter_ensemble(node_a.gamma_clj, k_max=6)
-        model = netsim.build_detection_model(
-            node_a, node_b, table, ensemble_a=ensemble, target_dt=2e-9)
-        clicks, log = netsim.simulate_attempts(
-            SequenceConfig(), model.rescaled(4.0), 300_000, seed=11,
-            herald_mode=True)
-        digest = hashlib.sha256()
-        for arr in (clicks.attempt, clicks.detector, clicks.t, clicks.origin,
-                    log.herald_attempts):
-            digest.update(np.ascontiguousarray(arr).tobytes())
-        digest.update(str(log.n_executed).encode())
+        model, digest = thirteen_offsets_run(table)
         assert model.cdf_a.shape[:2] == (13, 2)
-        assert digest.hexdigest() == THIRTEEN_OFFSETS_SHA256
+        assert digest == THIRTEEN_OFFSETS_SHA256
+
+
+def thirteen_offsets_run(table):
+    """(model, sha256 hex digest) of the pinned 13-offset run.
+
+    26 node-A sampling groups (13 offsets x 2 polarizations); the photon
+    scale is raised fourfold so that every group draws hundreds of times.
+    """
+    node_a = hilbert.node_from_preset("nodeA")
+    node_b = hilbert.node_from_preset("nodeB")
+    ensemble = dynamics.jitter_ensemble(node_a.gamma_clj, k_max=6)
+    model = netsim.build_detection_model(
+        node_a, node_b, table, ensemble_a=ensemble, target_dt=2e-9)
+    clicks, log = netsim.simulate_attempts(
+        SequenceConfig(), model.rescaled(4.0), 300_000, seed=11,
+        herald_mode=True)
+    digest = hashlib.sha256()
+    for arr in (clicks.attempt, clicks.detector, clicks.t, clicks.origin,
+                log.herald_attempts):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(str(log.n_executed).encode())
+    return model, digest.hexdigest()
 
 
 def to_csv_oracle(clicks, path, header_lines=()):
@@ -365,46 +376,92 @@ NEAR_GRAMMAR_FIELDS = [(0, "+5"), (0, "007"), (2, "6.25000"),
                        (2, "6.2E0000"), (3, "photons")]
 
 
+# a row as the writer prints it where the time takes the vectorized path;
+# the detector is one the header lists
+WRITER_ROW = re.compile(
+    r"[0-9]{1,16},[^,]+,[0-9]{1,8}\.[0-9]{6},(photon|background|unknown)")
+
+
 @st.composite
 def edited_click_text(draw, text):
-    """A file the reader accepts, made from a written click file: header
-    lines dropped, the origin column dropped or renamed, CRLF line ends, and
-    blank, padded and comment lines added to the whole body or to none of
-    it, so that clean bodies, which the reader parses as bytes, meet it
-    with and without a ``# detectors=`` header."""
+    """A file the reader accepts, made from a written click file.
+
+    Three files in four keep what lets their rows be read as 8-byte words:
+    ASCII names, the ``# detectors=`` header, the origin column, and only
+    the rows in the writer's grammar (``WRITER_ROW``), with no padding,
+    blank or comment lines.  One of their rows is edited: it names a
+    longer twin of a listed name, or gets a field next to, or just inside,
+    that grammar.  The other files may lose header lines or the origin
+    column, get an unlisted origin name or a field next to the grammar,
+    and get blank, padded and comment lines in the whole body or in none
+    of it.  Any file may get CRLF line ends.
+    """
     lines = text.split("\n")[:-1]
     column_at = next(i for i, line in enumerate(lines)
                      if not line.startswith("#"))
     head, columns, rows = lines[:column_at], lines[column_at], \
         lines[column_at + 1:]
-    for key in ("n_attempts=", "detectors="):
-        if draw(st.booleans()):
-            head = [line for line in head if not line.startswith("# " + key)]
-    if draw(st.booleans()):
-        columns = "attempt,detector,t_us"
-        rows = [row.rsplit(",", 1)[0] for row in rows]
-    elif rows and draw(st.booleans()):
-        odd = draw(st.sampled_from(["cosmic", "0", "Photon", "unknown",
-                                    "backgrounds"]))
-        k = draw(st.integers(0, len(rows) - 1))
-        rows[k] = rows[k].rsplit(",", 1)[0] + "," + odd
-    if rows and draw(st.booleans()):
-        # a field just outside, or just inside, the grammar the writer uses
+
+    def edit_row(column, field):
         k = draw(st.integers(0, len(rows) - 1))
         fields = rows[k].split(",")
-        column, pattern = draw(st.sampled_from(NEAR_GRAMMAR))
         if column < len(fields):
-            fields[column] = draw(st.from_regex(pattern, fullmatch=True))
+            fields[column] = field
         rows[k] = ",".join(fields)
-    body = rows
-    if draw(st.booleans()):
-        body = []
-        for row in rows:
-            body.append(draw(st.sampled_from(["", " ", "\t"])) + row
-                        + draw(st.sampled_from(["", " ", "\t"])))
-            body.extend(draw(st.lists(st.sampled_from(
-                ["", "  ", "\t", "# note", "# herald_mode=True"]),
-                max_size=1)))
+
+    def near_grammar():
+        # a field just outside, or just inside, the grammar the writer
+        # uses: the one of its kind in NEAR_GRAMMAR_FIELDS, or one drawn
+        # from its kind's pattern
+        if draw(st.booleans()):
+            column, field = draw(st.sampled_from(NEAR_GRAMMAR_FIELDS))
+        else:
+            column, pattern = draw(st.sampled_from(NEAR_GRAMMAR))
+            field = draw(st.from_regex(pattern, fullmatch=True))
+        edit_row(column, field)
+
+    if draw(st.integers(0, 3)):
+        # names in ASCII, '?' for each byte of any other character
+        head, rows = ([line.encode("ascii", "replace").decode()
+                       for line in part] for part in (head, rows))
+        rows = [row for row in rows if WRITER_ROW.fullmatch(row)]
+        if draw(st.booleans()):
+            head = [line for line in head
+                    if not line.startswith("# n_attempts=")]
+        listed = next(i for i, line in enumerate(head)
+                      if line.startswith("# detectors="))
+        names = head[listed].split("=", 1)[1].split(",")
+        long = sorted({name for name in names if len(name.encode()) > 8})
+        if rows and long and draw(st.integers(0, 2)) == 0:
+            # the name with a byte before it, listed first
+            twin = "X" + draw(st.sampled_from(long))
+            head[listed] = "# detectors=" + ",".join([twin, *names])
+            edit_row(1, twin)
+        elif rows:
+            near_grammar()
+        body = rows
+    else:
+        for key in ("n_attempts=", "detectors="):
+            if draw(st.booleans()):
+                head = [line for line in head
+                        if not line.startswith("# " + key)]
+        if draw(st.booleans()):
+            columns = "attempt,detector,t_us"
+            rows = [row.rsplit(",", 1)[0] for row in rows]
+        elif rows and draw(st.booleans()):
+            edit_row(3, draw(st.sampled_from(
+                ["cosmic", "0", "Photon", "unknown", "backgrounds"])))
+        if rows and draw(st.booleans()):
+            near_grammar()
+        body = rows
+        if draw(st.booleans()):
+            body = []
+            for row in rows:
+                body.append(draw(st.sampled_from(["", " ", "\t"])) + row
+                            + draw(st.sampled_from(["", " ", "\t"])))
+                body.extend(draw(st.lists(st.sampled_from(
+                    ["", "  ", "\t", "# note", "# herald_mode=True"]),
+                    max_size=1)))
     lines = head + [columns] + body
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
@@ -664,6 +721,124 @@ class TestClickRecords:
             ClickRecords.from_csv(path)
 
 
+class TestWorkerThreads:
+    """``netsim._in_order`` on one worker thread and on two: the same
+    bytes, errors raised from a worker, and no thread left running."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_runs(self, workers, table, tmp_path, monkeypatch):
+        monkeypatch.setattr(netsim, "_WORKERS", workers)
+        assert thirteen_offsets_run(table)[1] == THIRTEEN_OFFSETS_SHA256
+        cfg = tmp_path / "herald.json"
+        cfg.write_text(json.dumps(HERALD_CONFIG))
+        assert cli.run_command(["--config", str(cfg), "--out", str(tmp_path),
+                                "--seed", "7", "simulate"]) == 0
+        path = tmp_path / "clicks.csv"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            HERALD_SEED7_CLICKS_SHA256
+        # a read of many blocks
+        monkeypatch.setattr(netsim, "_READ_BLOCK", 1 << 16)
+        assert path.stat().st_size > 3 << 16
+        assert_same_records(ClickRecords.from_csv(path), from_csv_oracle(path))
+
+    def test_batches_chunks_and_blocks_in_order(self, table, tmp_path,
+                                                monkeypatch):
+        # a run of many batches, written in many chunks and read in many
+        # blocks, on one thread and on two.  The batches are recorded as the
+        # worker hands them over; joined in order, they make the clicks.
+        for name, value in (("_BATCH", 3_000), ("_WRITE_CHUNK", 256),
+                            ("_READ_BLOCK", 1 << 12)):
+            monkeypatch.setattr(netsim, name, value)
+        in_order = netsim._in_order
+        batches = []
+
+        def recorded(fn, items):
+            for result in in_order(fn, items):
+                batches.append(result)
+                yield result
+
+        monkeypatch.setattr(netsim, "_in_order", recorded)
+        model = toy_detection_model(table, tau=0.4, bg_scale=200.0)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(netsim, "_WORKERS", workers)
+            batches.clear()
+            before = threading.active_count()
+            clicks, log = netsim.simulate_attempts(
+                SequenceConfig(), model, 50_000, seed=8, herald_mode=True)
+            assert threading.active_count() == before
+            # the clicks before herald mode cut blocks short
+            joined = [np.concatenate([columns[i][order]
+                                      for columns, order in batches])
+                      for i in range(4)]
+            assert len(batches) == 17
+            assert np.array_equal(np.lexsort((joined[2], joined[0])),
+                                  np.arange(joined[0].size))
+            path = tmp_path / f"clicks{workers}.csv"
+            clicks.to_csv(path)
+            assert threading.active_count() == before
+            back = ClickRecords.from_csv(path)
+            assert threading.active_count() == before
+            runs.append((joined, clicks, log, path.read_bytes(), back))
+        (joined_1, clicks_1, log_1, text_1, back_1), \
+            (joined_2, clicks_2, log_2, text_2, back_2) = runs
+        for a, b in zip(joined_1, joined_2):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_records(clicks_2, clicks_1)
+        assert np.array_equal(log_2.herald_attempts, log_1.herald_attempts)
+        assert text_2 == text_1
+        to_csv_oracle(clicks_1, tmp_path / "oracle.csv")
+        assert (tmp_path / "oracle.csv").read_bytes() == text_1
+        assert_same_records(back_2, back_1)
+        assert_same_records(back_1, from_csv_oracle(tmp_path / "oracle.csv"))
+
+    def test_worker_error_leaves_no_thread(self, table, monkeypatch):
+        # |x| = 1.5 for every pair, from the third batch on
+        monkeypatch.setattr(netsim, "_WORKERS", 2)
+        monkeypatch.setattr(netsim, "_BATCH", 1_000)
+        model = toy_detection_model(table, tau=0.9, bg_scale=0.0)
+        doctored = replace(model,
+                           interference_num=model.interference_num * 1.5)
+        sample_times = netsim._sample_times
+        threads = []
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return sample_times(*args)
+
+        monkeypatch.setattr(netsim, "_sample_times", recorded)
+        before = threading.active_count()
+        with pytest.raises(NumericalConsistencyError, match=(
+                r"^[0-9]+ interference correlations fall outside \[-1, 1\] "
+                r"by more than 1e-9 \(largest \|x\| = 1\.5\)$")):
+            netsim.simulate_attempts(SequenceConfig(), doctored, 5_000,
+                                     seed=4)
+        assert threading.active_count() == before
+        assert threads and threading.main_thread() not in threads
+
+    def test_cleaned_body_leaves_no_thread(self, tmp_path, monkeypatch):
+        # a comment line in a late block sends the body to line-by-line
+        # cleaning after earlier blocks were read as words on the workers
+        monkeypatch.setattr(netsim, "_WORKERS", 2)
+        monkeypatch.setattr(netsim, "_READ_BLOCK", 256)
+        rows = [f"{i},SNSPD{i % 2 + 1},{i % 50}.250000,photon"
+                for i in range(400)]
+        rows.insert(350, "# a comment")
+        path = tmp_path / "clicks.csv"
+        path.write_text("# detectors=SNSPD1,SNSPD2\n"
+                        "attempt,detector,t_us,origin\n"
+                        + "\n".join(rows) + "\n")
+        word_rows = netsim._word_rows
+        parsed = []
+        monkeypatch.setattr(netsim, "_word_rows", lambda *args: (
+            parsed.append(args[2]) or word_rows(*args)))
+        before = threading.active_count()
+        back = ClickRecords.from_csv(path)
+        assert threading.active_count() == before
+        assert len(parsed) >= 3
+        assert_same_records(back, from_csv_oracle(path))
+
+
 def sample_times_oracle(times, cdf_rows, group_idx, uniforms):
     """Per-group ``np.interp`` of the masked draws, in draw order."""
     out = np.empty(uniforms.size)
@@ -705,6 +880,24 @@ class TestSampleTimes:
         got = netsim._sample_times(times, cdf_rows, group_idx, uniforms)
         assert np.array_equal(
             got, sample_times_oracle(times, cdf_rows, group_idx, uniforms))
+
+    @pytest.mark.parametrize("n_groups", [65536, 65537])
+    def test_groups_up_to_the_key_width(self, n_groups):
+        # at 65,537 groups no bucket is left per group in the 16-bit key:
+        # the last group's draw would be read from group 0's row
+        times = np.array([0.0, 1.0])
+        cdf_rows = np.tile([0.0, 1.0], (n_groups, 1))
+        cdf_rows[-1] = [0.0, 0.5]
+        group_idx = np.array([0, n_groups - 1, 1])
+        uniforms = np.array([0.875, 0.25, 0.875])
+        if n_groups > 65536:
+            with pytest.raises(ValueError, match="65537 sampling groups; "
+                               "at most 65536"):
+                netsim._sample_times(times, cdf_rows, group_idx, uniforms)
+            return
+        assert np.array_equal(
+            netsim._sample_times(times, cdf_rows, group_idx, uniforms),
+            sample_times_oracle(times, cdf_rows, group_idx, uniforms))
 
     def test_top_uniform_stays_in_its_group(self):
         # a uniform of 1.0 sorts into the last bucket of its group, not
