@@ -426,9 +426,10 @@ def _block_rows(path, data: bytes, pos: int, names: tuple):
     def spans():
         start = pos
         while start < len(data):
-            end = data.find(b"\n", min(start + _READ_BLOCK, len(data)) - 1) + 1
-            yield start, end or len(data)
-            start = end or len(data)
+            end = (data.find(b"\n", min(start + _READ_BLOCK, len(data)) - 1)
+                   + 1 or len(data))
+            yield start, end
+            start = end
 
     def parse(span):
         return span, _word_rows(u8, words, *span, codes)
