@@ -11,7 +11,9 @@ BLAS stays at one thread, but ``netsim.simulate_attempts`` and the click
 file's ``ClickRecords.to_csv`` and ``ClickRecords.from_csv`` use up to two
 Python worker threads, one per usable CPU, for their numpy work; the
 threads end before the call returns, and its output does not depend on
-them.
+them.  A ``simulate_attempts`` worker makes its batch's acceptance draws
+from a copy of the random stream at their position, which the calling
+thread moves past, so the stream is drawn as on one thread.
 """
 
 import os

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import copy
 import itertools
 import math
 import os
@@ -939,14 +940,19 @@ def _click_order(attempt: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     order = np.argsort(attempt, kind="stable")
     sorted_attempt = attempt[order]
-    shared = sorted_attempt[1:] == sorted_attempt[:-1]
-    in_shared = np.zeros(order.size, dtype=bool)  # attempt has >= 2 clicks
-    in_shared[1:] = shared
-    in_shared[:-1] |= shared
-    pos = np.flatnonzero(in_shared)
+    pos = _multi_click(sorted_attempt)
     sub = order[pos]
     order[pos] = sub[np.lexsort((t[sub], sorted_attempt[pos]))]
     return order
+
+
+def _multi_click(sorted_attempt: np.ndarray) -> np.ndarray:
+    """Positions of the attempt-sorted clicks whose attempt has two or more."""
+    shared = sorted_attempt[1:] == sorted_attempt[:-1]
+    in_shared = np.zeros(sorted_attempt.size, dtype=bool)
+    in_shared[1:] = shared
+    in_shared[:-1] |= shared
+    return np.flatnonzero(in_shared)
 
 
 def _offset_cdf(weights, n_offsets: int) -> np.ndarray:
@@ -989,6 +995,38 @@ def _emitters(rng, n: int, cdf: np.ndarray, tau_tot: np.ndarray):
 # attempts drawn per pass: bounds the per-attempt temporaries; the draws of
 # each pass follow on from the last, so the value fixes the random stream
 _BATCH = 1_000_000
+# doubles drawn at a time by ``_uniforms_at``
+_DRAW_CHUNK = 1 << 16
+
+
+def _fork_doubles(rng, count: int):
+    """A copy of ``rng`` at its stream position, with ``rng`` moved past
+    ``count`` doubles as drawing them would move it.
+
+    Returns the copy and the moved position (``state["state"]``).  Each
+    double is one step of the stream.  ``advance`` clears the cached 32-bit
+    half, which doubles leave alone, so it is put back.
+    """
+    fork = copy.deepcopy(rng)
+    cached = fork.bit_generator.state
+    state = rng.bit_generator.advance(count).state
+    state.update(has_uint32=cached["has_uint32"], uinteger=cached["uinteger"])
+    rng.bit_generator.state = state
+    return fork, state["state"]
+
+
+def _uniforms_at(rng, n: int, idx: np.ndarray) -> np.ndarray:
+    """``rng.random(n)[idx]`` for sorted ``idx``, drawn ``_DRAW_CHUNK``
+    doubles at a time."""
+    out = np.empty(idx.size)
+    chunk = np.empty(min(n, _DRAW_CHUNK))
+    lo = 0
+    for start in range(0, n, _DRAW_CHUNK):
+        u = rng.random(out=chunk[:n - start])
+        hi = idx.searchsorted(start + u.size)
+        np.take(u, idx[lo:hi] - start, out=out[lo:hi])
+        lo = hi
+    return out
 
 
 def _with_room(column: np.ndarray, n: int, size: int) -> np.ndarray:
@@ -1013,16 +1051,18 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     terminates the remaining attempts of its block.
 
     The attempts go in batches of ``_BATCH``.  The calling thread makes
-    every random draw of a batch, in the order and sizes that fix the
+    the random draws of a batch, in the order and sizes that fix the
     random stream, and keeps only the entries that are read.  The
     per-photon work (emission times, the interference lookup and its
-    check, routing, acceptance and merging) needs no draw, and runs on a
-    worker thread (``_in_order``) while the next batch is drawn; it also
-    finds the order that sorts the batch's clicks by attempt, then time,
-    ties in emission order.  The calling thread puts each batch in that
-    order after the batches before it.  Batches cover increasing attempt
-    ranges, so the clicks come sorted, and they do not depend on which
-    thread ran what.
+    check, routing, acceptance and merging) runs on a worker thread
+    (``_in_order``) while the next batch is drawn.  The worker makes the
+    acceptance draws from a copy of the stream at their position, which
+    the calling thread moves past (``_fork_doubles``), so they are the
+    draws of one thread.  It also finds the order that sorts the batch's
+    clicks by attempt, then time, ties in emission order.  The calling
+    thread puts each batch in that order after the batches before it.
+    Batches cover increasing attempt ranges, so the clicks come sorted,
+    and they do not depend on which thread ran what.
     """
     rng = np.random.default_rng(seed)
     table = model.detectors
@@ -1067,8 +1107,8 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
         n_same = int(np.count_nonzero(same))
         u_pair = rng.random(n_same)
         swap = rng.random(n_same) < 0.5
-        u_keep_a = rng.random(n)[idx_a]
-        u_keep_b = rng.random(n)[idx_b]
+        # the acceptance draws, rng.random(n)[idx_a] then [idx_b], by work
+        keep_rng, keep_end = _fork_doubles(rng, 2 * n)
         backgrounds = []  # (detector, attempt in the batch, uniform time)
         for d, lam in enumerate(bg_means):
             count = rng.poisson(lam * n)
@@ -1076,9 +1116,9 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                 backgrounds.append((d, rng.integers(0, n, size=count),
                                     rng.random(count)))
         return SimpleNamespace(
-            start=start, idx_a=idx_a, k_a=k_a, pol_a=pol_a, u_t_a=u_t_a,
-            out_a=out_a, u_keep_a=u_keep_a, idx_b=idx_b, pol_b=pol_b,
-            u_t_b=u_t_b, out_b=out_b, u_keep_b=u_keep_b, both_a=both_a,
+            start=start, n=n, idx_a=idx_a, k_a=k_a, pol_a=pol_a, u_t_a=u_t_a,
+            out_a=out_a, idx_b=idx_b, pol_b=pol_b, u_t_b=u_t_b, out_b=out_b,
+            keep_rng=keep_rng, keep_end=keep_end, both_a=both_a,
             both_b=both_b, same=same, u_pair=u_pair, swap=swap,
             backgrounds=backgrounds)
 
@@ -1116,8 +1156,12 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
 
         det_a = det_for[d.out_a, d.pol_a]
         det_b = det_for[d.out_b, d.pol_b]
-        keep_a = d.u_keep_a < acceptance[det_a]
-        keep_b = d.u_keep_b < acceptance[det_b]
+        keep_a = _uniforms_at(d.keep_rng, d.n, d.idx_a) < acceptance[det_a]
+        keep_b = _uniforms_at(d.keep_rng, d.n, d.idx_b) < acceptance[det_b]
+        if d.keep_rng.bit_generator.state["state"] != d.keep_end:
+            raise NumericalConsistencyError(
+                "the acceptance draws did not end where the calling thread "
+                "moved the random stream to")
 
         # photons landing on the same detector produce a single click, the
         # earlier one
@@ -1183,17 +1227,22 @@ def _pairs_in_window(clicks: ClickRecords, window):
 
     Returns (attempt, det1, det2, t1, t2) arrays with ``det1 < det2``.  The
     clicks are sorted by attempt, unless they already are (as simulated and
-    as written), so the pairs ``lag`` places apart are collected for lag 1,
-    2, ... until no attempt spans that many clicks.
+    as written).  Only the clicks of attempts with two or more clicks can
+    pair: they are picked out first, in that order, and then those in the
+    window, so the pairs ``lag`` places apart are collected for lag 1, 2,
+    ... until no attempt spans that many clicks.
     """
     w0, w1 = window
-    mask = (clicks.t >= w0) & (clicks.t <= w1)
-    att = clicks.attempt[mask]
-    det = clicks.detector[mask]
-    tt = clicks.t[mask]
+    att = clicks.attempt
     if np.any(att[1:] < att[:-1]):
         order = np.argsort(att, kind="stable")
-        att, det, tt = att[order], det[order], tt[order]
+        pos = order[_multi_click(att[order])]
+    else:
+        pos = _multi_click(att)
+    tt = clicks.t[pos]
+    inside = (tt >= w0) & (tt <= w1)
+    pos, tt = pos[inside], tt[inside]
+    att, det = clicks.attempt[pos], clicks.detector[pos]
     first, second = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     lag = 1
     same = att[lag:] == att[:-lag]
@@ -1322,9 +1371,9 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
     # per-detector in-window click times, sorted, for the background
     # expectation
     det_mask = (clicks.t >= w0) & (clicks.t <= w1)
-    click_det = clicks.detector[det_mask]
-    click_t = clicks.t[det_mask]
-    sorted_t = [np.sort(click_t[click_det == d])
+    click_det = clicks.detector.compress(det_mask)
+    click_t = clicks.t.compress(det_mask)
+    sorted_t = [np.sort(click_t.compress(click_det == d))
                 for d in range(len(clicks.detector_names))]
     # attempts cut short after a herald made no clicks, background included
     n_att = max(clicks.n_executed, 1)

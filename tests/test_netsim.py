@@ -7,6 +7,7 @@ import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,6 +126,11 @@ THIRTEEN_OFFSETS_SHA256 = \
     "5c34e8ccfdf822d998478f777424ad9813326c06002cb59fbe7534ddddd4ebc8"
 
 
+# sha256 of the four seed-5 runs of ``multi_batch_digest``, likewise
+MULTI_BATCH_SHA256 = \
+    "44de4ca07bae68390b3e1e25bc5faf4f6df91e7de332bd4859577412691da7dc"
+
+
 class TestSimulation:
     def test_no_sources_no_clicks(self, table):
         model = toy_detection_model(table, tau=0.0, bg_scale=0.0)
@@ -237,6 +243,29 @@ def thirteen_offsets_run(table):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(str(log.n_executed).encode())
     return model, digest.hexdigest()
+
+
+def multi_batch_digest(table, monkeypatch):
+    """sha256 hex digest of toy runs of several odd-sized batches.
+
+    Backgrounds on, herald mode off and on.  The batches, and the last
+    batch of each run, are of odd and even sizes, so the acceptance draws
+    of some batches come with the cached 32-bit half of the random stream
+    set and of others without.
+    """
+    model = toy_detection_model(table, tau=0.4, bg_scale=20.0)
+    digest = hashlib.sha256()
+    for batch, n_attempts in ((99_999, 400_000), (77_777, 450_001)):
+        monkeypatch.setattr(netsim, "_BATCH", batch)
+        for herald_mode in (False, True):
+            clicks, log = netsim.simulate_attempts(
+                SequenceConfig(), model, n_attempts, seed=5,
+                herald_mode=herald_mode)
+            for arr in (clicks.attempt, clicks.detector, clicks.t,
+                        clicks.origin, log.herald_attempts):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+            digest.update(str(log.n_executed).encode())
+    return digest.hexdigest()
 
 
 def to_csv_oracle(clicks, path, header_lines=()):
@@ -740,6 +769,8 @@ class TestWorkerThreads:
         monkeypatch.setattr(netsim, "_READ_BLOCK", 1 << 16)
         assert path.stat().st_size > 3 << 16
         assert_same_records(ClickRecords.from_csv(path), from_csv_oracle(path))
+        # runs of many batches
+        assert multi_batch_digest(table, monkeypatch) == MULTI_BATCH_SHA256
 
     def test_batches_chunks_and_blocks_in_order(self, table, tmp_path,
                                                 monkeypatch):
@@ -976,6 +1007,52 @@ class TestEmitters:
         assert netsim._offset_cdf(weights, 2)[-1] == 1.0
 
 
+class TestForkDoubles:
+    # ``lead`` 32-bit draws come first: an odd count leaves the cached half
+    # of the stream set
+    @given(seed=st.integers(0, 2 ** 32 - 1), lead=st.integers(0, 3),
+           n=st.integers(0, 2000), density=st.floats(0.0, 1.0),
+           chunk=st.sampled_from([1, 7, 64, 1 << 16]),
+           k=st.integers(1, 2 ** 40), size=st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, lead=1, n=0, density=1.0, chunk=7, k=2, size=3)
+    @example(seed=1, lead=3, n=1001, density=0.3, chunk=64, k=2, size=1)
+    @example(seed=2, lead=0, n=1000, density=0.5, chunk=64, k=1000, size=4)
+    def test_matches_plain_draws(self, seed, lead, n, density, chunk, k,
+                                 size):
+        def generator():
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 2, size=lead)
+            assert rng.bit_generator.state["has_uint32"] == lead % 2
+            return rng
+
+        pick = np.random.default_rng(seed + 1)
+        idx_a = np.flatnonzero(pick.random(n) < density)
+        idx_b = np.flatnonzero(pick.random(n) < density)
+        plain = generator()
+        want = [plain.random(n)[idx_a], plain.random(n)[idx_b],
+                plain.integers(0, k, size), plain.random(size)]
+
+        rng = generator()
+        fork, end = netsim._fork_doubles(rng, 2 * n)
+        with mock.patch.object(netsim, "_DRAW_CHUNK", chunk):
+            got = [netsim._uniforms_at(fork, n, idx_a),
+                   netsim._uniforms_at(fork, n, idx_b)]
+        assert fork.bit_generator.state["state"] == end
+        got += [rng.integers(0, k, size), rng.random(size)]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_draws_off_the_stream_raise(self, table, monkeypatch):
+        fork_doubles = netsim._fork_doubles
+        monkeypatch.setattr(netsim, "_fork_doubles",
+                            lambda rng, count: fork_doubles(rng, count + 1))
+        with pytest.raises(NumericalConsistencyError,
+                           match="acceptance draws did not end"):
+            netsim.simulate_attempts(SequenceConfig(),
+                                     toy_detection_model(table), 1000)
+
+
 class TestClickOrder:
     @settings(max_examples=300, deadline=None)
     @given(runs=st.lists(st.tuples(st.booleans(), st.lists(st.tuples(
@@ -1062,6 +1139,13 @@ class TestPairExtraction:
                    (0, 0, 40e-6)], window=(0.0, 50e-6))
     @example(rows=[(2, 0, 5e-6), (2, 1, 10e-6)], window=(30e-6, 35e-6))
     @example(rows=[], window=(0.0, 50e-6))
+    # times unsorted in an attempt: its two in-window clicks sit on either
+    # side of one out of the window
+    @example(rows=[(0, 3, 10e-6), (1, 0, 10e-6), (1, 1, 40e-6),
+                   (1, 2, 20e-6)], window=(5.5e-6, 23e-6))
+    # an attempt of two clicks with one in the window, next to a pair
+    @example(rows=[(2, 0, 5e-6), (2, 1, 20e-6), (3, 0, 10e-6),
+                   (3, 2, 20e-6)], window=(5.5e-6, 23e-6))
     def test_matches_per_attempt_loop(self, rows, window):
         clicks = pair_records(rows)
         got = netsim._pairs_in_window(clicks, window)
