@@ -13,7 +13,13 @@ Python worker threads, one per usable CPU, for their numpy work; the
 threads end before the call returns, and its output does not depend on
 them.  A ``simulate_attempts`` worker makes its batch's acceptance draws
 from a copy of the random stream at their position, which the calling
-thread moves past, so the stream is drawn as on one thread.
+thread moves past, so the stream is drawn as on one thread.  A
+``to_csv`` worker formats a chunk of rows, which the calling thread
+writes in order.  A ``from_csv`` worker reads a block of the body from the
+file itself and parses it; the calling thread reads the header and puts
+the blocks' rows in order.  It reads the whole file at once only where
+the header lacks the detector list or the origin column, or the text has
+CR line ends, ``#`` lines in the body, padding or non-ASCII bytes.
 """
 
 import os

@@ -15,6 +15,9 @@ the seed, so a fixed seed reproduces byte-identical outputs.
 A tomography flag out of range (``--synthetic`` < 1, ``--resamples`` < 2,
 ``--t-window-us`` <= 0) exits 2, as any bad command line does; an input
 path that cannot be read, or an ``--out`` that cannot be written, exits 3.
+So does a click file that ``analyze`` cannot take as a run's record: a bad
+row or header value (see ``netsim.ClickRecords``), or more attempts
+executed than requested.
 
 Config reference
 ----------------
@@ -427,6 +430,10 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_analyze(cfg: RunConfig, args) -> int:
     clicks = netsim.ClickRecords.from_csv(args.clicks)
+    if clicks.n_executed > clicks.n_attempts:
+        raise ConfigError(
+            f"{args.clicks}: header line '# n_executed={clicks.n_executed}' "
+            f"exceeds the run's {clicks.n_attempts} attempts")
     window = cfg.sequence.detection_window
     hom = netsim.hom_analysis(clicks, cfg.detectors, delta=cfg.analysis_bin,
                               t_list=cfg.t_sweep, window=window)

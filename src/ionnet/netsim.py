@@ -18,10 +18,12 @@ from __future__ import annotations
 import bisect
 import collections
 import copy
+import io
 import itertools
 import math
 import os
 import re
+import threading
 from contextlib import closing
 from dataclasses import astuple, dataclass, replace
 from types import SimpleNamespace
@@ -45,10 +47,12 @@ _WORKERS = 2
 def _in_order(fn, items):
     """``map(fn, items)`` with the calls of ``fn`` on worker threads.
 
-    ``items`` is pulled lazily in the calling thread, and at most one item
-    per worker is in flight, so few items and results are held at once;
-    the results come in the order of ``items``.  There are ``_WORKERS``
-    threads at most and one per usable CPU; with one CPU this is ``map``.
+    ``items`` is pulled lazily in the calling thread, and the results come
+    in the order of ``items``.  At most two items per worker are in flight,
+    so that no worker waits while the caller uses a result, and each result
+    is handed on once it and those before it are done, so that few items
+    and results are held at once.  There are ``_WORKERS`` threads at most
+    and one per usable CPU; with one CPU this is ``map``.
     The threads live only while the generator runs: an error in ``fn``
     ends it, and closing it drops the items not yet started.
     """
@@ -66,7 +70,8 @@ def _in_order(fn, items):
         try:
             for item in items:
                 pending.append(pool.submit(fn, item))
-                if len(pending) == workers:
+                while pending and (pending[0].done()
+                                   or len(pending) == 2 * workers):
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
@@ -105,23 +110,31 @@ class SequenceConfig:
 ORIGIN_CODES = {"photon": 0, "background": 1, "unknown": -1}
 ORIGIN_NAMES = {v: k for k, v in ORIGIN_CODES.items()}
 
+def _count(value: str) -> int:
+    """A header's attempt count: an integer, not negative."""
+    if int(value) < 0:
+        raise ValueError(value)
+    return int(value)
+
+
 # click-file header keys and how their values are read
-_HEADER_KEYS = {"n_attempts": int, "n_executed": int,
-                "herald_mode": lambda v: v == "True",
+_HEADER_KEYS = {"n_attempts": _count, "n_executed": _count,
+                "herald_mode": {"True": True, "False": False}.__getitem__,
                 "detectors": lambda v: tuple(v.split(","))}
-# characters that send a click-file body through line-by-line cleaning:
-# comment lines, and whitespace that ``str.strip`` would remove
-_BODY_IRREGULAR = b"# \t\x0b\x0c\x1c\x1d\x1e\x1f"
+# bytes that send a click-file body through CR translation or line-by-line
+# cleaning: CR, comment lines, and whitespace that ``str.strip`` would remove
+_BODY_IRREGULAR = b"\r# \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _read_header_line(line: str, meta: dict, path) -> None:
-    """Record the value of a ``# key=value`` line in ``meta``."""
+    """Record the value of a ``# key=value`` line in ``meta``; a value that
+    does not parse raises ``ConfigError`` naming the line."""
     body = line[1:].strip()
     for key, parse in _HEADER_KEYS.items():
         if body.startswith(key + "="):
             try:
                 meta[key] = parse(body.split("=", 1)[1])
-            except ValueError:
+            except (ValueError, KeyError):
                 raise ConfigError(
                     f"{path}: malformed header line {line!r}") from None
             return
@@ -191,7 +204,8 @@ _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)],
 _ASCII_ZEROS = 0x3030303030303030
 _POW10 = np.array([10 ** k for k in range(1, 16)])
 _WRITE_CHUNK = 1 << 14  # click rows formatted per pass
-_READ_BLOCK = 1 << 20  # click-file body bytes parsed per pass
+_READ_BLOCK = 1 << 20  # click-file body bytes whose rows a block holds
+_LOOK_AHEAD = 1 << 8  # bytes read past a block for the end of its last row
 
 
 def _digit_words(values: np.ndarray) -> np.ndarray:
@@ -258,8 +272,8 @@ def _word_rows(u8: np.ndarray, words: np.ndarray, start: int, end: int,
     the last row of the file may lack its line end.  ``words`` is the
     overlapping word view of ``u8`` (``words[i]`` holds bytes i to i + 7);
     every load ends at a field's last byte and starts at most 7 bytes before
-    the field, so inside the file: the ``# detectors=`` and column lines
-    before the rows are longer than that.  The time is
+    the field, so inside ``u8`` if 7 bytes or more come before ``start``,
+    as ``_block_rows`` reads them.  The time is
     ``(whole * 1e6 + micro) / 1e6``: both are exact doubles, so the quotient
     is the double nearest the decimal, which is what ``strtod`` gives.
     """
@@ -400,61 +414,106 @@ def _coded_rows(data: np.ndarray, names: tuple):
     return data["attempt"], detector, data["t_us"], origin
 
 
-def _irregular(data: bytes, pos: int) -> bool:
-    """Whether the body ``data[pos:]`` needs line-by-line cleaning."""
-    return any(data.find(c, pos) >= 0 for c in _BODY_IRREGULAR)
+def _plain(data: bytes, pos: int = 0) -> bool:
+    """Whether ``data`` is ASCII and its body ``data[pos:]`` needs no CR
+    translation or line-by-line cleaning."""
+    return data.isascii() and not any(data.find(c, pos) >= 0
+                                      for c in _BODY_IRREGULAR)
 
 
-def _block_rows(path, data: bytes, pos: int, names: tuple):
-    """(rows, loaded) of the ASCII body ``data[pos:]`` read in blocks of
-    whole rows, or None if it needs line-by-line cleaning.
+def _header(lines, meta: dict, path):
+    """The column line split at its commas, after the ``#`` header lines of
+    ``lines`` (bytes), whose values go to ``meta``; None if none follows."""
+    for raw in lines:
+        line = _utf8(raw, path).strip()
+        if line.startswith("#"):
+            _read_header_line(line, meta, path)
+        elif line:
+            return line.split(",")
+    return None
 
-    ``rows`` is (attempt, detector, t_us, origin).  A block of rows in the
-    writer's grammar is read by ``_word_rows``, on a worker thread
-    (``_in_order``); any other block is read by ``np.loadtxt`` in the
-    calling thread, which copies every block's rows into place in file
-    order.  ``loaded`` holds (first data row, detector column) of each
-    block ``np.loadtxt`` read.
+
+def _block_rows(path, fd: int, pos: int, size: int, names: tuple):
+    """(rows, loaded) of the body from byte ``pos`` of the open file ``fd``
+    of ``size`` bytes, or None if it is not ``_plain``.
+
+    ``rows`` is (attempt, detector, t_us, origin).  Block k holds the rows
+    that start in bytes [pos + k B, pos + (k + 1) B), B = ``_READ_BLOCK``.
+    A worker thread (``_in_order``) reads it into a buffer of its own, from
+    8 bytes before it (the line end before its first row, and the 7 bytes a
+    ``_word_rows`` load may start before a row; the ``# detectors=`` and
+    column lines before the body are longer) to ``_LOOK_AHEAD`` bytes
+    past it, or as far as its last row runs, and parses rows in the
+    writer's grammar.  Other rows come back as bytes, which the calling
+    thread reads by ``np.loadtxt``.  It puts each block's rows in place in
+    file order, and alone decides on cleaning and errors.  ``loaded`` holds
+    (first data row, detector column) of each block ``np.loadtxt`` read.
     """
-    u8 = np.frombuffer(data, dtype=np.uint8)
-    words = np.ndarray((u8.size - 7,), dtype="<u8", buffer=data, strides=(1,))
     codes = {n: i for i, n in enumerate(names)}
     fields = _row_fields("S", names, True)
-    n_max = data.count(b"\n", pos) + 1
-    rows = (np.empty(n_max, dtype=np.int64), np.empty(n_max, dtype=np.int16),
-            np.empty(n_max), np.empty(n_max, dtype=np.int8))
+    local = threading.local()
 
-    def spans():
-        start = pos
-        while start < len(data):
-            end = (data.find(b"\n", min(start + _READ_BLOCK, len(data)) - 1)
-                   + 1 or len(data))
-            yield start, end
-            start = end
+    def parse(lo: int):
+        """(first, end, rows) of the rows of the block at byte ``lo``: their
+        bytes [first, end) of the file, and their columns, or their bytes if
+        any is outside the grammar; None if no row starts in the block."""
+        want = 8 + _READ_BLOCK + _LOOK_AHEAD
+        while True:
+            if len(getattr(local, "buf", b"")) < want:
+                local.buf = bytearray(want)
+            buf, count = local.buf, 0
+            with memoryview(buf) as view:
+                while count < want and (got := os.preadv(
+                        fd, [view[count:want]], lo - 8 + count)):
+                    count += got
+            first = buf.find(b"\n", 7, min(7 + _READ_BLOCK, count)) + 1
+            if not 0 < first < count:
+                return None
+            end = buf.find(b"\n", 7 + _READ_BLOCK, count) + 1
+            if end or count < want:  # the block's last row ends, or the file
+                break
+            want += want - 8 - _READ_BLOCK  # read twice as far past it
+        end = end or count
+        u8 = np.frombuffer(buf, dtype=np.uint8, count=count)
+        words = np.ndarray((count - 7,), dtype="<u8", buffer=buf,
+                           strides=(1,))
+        rows = _word_rows(u8, words, first, end, codes)
+        return (lo - 8 + first, lo - 8 + end,
+                bytes(buf[first:end]) if rows is None else rows)
 
-    def parse(span):
-        return span, _word_rows(u8, words, *span, codes)
-
+    columns = [np.empty(0, dtype=dtype)
+               for dtype in (np.int64, np.int16, np.float64, np.int8)]
     loaded = []
     n = 0
     checked = False
-    with closing(_in_order(parse, spans())) as blocks:
-        for (start, end), block in blocks:
-            if block is None:
-                # bytes that call for cleaning are outside the grammar too,
-                # so they are looked for once a block is
-                if not checked and _irregular(data, pos):
+    with closing(_in_order(parse, range(pos, size, _READ_BLOCK))) as blocks:
+        for first, end, block in filter(None, blocks):
+            if isinstance(block, bytes):
+                # rows in the grammar are plain, so only the other blocks,
+                # and once the bytes after the first of them, are looked at
+                if not (_plain(block) and (checked or all(
+                        _plain(os.pread(fd, _READ_BLOCK, lo))
+                        for lo in range(end, size, _READ_BLOCK)))):
                     return None
                 checked = True
-                text = data[start:end].decode().split("\n")
-                read = _loaded_rows(path, [line for line in text if line],
-                                    fields, n)
-                block = _coded_rows(read, names)
-                loaded.append((n, read["detector"]))
-            for out, part in zip(rows, block):
-                out[n:n + part.size] = part
-            n += block[0].size
-    return tuple(out[:n] for out in rows), loaded
+                read_rows = _loaded_rows(
+                    path, [line for line in block.decode().split("\n")
+                           if line], fields, n)
+                block = _coded_rows(read_rows, names)
+                loaded.append((n, read_rows["detector"]))
+            stop = n + block[0].size
+            if stop > columns[0].size:
+                # room for the rest at this block's rows per byte, and an
+                # eighth more; ``resize`` gives back what no row fills
+                room = stop + (size - end) * block[0].size // (end - first)
+                columns = [_with_room(column, n, room * 9 // 8)
+                           for column in columns]
+            for column, part in zip(columns, block):
+                column[n:stop] = part
+            n = stop
+    for column in columns:
+        column.resize(n, refcheck=False)
+    return columns, loaded
 
 
 @dataclass
@@ -497,17 +556,21 @@ class ClickRecords:
     Reading, the ``origin`` column is optional and any other origin name
     reads as ``unknown`` (-1).  Blank lines, ``#`` lines, surrounding
     whitespace, and CRLF and CR line ends are allowed, and columns past the
-    last one read are ignored.  A body of plain ASCII rows is read in
-    blocks of about 1 MB where the header lists the detectors and the
-    column line names ``origin``, and as one block otherwise; a block whose
-    rows are all in the writer's grammar is parsed as 8-byte words
-    (``_word_rows``) on a worker thread, any other by ``np.loadtxt`` in the
-    calling thread, which copies each block's rows into place in file
-    order and alone decides on cleaning and errors, so row numbers and
-    messages do not depend on the threads.  A body with ``#``
-    lines, padding or non-ASCII text is cleaned line by line, then read by
-    ``np.loadtxt``.  A row naming a detector missing from the
-    ``detectors=`` header, or a field that does not parse, raises
+    last one read are ignored.  The calling thread reads the header lines.
+    Where they are ASCII without CR, list the detectors and end in a column
+    line that names ``origin``, the worker threads (``_in_order``) read the
+    body from the file in blocks, the rows that start in each 1 MB, and
+    parse each block in the writer's grammar as 8-byte words
+    (``_word_rows``).  The calling thread reads any other block by
+    ``np.loadtxt``, puts each block's rows in place in file order and
+    alone decides on cleaning and errors, so row numbers and messages do
+    not depend on the threads.  Otherwise, or for a body with CR, ``#``
+    lines, padding or non-ASCII text, the whole file is read at once, its
+    line ends translated and its body cleaned line by line where it needs
+    it, and ``np.loadtxt`` reads it as one block.  A negative
+    ``n_attempts=`` or ``n_executed=``, a ``herald_mode=`` other than
+    ``True`` or ``False``, a row naming a detector missing from the
+    ``detectors=`` header, or a field that does not parse raises
     ``ConfigError``.
     """
 
@@ -605,32 +668,32 @@ class ClickRecords:
 
     @classmethod
     def from_csv(cls, path) -> "ClickRecords":
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if b"\r" in data:  # CRLF and CR line ends, as text mode reads them
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         meta = {}
-        columns = None
-        pos = 0
-        # header: '#' lines up to the column line
-        while columns is None and pos < len(data):
-            end = data.find(b"\n", pos) + 1 or len(data)
-            line = _utf8(data[pos:end], path).strip()
-            pos = end
-            if line.startswith("#"):
-                _read_header_line(line, meta, path)
-            elif line:
-                columns = line.split(",")
-        has_origin = columns is not None and "origin" in columns
-        names = meta.get("detectors", ())
-        read = None
-        if names and has_origin and data.isascii():
-            read = _block_rows(path, data, pos, names)
+        with open(path, "rb") as fh:
+            # a header of ASCII lines without CR, then the body in blocks
+            columns = _header(itertools.takewhile(
+                lambda raw: raw.isascii() and b"\r" not in raw,
+                iter(fh.readline, b"")), meta, path)
+            names = meta.get("detectors", ())
+            read = None
+            if names and columns and "origin" in columns:
+                read = _block_rows(path, fh.fileno(), fh.tell(),
+                                   os.fstat(fh.fileno()).st_size, names)
+            if read is None:
+                fh.seek(0)
+                data = fh.read()
         if read is None:
+            if b"\r" in data:  # CRLF and CR line ends, as text mode reads them
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            meta = {}
+            text = io.BytesIO(data)
+            columns = _header(iter(text.readline, b""), meta, path)
+            pos = text.tell()
+            has_origin = columns is not None and "origin" in columns
             # the body is one block for np.loadtxt: plain rows, names as
             # bytes (S) fields, or after line-by-line cleaning, as text (U)
             kind, lines = "S", []
-            if data.isascii() and not _irregular(data, pos):
+            if _plain(data, pos):
                 lines = [line for line in data[pos:].decode().split("\n")
                          if line]
             else:
@@ -649,7 +712,7 @@ class ClickRecords:
             attempt, detector, t_us, origin = _coded_rows(block, names)
             read = ((attempt.copy(), detector, t_us.copy(), origin),
                     [(0, block["detector"])])
-        del data
+            del data, text
         (attempt, detector, t, origin), loaded = read
 
         for first, column in loaded:  # blocks of np.loadtxt rows, in order

@@ -326,6 +326,23 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", [
+        "# herald_mode=true", "# herald_mode=", "# n_attempts=-5",
+        "# n_executed=-3", "# n_attempts=4\n# n_executed=5",
+    ])
+    def test_malformed_click_header(self, tmp_path, capsys, header):
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text(f"{header}\n# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
+                          "attempt,detector,t_us,origin\n"
+                          "3,SNSPD1,6.250000,photon\n")
+        code = run_cli(["--out", str(tmp_path), "analyze",
+                        "--clicks", str(clicks)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{clicks}: " in err and header.split("\n")[-1] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "hom_histogram.csv").exists()
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     @pytest.mark.parametrize("name", sorted(INPUT_FILES))
     def test_unreadable_input_file(self, tmp_path, capsys, name, kind):

@@ -869,6 +869,85 @@ class TestWorkerThreads:
         assert len(parsed) >= 3
         assert_same_records(back, from_csv_oracle(path))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_order_holds_two_items_per_worker(self, workers, monkeypatch):
+        monkeypatch.setattr(netsim, "_WORKERS", workers)
+        pulled = []
+
+        def items():
+            for i in range(200):
+                pulled.append(i)
+                yield i
+
+        before = threading.active_count()
+        for i, result in enumerate(netsim._in_order(lambda x: -x, items())):
+            assert result == -i
+            assert len(pulled) <= i + 2 * workers
+        assert len(pulled) == 200 and threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_of_any_size(self, workers, tmp_path, monkeypatch):
+        # blocks from 1 byte, most shorter than a row, to more than the
+        # body; one row is longer than the look-ahead, so the worker reading
+        # its block reads on until the row ends
+        monkeypatch.setattr(netsim, "_WORKERS", workers)
+        monkeypatch.setattr(np, "loadtxt", None)
+        rng = np.random.default_rng(5)
+        n = 150
+        detector = rng.integers(0, 2, n).astype(np.int16)
+        detector[[0, 70, n - 1]] = 2
+        clicks = ClickRecords(
+            attempt=np.sort(rng.integers(0, 10 ** 12, n)),
+            detector=detector, t=rng.random(n) * 1e-4,
+            origin=rng.integers(-1, 2, n).astype(np.int8),
+            detector_names=("SNSPD_LONG_1", "D",
+                            "L" * (3 * netsim._LOOK_AHEAD)),
+            n_attempts=10 ** 12)
+        path = tmp_path / "clicks.csv"
+        clicks.to_csv(path)
+        want = from_csv_oracle(path)
+        for block in (1, 2, 7, 40, 300, 1000, 1 << 20):
+            monkeypatch.setattr(netsim, "_READ_BLOCK", block)
+            before = threading.active_count()
+            assert_same_records(ClickRecords.from_csv(path), want)
+            assert threading.active_count() == before
+
+    # rows in the writer's grammar, and in late blocks a malformed row and,
+    # before or after it, a row that needs CR translation, a comment line or
+    # a row with a byte that is not ASCII
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("late", [
+        "9,A,1.000000,photon\r", "# a comment", "9,A\xe9,1.000000,photon",
+    ], ids=["cr", "comment", "not-ascii"])
+    @pytest.mark.parametrize("malformed_first", [False, True])
+    def test_late_irregular_block_reads_whole_body(
+            self, workers, late, malformed_first, tmp_path, monkeypatch):
+        monkeypatch.setattr(netsim, "_WORKERS", workers)
+        monkeypatch.setattr(netsim, "_READ_BLOCK", 256)
+        lines = [f"{i},{'AB'[i % 2]},{i % 50}.250000,photon"
+                 for i in range(300)]
+        bad = "x3,A,1.000000,photon"
+        lines[200 if malformed_first else 250] = bad
+        lines[250 if malformed_first else 200] = late
+        path = tmp_path / "clicks.csv"
+        path.write_bytes(("# detectors=A,B\nattempt,detector,t_us,origin\n"
+                          + "\n".join(lines) + "\n").encode())
+        loadtxt = np.loadtxt
+        loads = []
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: (
+            loads.append(len(args[0])) or loadtxt(*args, **kwargs)))
+        before = threading.active_count()
+        with pytest.raises(ConfigError) as info:
+            ClickRecords.from_csv(path)
+        assert threading.active_count() == before
+        # the line of the file, counting the two header lines
+        line = 3 + lines.index(bad)
+        message = str(info.value)
+        assert f"line {line}: malformed click row '{bad}'" in message
+        assert "'x3' to int64" in message and "at row" not in message
+        # np.loadtxt read the whole body first, not a block of it
+        assert loads[0] == len(lines) - (late == "# a comment")
+
 
 def sample_times_oracle(times, cdf_rows, group_idx, uniforms):
     """Per-group ``np.interp`` of the masked draws, in draw order."""
