@@ -17,9 +17,9 @@ thread moves past, so the stream is drawn as on one thread.  A
 ``to_csv`` worker formats a chunk of rows, which the calling thread
 writes in order.  A ``from_csv`` worker reads a block of the body from the
 file itself and parses it; the calling thread reads the header and puts
-the blocks' rows in order.  It reads the whole file at once only where
-the header lacks the detector list or the origin column, or the text has
-CR line ends, ``#`` lines in the body, padding or non-ASCII bytes.
+the blocks' rows in order.  It reads the whole file at once, as text,
+where the header lacks the detector list or the origin column, or any row
+is outside the writer's grammar.
 """
 
 import os

@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import collections
 import copy
-import io
 import itertools
 import math
 import os
@@ -121,9 +120,6 @@ def _count(value: str) -> int:
 _HEADER_KEYS = {"n_attempts": _count, "n_executed": _count,
                 "herald_mode": {"True": True, "False": False}.__getitem__,
                 "detectors": lambda v: tuple(v.split(","))}
-# bytes that send a click-file body through CR translation or line-by-line
-# cleaning: CR, comment lines, and whitespace that ``str.strip`` would remove
-_BODY_IRREGULAR = b"\r# \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _read_header_line(line: str, meta: dict, path) -> None:
@@ -138,14 +134,6 @@ def _read_header_line(line: str, meta: dict, path) -> None:
                 raise ConfigError(
                     f"{path}: malformed header line {line!r}") from None
             return
-
-
-def _utf8(data: bytes, path) -> str:
-    """``data`` read from ``path`` as UTF-8 text."""
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def data_rows(path):
@@ -165,10 +153,8 @@ def data_rows(path):
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _malformed_row(path, fields, exc: ValueError,
-                   first_row: int) -> ConfigError:
-    """The error for click rows that ``np.loadtxt`` rejects, the first of
-    them the file's data row ``first_row`` (from 0).
+def _malformed_row(path, fields, exc: ValueError) -> ConfigError:
+    """The error for the file's click rows, which ``np.loadtxt`` rejects.
 
     numpy's message counts the rows it was given, from 0 for a value that
     does not convert and from 1 for a missing column, so the first bad row
@@ -176,7 +162,7 @@ def _malformed_row(path, fields, exc: ValueError,
     alone to find the line.
     """
     quoted = re.search(r" at row (\d+)", str(exc))
-    first = first_row + (max(int(quoted[1]) - 1, 0) if quoted else 0)
+    first = max(int(quoted[1]) - 1, 0) if quoted else 0
     for line, text in itertools.islice(data_rows(path), first,
                                        first + 2 if quoted else None):
         try:
@@ -346,51 +332,31 @@ def _put_words(out: np.ndarray, col: int, words: np.ndarray) -> None:
     out[:, col:col + 8].view("<u8")[:, 0] = words
 
 
-def _text_field(kind: str, longest: int) -> str:
-    """A bytes (S) or str (U) field wider than ``longest``, so that a longer
-    value cannot read as a listed one; bytes fields come in whole 8-byte
-    words, which ``_name_codes`` compares."""
-    return f"S{8 * (longest // 8 + 1)}" if kind == "S" else f"U{longest + 1}"
-
-
 def _name_codes(column: np.ndarray, codes: dict, dtype) -> np.ndarray:
-    """The code of each item of a read text column, bytes (S) or str, and
-    -1 where ``codes`` holds no such name.
-
-    The items of a bytes column, a ``_text_field``, are compared as 8-byte
-    words.
-    """
+    """The code of each name of a column ``np.loadtxt`` read, str (U) items
+    or str objects, and -1 where ``codes`` holds no such name."""
     out = np.full(column.size, -1, dtype=dtype)
-    if column.dtype.kind != "S":
-        for name, code in codes.items():
-            out[column == name] = code
-        return out
-    words = np.ascontiguousarray(column).view(np.uint64).reshape(
-        column.size, column.itemsize // 8)
     for name, code in codes.items():
-        key = np.frombuffer(name.encode().ljust(column.itemsize, b"\0"),
-                            dtype=np.uint64)
-        match = words[:, 0] == key[0]
-        for j in range(1, key.size):
-            match &= words[:, j] == key[j]
-        out[match] = code
+        out[column == name] = code
     return out
 
 
-def _row_fields(kind: str, names: tuple, has_origin: bool) -> list:
-    """The ``np.loadtxt`` fields of a click row, names as ``kind`` fields
-    (``_text_field``), or as str objects where no names are listed."""
+def _row_fields(names: tuple, has_origin: bool) -> list:
+    """The ``np.loadtxt`` fields of a click row.  Listed detector names and
+    the origins are read as str (U) fields wider than the longest of them,
+    so that a longer name cannot read as a listed one; where no names are
+    listed, the detector names are read as str objects."""
     longest = max((len(name.encode()) for name in names), default=0)
     fields = [("attempt", np.int64),
-              ("detector", _text_field(kind, longest) if names else object),
+              ("detector", f"U{longest + 1}" if names else object),
               ("t_us", np.float64),
-              ("origin", _text_field(kind, max(map(len, ORIGIN_CODES))))]
+              ("origin", f"U{max(map(len, ORIGIN_CODES)) + 1}")]
     return fields if has_origin else fields[:-1]
 
 
-def _loaded_rows(path, lines: list, fields, first_row: int):
-    """The click rows ``lines``, the file's data rows from ``first_row``
-    (from 0), read by ``np.loadtxt`` into a record array of ``fields``."""
+def _loaded_rows(path, lines: list, fields):
+    """The file's data rows ``lines`` read by ``np.loadtxt`` into a record
+    array of ``fields``."""
     if not lines:
         return np.empty(0, dtype=fields)
     try:
@@ -398,7 +364,7 @@ def _loaded_rows(path, lines: list, fields, first_row: int):
                           usecols=range(len(fields)), ndmin=1,
                           encoding="latin1")
     except ValueError as exc:
-        raise _malformed_row(path, fields, exc, first_row) from None
+        raise _malformed_row(path, fields, exc) from None
 
 
 def _coded_rows(data: np.ndarray, names: tuple):
@@ -414,49 +380,68 @@ def _coded_rows(data: np.ndarray, names: tuple):
     return data["attempt"], detector, data["t_us"], origin
 
 
-def _plain(data: bytes, pos: int = 0) -> bool:
-    """Whether ``data`` is ASCII and its body ``data[pos:]`` needs no CR
-    translation or line-by-line cleaning."""
-    return data.isascii() and not any(data.find(c, pos) >= 0
-                                      for c in _BODY_IRREGULAR)
-
-
-def _header(lines, meta: dict, path):
-    """The column line split at its commas, after the ``#`` header lines of
-    ``lines`` (bytes), whose values go to ``meta``; None if none follows."""
-    for raw in lines:
-        line = _utf8(raw, path).strip()
+def _text_lines(lines, meta: dict, path):
+    """The stripped lines of ``lines`` that are neither blank nor ``#``
+    lines, the first of them the column line; the values of the ``#``
+    lines, wherever they are, go to ``meta``."""
+    for line in lines:
+        line = line.strip()
         if line.startswith("#"):
             _read_header_line(line, meta, path)
         elif line:
-            return line.split(",")
-    return None
+            yield line
 
 
-def _block_rows(path, fd: int, pos: int, size: int, names: tuple):
-    """(rows, loaded) of the body from byte ``pos`` of the open file ``fd``
-    of ``size`` bytes, or None if it is not ``_plain``.
+def _text_rows(path, meta: dict):
+    """(names, (attempt, detector, t_us, origin)) of the click file
+    ``path`` read whole as UTF-8 text, its line ends translated as text
+    mode reads them, and its rows read by one ``np.loadtxt`` call."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = _text_lines(fh.read().split("\n"), meta, path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    columns = next(lines, None)
+    rows = list(lines)
+    names = meta.get("detectors", ())
+    data = _loaded_rows(path, rows, _row_fields(
+        names, columns is not None and "origin" in columns.split(",")))
+    del rows
+    if not names:  # the column holds str objects
+        names = tuple(sorted(set(data["detector"].tolist())))
+    attempt, detector, t_us, origin = _coded_rows(data, names)
+    unknown = np.flatnonzero(detector < 0)
+    if unknown.size:
+        line, text = next(itertools.islice(data_rows(path), unknown[0], None))
+        raise ConfigError(
+            f"{path}: line {line}: click row names detector "
+            f"{text.split(',')[1]!r}, which the '# detectors=' header "
+            f"({','.join(names)}) does not list")
+    return names, (attempt.copy(), detector, t_us.copy(), origin)
 
-    ``rows`` is (attempt, detector, t_us, origin).  Block k holds the rows
-    that start in bytes [pos + k B, pos + (k + 1) B), B = ``_READ_BLOCK``.
-    A worker thread (``_in_order``) reads it into a buffer of its own, from
-    8 bytes before it (the line end before its first row, and the 7 bytes a
-    ``_word_rows`` load may start before a row; the ``# detectors=`` and
-    column lines before the body are longer) to ``_LOOK_AHEAD`` bytes
-    past it, or as far as its last row runs, and parses rows in the
-    writer's grammar.  Other rows come back as bytes, which the calling
-    thread reads by ``np.loadtxt``.  It puts each block's rows in place in
-    file order, and alone decides on cleaning and errors.  ``loaded`` holds
-    (first data row, detector column) of each block ``np.loadtxt`` read.
+
+def _block_rows(fd: int, pos: int, size: int, names: tuple):
+    """(attempt, detector, t_us, origin) of the body from byte ``pos`` of
+    the open file ``fd`` of ``size`` bytes, or None if any of its rows is
+    outside the writer's grammar (``_word_rows``).
+
+    Block k holds the rows that start in bytes [pos + k B, pos + (k + 1) B),
+    B = ``_READ_BLOCK``.  A worker thread (``_in_order``) reads it into a
+    buffer of its own, from 8 bytes before it (the line end before its first
+    row, and the 7 bytes a ``_word_rows`` load may start before a row; the
+    ``# detectors=`` and column lines before the body are longer) to
+    ``_LOOK_AHEAD`` bytes past it, or as far as its last row runs, and
+    parses it with ``_word_rows``.  The calling thread puts each block's
+    rows in place in file order, and stops at the first block that
+    ``_word_rows`` rejects.
     """
     codes = {n: i for i, n in enumerate(names)}
-    fields = _row_fields("S", names, True)
     local = threading.local()
 
     def parse(lo: int):
         """(first, end, rows) of the rows of the block at byte ``lo``: their
-        bytes [first, end) of the file, and their columns, or their bytes if
-        any is outside the grammar; None if no row starts in the block."""
+        bytes [first, end) of the file, and their columns, None if any is
+        outside the grammar; None if no row starts in the block."""
         want = 8 + _READ_BLOCK + _LOOK_AHEAD
         while True:
             if len(getattr(local, "buf", b"")) < want:
@@ -477,30 +462,16 @@ def _block_rows(path, fd: int, pos: int, size: int, names: tuple):
         u8 = np.frombuffer(buf, dtype=np.uint8, count=count)
         words = np.ndarray((count - 7,), dtype="<u8", buffer=buf,
                            strides=(1,))
-        rows = _word_rows(u8, words, first, end, codes)
         return (lo - 8 + first, lo - 8 + end,
-                bytes(buf[first:end]) if rows is None else rows)
+                _word_rows(u8, words, first, end, codes))
 
     columns = [np.empty(0, dtype=dtype)
                for dtype in (np.int64, np.int16, np.float64, np.int8)]
-    loaded = []
     n = 0
-    checked = False
     with closing(_in_order(parse, range(pos, size, _READ_BLOCK))) as blocks:
         for first, end, block in filter(None, blocks):
-            if isinstance(block, bytes):
-                # rows in the grammar are plain, so only the other blocks,
-                # and once the bytes after the first of them, are looked at
-                if not (_plain(block) and (checked or all(
-                        _plain(os.pread(fd, _READ_BLOCK, lo))
-                        for lo in range(end, size, _READ_BLOCK)))):
-                    return None
-                checked = True
-                read_rows = _loaded_rows(
-                    path, [line for line in block.decode().split("\n")
-                           if line], fields, n)
-                block = _coded_rows(read_rows, names)
-                loaded.append((n, read_rows["detector"]))
+            if block is None:
+                return None
             stop = n + block[0].size
             if stop > columns[0].size:
                 # room for the rest at this block's rows per byte, and an
@@ -513,7 +484,7 @@ def _block_rows(path, fd: int, pos: int, size: int, names: tuple):
             n = stop
     for column in columns:
         column.resize(n, refcheck=False)
-    return columns, loaded
+    return columns
 
 
 @dataclass
@@ -560,14 +531,12 @@ class ClickRecords:
     Where they are ASCII without CR, list the detectors and end in a column
     line that names ``origin``, the worker threads (``_in_order``) read the
     body from the file in blocks, the rows that start in each 1 MB, and
-    parse each block in the writer's grammar as 8-byte words
-    (``_word_rows``).  The calling thread reads any other block by
-    ``np.loadtxt``, puts each block's rows in place in file order and
-    alone decides on cleaning and errors, so row numbers and messages do
-    not depend on the threads.  Otherwise, or for a body with CR, ``#``
-    lines, padding or non-ASCII text, the whole file is read at once, its
-    line ends translated and its body cleaned line by line where it needs
-    it, and ``np.loadtxt`` reads it as one block.  A negative
+    parse each block as 8-byte words (``_word_rows``); the calling thread
+    puts each block's rows in place in file order.  Otherwise, or as soon
+    as a block holds a row outside the writer's grammar, the whole file is
+    read as text, its line ends translated and each line stripped, and one
+    ``np.loadtxt`` call reads its rows; a bad row raises only there, so
+    row numbers and messages do not depend on the threads.  A negative
     ``n_attempts=`` or ``n_executed=``, a ``herald_mode=`` other than
     ``True`` or ``False``, a row naming a detector missing from the
     ``detectors=`` header, or a field that does not parse raises
@@ -671,61 +640,18 @@ class ClickRecords:
         meta = {}
         with open(path, "rb") as fh:
             # a header of ASCII lines without CR, then the body in blocks
-            columns = _header(itertools.takewhile(
+            columns = next(_text_lines(map(bytes.decode, itertools.takewhile(
                 lambda raw: raw.isascii() and b"\r" not in raw,
-                iter(fh.readline, b"")), meta, path)
+                iter(fh.readline, b""))), meta, path), None)
             names = meta.get("detectors", ())
-            read = None
-            if names and columns and "origin" in columns:
-                read = _block_rows(path, fh.fileno(), fh.tell(),
+            rows = None
+            if names and columns and "origin" in columns.split(","):
+                rows = _block_rows(fh.fileno(), fh.tell(),
                                    os.fstat(fh.fileno()).st_size, names)
-            if read is None:
-                fh.seek(0)
-                data = fh.read()
-        if read is None:
-            if b"\r" in data:  # CRLF and CR line ends, as text mode reads them
-                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if rows is None:
             meta = {}
-            text = io.BytesIO(data)
-            columns = _header(iter(text.readline, b""), meta, path)
-            pos = text.tell()
-            has_origin = columns is not None and "origin" in columns
-            # the body is one block for np.loadtxt: plain rows, names as
-            # bytes (S) fields, or after line-by-line cleaning, as text (U)
-            kind, lines = "S", []
-            if _plain(data, pos):
-                lines = [line for line in data[pos:].decode().split("\n")
-                         if line]
-            else:
-                kind = "U"
-                for line in _utf8(data[pos:], path).split("\n"):
-                    line = line.strip()
-                    if line.startswith("#"):
-                        _read_header_line(line, meta, path)
-                    elif line:
-                        lines.append(line)
-            names = meta.get("detectors", ())
-            block = _loaded_rows(path, lines,
-                                 _row_fields(kind, names, has_origin), 0)
-            if not names:  # the column holds str objects
-                names = tuple(sorted(set(block["detector"].tolist())))
-            attempt, detector, t_us, origin = _coded_rows(block, names)
-            read = ((attempt.copy(), detector, t_us.copy(), origin),
-                    [(0, block["detector"])])
-            del data, text
-        (attempt, detector, t, origin), loaded = read
-
-        for first, column in loaded:  # blocks of np.loadtxt rows, in order
-            unknown = np.flatnonzero(detector[first:first + column.size] < 0)
-            if unknown.size:
-                line, _ = next(itertools.islice(data_rows(path),
-                                                first + unknown[0], None))
-                name = column[unknown[0]]
-                raise ConfigError(
-                    f"{path}: line {line}: click row names detector "
-                    f"{name.decode() if isinstance(name, bytes) else name!r}, "
-                    f"which the '# detectors=' header ({','.join(names)}) "
-                    "does not list")
+            names, rows = _text_rows(path, meta)
+        attempt, detector, t, origin = rows
         t *= 1e-6
         return cls(attempt=attempt, detector=detector, t=t, origin=origin,
                    detector_names=names, n_attempts=meta.get("n_attempts", 0)

@@ -541,8 +541,8 @@ class TestClickRecords:
         assert loaded.origin.tolist() == [0, 1, -1]
 
     def test_names_differing_after_eight_bytes(self, tmp_path):
-        # a clean body's names are compared as 8-byte words, and these
-        # agree in their first word
+        # the names agree in their first 8 bytes; the origin 'backgrounds'
+        # is outside the writer's grammar, so the file is read as text
         path = tmp_path / "clicks.csv"
         path.write_text("# detectors=SNSPD_LONG_1,SNSPD_LONG_2\n"
                         "attempt,detector,t_us,origin\n"
@@ -607,8 +607,9 @@ class TestClickRecords:
     def test_rows_across_blocks(self, block, near, tmp_path, monkeypatch):
         # a written file of many blocks, its rows straddling block edges.
         # Its rows are in the writer's grammar, so no block reaches
-        # np.loadtxt; or some have a field next to it, and only their
-        # blocks do.  The first name ends with the last one.
+        # np.loadtxt; or some have a field next to it, and one np.loadtxt
+        # call reads every row of the file.  The first name ends with the
+        # last one.
         rng = np.random.default_rng(block)
         n = 2000
         clicks = ClickRecords(
@@ -639,8 +640,7 @@ class TestClickRecords:
             monkeypatch.setattr(np, "loadtxt", None)
         assert_same_records(ClickRecords.from_csv(path),
                             from_csv_oracle(path))
-        # of those fields only 007 is inside the grammar
-        assert len(loads) == (len(NEAR_GRAMMAR_FIELDS) - 1 if near else 0)
+        assert [len(args[0]) for args in loads] == ([n] if near else [])
 
     @pytest.mark.parametrize("text", [
         # the shortest header that lets rows be read as words
@@ -674,8 +674,9 @@ class TestClickRecords:
         assert_same_records(got, from_csv_oracle(path))
         assert len(recwarn) == 0
 
-    # SNSPD20 is one character longer than any listed name
-    @pytest.mark.parametrize("name", ["SNSPD7", "SNSPD20"])
+    # SNSPD20 is one character longer than any listed name, and the message
+    # names SNSPD_NOT_LISTED in full
+    @pytest.mark.parametrize("name", ["SNSPD7", "SNSPD20", "SNSPD_NOT_LISTED"])
     def test_detector_outside_header_raises(self, name, tmp_path):
         path = tmp_path / "clicks.csv"
         path.write_text("# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
@@ -913,12 +914,14 @@ class TestWorkerThreads:
             assert threading.active_count() == before
 
     # rows in the writer's grammar, and in late blocks a malformed row and,
-    # before or after it, a row that needs CR translation, a comment line or
-    # a row with a byte that is not ASCII
+    # before or after it, a row that needs CR translation, a comment line, a
+    # row with a byte that is not ASCII or a row that names a detector the
+    # header does not list
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("late", [
         "9,A,1.000000,photon\r", "# a comment", "9,A\xe9,1.000000,photon",
-    ], ids=["cr", "comment", "not-ascii"])
+        "9,C,1.000000,photon",
+    ], ids=["cr", "comment", "not-ascii", "unlisted"])
     @pytest.mark.parametrize("malformed_first", [False, True])
     def test_late_irregular_block_reads_whole_body(
             self, workers, late, malformed_first, tmp_path, monkeypatch):
