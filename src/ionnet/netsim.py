@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import copy
 import itertools
 import math
 import os
@@ -25,7 +24,6 @@ import re
 import threading
 from contextlib import closing
 from dataclasses import astuple, dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -945,7 +943,7 @@ def _multi_click(sorted_attempt: np.ndarray) -> np.ndarray:
 
 
 def _offset_cdf(weights, n_offsets: int) -> np.ndarray:
-    """Normalized cumulative offset weights, as ``rng.choice`` forms them.
+    """Normalized cumulative offset weights.
 
     The weights are checked as ``rng.choice`` checks its ``p``: 1-D, one per
     offset, finite, non-negative and summing to 1 within sqrt(eps).
@@ -968,54 +966,22 @@ def _offset_cdf(weights, n_offsets: int) -> np.ndarray:
 def _emitters(rng, n: int, cdf: np.ndarray, tau_tot: np.ndarray):
     """Node A's emission uniforms, emitting attempts and their offsets.
 
-    Draws what ``k = rng.choice(len(cdf), size=n, p=...)`` followed by
-    ``u = rng.random(n)`` draws and returns ``u``, the attempts where
-    ``u < tau_tot[k]`` and ``k`` there.  Offsets are resolved only at the
-    attempts that any offset lets emit.
+    Draws ``u = rng.random(n)``, then an offset ``k`` from the cumulative
+    weights ``cdf`` at each attempt that some offset lets emit
+    (``u < tau_tot.max()``), and returns ``u``, the attempts where
+    ``u < tau_tot[k]`` and ``k`` there.  The offset is independent of
+    ``u``, so skipping it elsewhere leaves the distribution as it is.
     """
-    u_off = rng.random(n)
     u = rng.random(n)
     cand = np.flatnonzero(u < tau_tot.max())
-    k = cdf.searchsorted(u_off[cand], side="right")
+    k = cdf.searchsorted(rng.random(cand.size), side="right")
     emit = u[cand] < tau_tot[k]
     return u, cand[emit], k[emit]
 
 
-# attempts drawn per pass: bounds the per-attempt temporaries; the draws of
-# each pass follow on from the last, so the value fixes the random stream
+# attempts per batch: bounds the per-attempt temporaries; each batch draws
+# from its own random stream, so the value fixes the output
 _BATCH = 1_000_000
-# doubles drawn at a time by ``_uniforms_at``
-_DRAW_CHUNK = 1 << 16
-
-
-def _fork_doubles(rng, count: int):
-    """A copy of ``rng`` at its stream position, with ``rng`` moved past
-    ``count`` doubles as drawing them would move it.
-
-    Returns the copy and the moved position (``state["state"]``).  Each
-    double is one step of the stream.  ``advance`` clears the cached 32-bit
-    half, which doubles leave alone, so it is put back.
-    """
-    fork = copy.deepcopy(rng)
-    cached = fork.bit_generator.state
-    state = rng.bit_generator.advance(count).state
-    state.update(has_uint32=cached["has_uint32"], uinteger=cached["uinteger"])
-    rng.bit_generator.state = state
-    return fork, state["state"]
-
-
-def _uniforms_at(rng, n: int, idx: np.ndarray) -> np.ndarray:
-    """``rng.random(n)[idx]`` for sorted ``idx``, drawn ``_DRAW_CHUNK``
-    doubles at a time."""
-    out = np.empty(idx.size)
-    chunk = np.empty(min(n, _DRAW_CHUNK))
-    lo = 0
-    for start in range(0, n, _DRAW_CHUNK):
-        u = rng.random(out=chunk[:n - start])
-        hi = idx.searchsorted(start + u.size)
-        np.take(u, idx[lo:hi] - start, out=out[lo:hi])
-        lo = hi
-    return out
 
 
 def _with_room(column: np.ndarray, n: int, size: int) -> np.ndarray:
@@ -1039,21 +1005,18 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     coincidence (a ``pbsm.HERALD_PORTS`` pair inside the detection span)
     terminates the remaining attempts of its block.
 
-    The attempts go in batches of ``_BATCH``.  The calling thread makes
-    the random draws of a batch, in the order and sizes that fix the
-    random stream, and keeps only the entries that are read.  The
-    per-photon work (emission times, the interference lookup and its
-    check, routing, acceptance and merging) runs on a worker thread
-    (``_in_order``) while the next batch is drawn.  The worker makes the
-    acceptance draws from a copy of the stream at their position, which
-    the calling thread moves past (``_fork_doubles``), so they are the
-    draws of one thread.  It also finds the order that sorts the batch's
-    clicks by attempt, then time, ties in emission order.  The calling
-    thread puts each batch in that order after the batches before it.
-    Batches cover increasing attempt ranges, so the clicks come sorted,
-    and they do not depend on which thread ran what.
+    The attempts go in batches of ``_BATCH``.  Batch k draws from its own
+    generator, the k-th child of ``np.random.SeedSequence(seed)``, so its
+    clicks depend only on the seed, k and ``_BATCH``.  Each batch runs on a
+    worker thread (``_in_order``): its draws, the per-photon work (emission
+    times, the interference lookup and its check, routing, acceptance and
+    merging), and the order that sorts its clicks by attempt, then time,
+    ties in emission order.  Per-photon values are drawn only at the
+    attempts where that node emitted.  The calling thread puts each batch
+    in that order after the batches before it.  Batches cover increasing
+    attempt ranges, so the clicks come sorted, and they do not depend on
+    which thread ran what.
     """
-    rng = np.random.default_rng(seed)
     table = model.detectors
     names = table.names()
     ports = table.port_index(names)
@@ -1069,13 +1032,16 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
     cdf_a = model.cdf_a.reshape(-1, model.cdf_a.shape[-1])
     cdf_b = model.cdf_b.reshape(-1, model.cdf_b.shape[-1])
 
-    def draw(start):
-        """Every random draw of the batch at ``start``, in stream order.
+    def batch(item):
+        """(attempt, detector, t, origin) of the clicks of the batch at
+        ``start``, drawn from ``child``'s generator, and the order that
+        sorts them (``_click_order``).
 
         Per-photon values live only at the attempts where that node
-        emitted (``idx_a``, ``idx_b``), in attempt order: a full-size draw
-        is cut to them at once.
+        emitted (``idx_a``, ``idx_b``), in attempt order.
         """
+        start, child = item
+        rng = np.random.default_rng(child)
         n = min(_BATCH, n_attempts - start)
         u_a, idx_a, k_a = _emitters(rng, n, offset_cdf, tau_a_tot)
         u_a = u_a[idx_a]
@@ -1087,38 +1053,17 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
         u_b = u_b[idx_b]
         pol_a = np.where(u_a < model.tau_a[k_a, 0], 0, 1)
         pol_b = np.where(u_b < model.tau_b[0, 0], 0, 1)
-        same = pol_a[both_a] == pol_b[both_b]
-        u_t_a = rng.random(idx_a.size)
-        u_t_b = rng.random(idx_b.size)
+        t_a = _sample_times(model.times_a, cdf_a, k_a * 2 + pol_a,
+                            rng.random(idx_a.size))
+        t_b = _sample_times(model.times_b, cdf_b, pol_b,
+                            rng.random(idx_b.size))
         # routing: 0 -> output u, 1 -> output r
-        out_a = rng.integers(0, 2, size=n)[idx_a]
-        out_b = rng.integers(0, 2, size=n)[idx_b]
-        n_same = int(np.count_nonzero(same))
-        u_pair = rng.random(n_same)
-        swap = rng.random(n_same) < 0.5
-        # the acceptance draws, rng.random(n)[idx_a] then [idx_b], by work
-        keep_rng, keep_end = _fork_doubles(rng, 2 * n)
-        backgrounds = []  # (detector, attempt in the batch, uniform time)
-        for d, lam in enumerate(bg_means):
-            count = rng.poisson(lam * n)
-            if count:
-                backgrounds.append((d, rng.integers(0, n, size=count),
-                                    rng.random(count)))
-        return SimpleNamespace(
-            start=start, n=n, idx_a=idx_a, k_a=k_a, pol_a=pol_a, u_t_a=u_t_a,
-            out_a=out_a, idx_b=idx_b, pol_b=pol_b, u_t_b=u_t_b, out_b=out_b,
-            keep_rng=keep_rng, keep_end=keep_end, both_a=both_a,
-            both_b=both_b, same=same, u_pair=u_pair, swap=swap,
-            backgrounds=backgrounds)
+        out_a = rng.integers(0, 2, size=idx_a.size)
+        out_b = rng.integers(0, 2, size=idx_b.size)
 
-    def work(d):
-        """(attempt, detector, t, origin) of a drawn batch's clicks, and the
-        order that sorts them (``_click_order``)."""
-        t_a = _sample_times(model.times_a, cdf_a, d.k_a * 2 + d.pol_a, d.u_t_a)
-        t_b = _sample_times(model.times_b, cdf_b, d.pol_b, d.u_t_b)
-
-        sa, sb = d.both_a[d.same], d.both_b[d.same]
-        lead = (d.k_a[sa], d.pol_a[sa])
+        same = pol_a[both_a] == pol_b[both_b]
+        sa, sb = both_a[same], both_b[same]
+        lead = (k_a[sa], pol_a[sa])
         ts_a, ts_b = t_a[sa], t_b[sb]
         dt = model.coarse_dt
         num = _bilinear(model.interference_num, lead, ts_a, ts_b, dt)
@@ -1138,34 +1083,37 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
         x_corr = np.clip(x_corr, -1.0, 1.0)  # roundoff only
         # outcomes: both u with (1+X)/4, both r with (1+X)/4, else split
         p_uu = 0.25 * (1.0 + x_corr)
-        both_u = d.u_pair < p_uu
-        both_r = (~both_u) & (d.u_pair < 2.0 * p_uu)
-        d.out_a[sa] = np.where(both_u, 0, np.where(both_r, 1, d.swap))
-        d.out_b[sb] = np.where(both_u, 0, np.where(both_r, 1, ~d.swap))
+        u_pair = rng.random(sa.size)
+        swap = rng.random(sa.size) < 0.5
+        both_u = u_pair < p_uu
+        both_r = (~both_u) & (u_pair < 2.0 * p_uu)
+        out_a[sa] = np.where(both_u, 0, np.where(both_r, 1, swap))
+        out_b[sb] = np.where(both_u, 0, np.where(both_r, 1, ~swap))
 
-        det_a = det_for[d.out_a, d.pol_a]
-        det_b = det_for[d.out_b, d.pol_b]
-        keep_a = _uniforms_at(d.keep_rng, d.n, d.idx_a) < acceptance[det_a]
-        keep_b = _uniforms_at(d.keep_rng, d.n, d.idx_b) < acceptance[det_b]
-        if d.keep_rng.bit_generator.state["state"] != d.keep_end:
-            raise NumericalConsistencyError(
-                "the acceptance draws did not end where the calling thread "
-                "moved the random stream to")
+        det_a = det_for[out_a, pol_a]
+        det_b = det_for[out_b, pol_b]
+        keep_a = rng.random(idx_a.size) < acceptance[det_a]
+        keep_b = rng.random(idx_b.size) < acceptance[det_b]
 
         # photons landing on the same detector produce a single click, the
         # earlier one
-        both_a, both_b = d.both_a, d.both_b
         merged = keep_a[both_a] & keep_b[both_b] \
             & (det_a[both_a] == det_b[both_b])
         b_later = t_b[both_b] >= t_a[both_a]
         keep_a[both_a[merged & ~b_later]] = False
         keep_b[both_b[merged & b_later]] = False
 
+        bg = []  # (detector, attempt in the batch, uniform time)
+        for det, lam in enumerate(bg_means):
+            count = rng.poisson(lam * n)
+            if count:
+                bg.append((det, rng.integers(0, n, size=count),
+                           rng.random(count)))
+
         # node A's photons, node B's, then each detector's backgrounds
-        bg = d.backgrounds
-        attempt = np.concatenate([d.idx_a[keep_a], d.idx_b[keep_b],
+        attempt = np.concatenate([idx_a[keep_a], idx_b[keep_b],
                                   *(at for _, at, _ in bg)])
-        attempt += d.start
+        attempt += start
         t = np.concatenate([t_a[keep_a], t_b[keep_b],
                             *(u * BG_SPAN for _, _, u in bg)])
         detector = np.concatenate([
@@ -1187,14 +1135,15 @@ def simulate_attempts(seq: SequenceConfig, model: DetectionModel,
                for dtype in (np.int64, np.int16, np.float64, np.int8)]
     n_clicks = 0
     starts = range(0, n_attempts, _BATCH)
-    with closing(_in_order(work, map(draw, starts))) as batches:
-        for k, (batch, order) in enumerate(batches):
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+    with closing(_in_order(batch, zip(starts, children))) as batches:
+        for k, (parts, order) in enumerate(batches):
             end = n_clicks + order.size
             if end > columns[0].size:
                 size = end + (len(starts) - k - 1) * order.size * 9 // 8
                 columns = [_with_room(column, n_clicks, size)
                            for column in columns]
-            for column, part in zip(columns, batch):
+            for column, part in zip(columns, parts):
                 np.take(part, order, out=column[n_clicks:end])
             n_clicks = end
     for column in columns:

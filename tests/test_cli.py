@@ -38,17 +38,17 @@ FAST_SEED7_SHA256 = {
     "tomography.json":
         "6ba4fc49cd47e5033f9c765b0f5ee4417bf746db44bc80d17299b82ed751106e",
     "clicks.csv":
-        "5ee04ac4c97ff53580356d6011ad5edfb25d73ea611321ca7d418c233d00fd84",
+        "d7ba1a9e63399d6c48c97d496967219287854efabf26724e19fb12df908d5180",
     "hom_histogram.csv":
-        "ee114827cede83f89a6c07935a3b7473a593b241821059b853e681c1bb560716",
+        "7a16e4e2d79a24657d2c0b29884d52e6fc0ae742d4c380c87970c3fc7e7f7a86",
     "visibility_data.csv":
-        "87f08ea860906c6d8dea21e74eca31e20098859765d46cb1aee42dbe5a6624e5",
+        "772e761f86dc4e42a35eb42c53026a122637a060c8bd9c1c75f618ecfc136f8f",
 }
 
 # sha256 of the HERALD_CONFIG --seed 7 clicks.csv: the click order and the
 # blocks a herald cut short
 HERALD_SEED7_CLICKS_SHA256 = \
-    "bc19c8996ab5486df9d7660677acbdc2f89f35c411797740e564a6030078598c"
+    "750c04703984201b928ab7c8f96defc0eadcae0e5873bf0da507be34e5cd5618"
 
 
 # the command line naming each input file, and bytes of it that are not UTF-8

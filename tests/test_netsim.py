@@ -7,11 +7,10 @@ import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -123,12 +122,12 @@ class TestCalibration:
 # sha256 of the seed-11 herald-mode run with 13 node-A offsets below: the
 # bytes of the click columns and the herald attempts, then ``n_executed``
 THIRTEEN_OFFSETS_SHA256 = \
-    "5c34e8ccfdf822d998478f777424ad9813326c06002cb59fbe7534ddddd4ebc8"
+    "effe3dd5dd561f7b4fc48a4c95b50cc7b999f697b1e2bd86cdcc08e97cd7f2ef"
 
 
 # sha256 of the four seed-5 runs of ``multi_batch_digest``, likewise
 MULTI_BATCH_SHA256 = \
-    "44de4ca07bae68390b3e1e25bc5faf4f6df91e7de332bd4859577412691da7dc"
+    "34be5d871c3d2d640b2174ed82a1ec547f9b5014d28f123e5dcd1190574a79fc"
 
 
 class TestSimulation:
@@ -248,10 +247,9 @@ def thirteen_offsets_run(table):
 def multi_batch_digest(table, monkeypatch):
     """sha256 hex digest of toy runs of several odd-sized batches.
 
-    Backgrounds on, herald mode off and on.  The batches, and the last
-    batch of each run, are of odd and even sizes, so the acceptance draws
-    of some batches come with the cached 32-bit half of the random stream
-    set and of others without.
+    Backgrounds on, herald mode off and on.  The batch sizes are odd, the
+    last batch of each run is short, and in herald mode blocks of
+    attempts run across batch edges.
     """
     model = toy_detection_model(table, tau=0.4, bg_scale=20.0)
     digest = hashlib.sha256()
@@ -773,6 +771,28 @@ class TestWorkerThreads:
         # runs of many batches
         assert multi_batch_digest(table, monkeypatch) == MULTI_BATCH_SHA256
 
+    def test_batches_draw_distinct_streams(self, table, monkeypatch):
+        # backgrounds only, so that a batch's clicks are its draws; batches
+        # seeded alike would repeat the first batch's clicks
+        monkeypatch.setattr(netsim, "_BATCH", 10_000)
+        model = toy_detection_model(table, tau=0.0, bg_scale=20.0)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(netsim, "_WORKERS", workers)
+            runs.append(netsim.simulate_attempts(
+                SequenceConfig(), model, 30_000, seed=3)[0])
+        assert_same_records(runs[1], runs[0])
+        clicks = runs[0]
+        batches = []
+        for k in range(3):
+            at = clicks.attempt // 10_000 == k
+            batches.append(set(zip((clicks.attempt[at] - k * 10_000).tolist(),
+                                   clicks.detector[at].tolist(),
+                                   clicks.t[at].tolist())))
+        assert all(len(records) > 100 for records in batches)
+        for a, b in itertools.combinations(batches, 2):
+            assert not a & b
+
     def test_batches_chunks_and_blocks_in_order(self, table, tmp_path,
                                                 monkeypatch):
         # a run of many batches, written in many chunks and read in many
@@ -1026,41 +1046,36 @@ class TestSampleTimes:
 
 
 class TestEmitters:
-    # the first n_offsets weights (some exactly 0) and emission
-    # probabilities (some 0 or 1) are used, so that offsets differ in which
-    # attempts they let emit
-    @given(seed=st.integers(0, 2 ** 32 - 1),
-           n_offsets=st.sampled_from([1, 13]), n=st.integers(1, 4000),
-           weights=st.lists(st.just(0.0) | st.floats(1e-3, 1.0),
-                            min_size=13, max_size=13),
-           tau_tot=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-                            min_size=13, max_size=13))
-    @settings(max_examples=150, deadline=None)
-    @example(seed=0, n_offsets=1, n=1000, weights=[1.0] * 13,
-             tau_tot=[0.3] * 13)
-    @example(seed=1, n_offsets=13, n=1001, weights=list(range(1, 14)),
-             tau_tot=list(np.linspace(0.6, 0.0, 13)))
-    def test_matches_choice_then_flatnonzero(self, seed, n_offsets, n,
-                                             weights, tau_tot):
-        weights = np.array(weights[:n_offsets], dtype=float)
-        tau_tot = np.array(tau_tot[:n_offsets])
-        assume(weights.sum() > 0.0)
-        p = weights / weights.sum()
+    # six offsets: one of weight 0, one that never emits (tau = 0) and one
+    # that always does (tau = 1)
+    WEIGHTS = np.array([0.1, 0.0, 0.25, 0.3, 0.15, 0.2])
+    TAU_TOT = np.array([0.3, 0.9, 0.0, 1.0, 0.55, 0.1])
 
-        rng = np.random.default_rng(seed)
-        k_off = rng.choice(n_offsets, size=n, p=p)
-        u = rng.random(n)
-        idx = np.flatnonzero(u < tau_tot[k_off])
-        want_next = rng.random()
+    def test_offset_counts_match_weight_times_tau(self):
+        n = 200_000
+        u, idx, k = netsim._emitters(
+            np.random.default_rng(2024), n,
+            netsim._offset_cdf(self.WEIGHTS, 6), self.TAU_TOT)
+        assert u.shape == (n,)
+        assert np.all(np.diff(idx) > 0)
+        assert np.all(u[idx] < self.TAU_TOT[k])
+        counts = np.bincount(k, minlength=6)
+        assert counts[1] == 0 and counts[2] == 0
+        # chi-square over the offsets that can emit, and the attempts that
+        # did not emit
+        expected = self.WEIGHTS * self.TAU_TOT * n
+        live = expected > 0
+        observed = np.append(counts[live], n - idx.size)
+        expected = np.append(expected[live], n - expected.sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
-        rng = np.random.default_rng(seed)
-        got_u, got_idx, got_k = netsim._emitters(
-            rng, n, netsim._offset_cdf(p, n_offsets), tau_tot)
-        assert np.array_equal(got_u, u)
-        assert np.array_equal(got_idx, idx)
-        assert np.array_equal(got_k, k_off[idx])
-        assert got_k.dtype == k_off.dtype
-        assert rng.random() == want_next
+    @pytest.mark.parametrize("tau, emitting", [(0.0, 0), (1.0, 5000)])
+    def test_tau_zero_never_and_one_always_emits(self, tau, emitting):
+        u, idx, k = netsim._emitters(
+            np.random.default_rng(3), 5000,
+            netsim._offset_cdf(self.WEIGHTS, 6), np.full(6, tau))
+        assert np.array_equal(idx, np.arange(emitting))
+        assert k.size == emitting and not np.any(k == 1)
 
     @pytest.mark.parametrize("weights, n_offsets", [
         ([[0.5, 0.5]], 2),              # not 1-D
@@ -1087,52 +1102,6 @@ class TestEmitters:
         weights = [0.5, 0.5 + 1e-9]
         np.random.default_rng(0).choice(2, size=3, p=weights)
         assert netsim._offset_cdf(weights, 2)[-1] == 1.0
-
-
-class TestForkDoubles:
-    # ``lead`` 32-bit draws come first: an odd count leaves the cached half
-    # of the stream set
-    @given(seed=st.integers(0, 2 ** 32 - 1), lead=st.integers(0, 3),
-           n=st.integers(0, 2000), density=st.floats(0.0, 1.0),
-           chunk=st.sampled_from([1, 7, 64, 1 << 16]),
-           k=st.integers(1, 2 ** 40), size=st.integers(0, 5))
-    @settings(max_examples=200, deadline=None)
-    @example(seed=0, lead=1, n=0, density=1.0, chunk=7, k=2, size=3)
-    @example(seed=1, lead=3, n=1001, density=0.3, chunk=64, k=2, size=1)
-    @example(seed=2, lead=0, n=1000, density=0.5, chunk=64, k=1000, size=4)
-    def test_matches_plain_draws(self, seed, lead, n, density, chunk, k,
-                                 size):
-        def generator():
-            rng = np.random.default_rng(seed)
-            rng.integers(0, 2, size=lead)
-            assert rng.bit_generator.state["has_uint32"] == lead % 2
-            return rng
-
-        pick = np.random.default_rng(seed + 1)
-        idx_a = np.flatnonzero(pick.random(n) < density)
-        idx_b = np.flatnonzero(pick.random(n) < density)
-        plain = generator()
-        want = [plain.random(n)[idx_a], plain.random(n)[idx_b],
-                plain.integers(0, k, size), plain.random(size)]
-
-        rng = generator()
-        fork, end = netsim._fork_doubles(rng, 2 * n)
-        with mock.patch.object(netsim, "_DRAW_CHUNK", chunk):
-            got = [netsim._uniforms_at(fork, n, idx_a),
-                   netsim._uniforms_at(fork, n, idx_b)]
-        assert fork.bit_generator.state["state"] == end
-        got += [rng.integers(0, k, size), rng.random(size)]
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-
-    def test_draws_off_the_stream_raise(self, table, monkeypatch):
-        fork_doubles = netsim._fork_doubles
-        monkeypatch.setattr(netsim, "_fork_doubles",
-                            lambda rng, count: fork_doubles(rng, count + 1))
-        with pytest.raises(NumericalConsistencyError,
-                           match="acceptance draws did not end"):
-            netsim.simulate_attempts(SequenceConfig(),
-                                     toy_detection_model(table), 1000)
 
 
 class TestClickOrder:
