@@ -18,9 +18,9 @@ phase, and it enters through the drive amplitude d alone, so every flavor's
 generator is affine, ``L_free + d K_plus + d* K_minus``.  Grids built with
 :meth:`TimeGrid.for_node` make the step commensurate with the beat period;
 :func:`step_propagators` then builds the three pieces once and
-exponentiates the generators of all beat slots in one batched ``expm``;
-scipy, which provides it, loads at the first :func:`step_propagators` call,
-so a process that takes no matrix exponential never imports it.
+exponentiates the generators of all beat slots and the free generator in
+one call of :func:`_expm`, a scaling-and-squaring Padé exponential that
+evaluates the stack in batched numpy products and solves.
 :func:`propagate` is the one propagation routine; the restricted and full
 density operators here and the no-noise pure state in
 :mod:`ionnet.purebranch` all run through it.  It steps one state per beat
@@ -180,6 +180,77 @@ def _generator(h: np.ndarray, jumps, flavor: str) -> np.ndarray:
     return gen
 
 
+# Scaling-and-squaring Padé exponential (Higham, SIAM J. Matrix Anal. Appl.
+# 26, 1179 (2005)): the degree-m approximant is accurate to double precision
+# for 1-norms up to theta_m; b holds its numerator coefficients b_0..b_m.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+               13: 5.371920351148152e0}
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """Degree-m Padé approximant of ``exp`` for a ``(k, n, n)`` stack."""
+    b = _PADE_COEFFS[m]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        powers = [eye, a2]  # even powers a^0, a^2, ..., a^(m-1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each matrix in a ``(..., n, n)`` stack.
+
+    Each matrix gets the Padé degree m and the number of squarings s that
+    its own 1-norm calls for; matrices that share (m, s) are evaluated as
+    one batched product and solve.  numpy's batched ``matmul`` and
+    ``solve`` give every matrix the bits of a call on it alone, so a
+    matrix's exponential does not depend on the stack it sits in.  Raises
+    ``IntegratorError`` if any entry is not finite.
+    """
+    if not np.isfinite(a).all():
+        raise IntegratorError("generator is not finite")
+    stack = a.reshape(-1, *a.shape[-2:])
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+    degree = np.full(norms.shape, 13)
+    for m in (9, 7, 5, 3):
+        degree[norms <= _PADE_THETA[m]] = m
+    theta = _PADE_THETA[13]
+    squarings = np.where(degree == 13, np.ceil(
+        np.log2(np.maximum(norms, theta) / theta)), 0).astype(int)
+    out = np.empty_like(stack)
+    for m, s in set(zip(degree.tolist(), squarings.tolist())):
+        idx = np.flatnonzero((degree == m) & (squarings == s))
+        r = _pade(stack[idx] * 0.5 ** s, m)
+        for _ in range(s):
+            r = r @ r
+        out[idx] = r
+    return out.reshape(a.shape)
+
+
 @dataclass(frozen=True)
 class StepPropagators:
     """Per-step propagators: one per beat phase in the pulse, one free."""
@@ -197,15 +268,15 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
     The flavor's generator is split as ``L_free + d K_plus + d* K_minus``:
     ``L_free`` (drive off) and the two drive pieces are built once, the
     slot generators follow from the drive amplitudes d at the slot
-    midpoints, and one batched ``expm`` exponentiates the whole
-    ``(slots, m, m)`` stack.  ``flavor`` is ``"restricted"``, ``"full"``
-    or ``"nonhermitian"`` (see :func:`_generator`).  Requires a grid
-    commensurate with the node's beat (see :meth:`TimeGrid.for_node`); the
-    pulse edge is rounded to the nearest grid point (sub-step rounding,
-    relative error below 1e-4 of the pulse).
+    midpoints, and one :func:`_expm` call exponentiates the ``(slots, m,
+    m)`` stack together with ``L_free``.  Each slot's propagator has the
+    bits of ``_expm`` on its generator alone.  ``flavor`` is
+    ``"restricted"``, ``"full"`` or ``"nonhermitian"`` (see
+    :func:`_generator`).  Requires a grid commensurate with the node's beat
+    (see :meth:`TimeGrid.for_node`); the pulse edge is rounded to the
+    nearest grid point (sub-step rounding, relative error below 1e-4 of the
+    pulse).  Raises ``IntegratorError`` if a generator is not finite.
     """
-    from scipy.linalg import expm
-
     slots = _commensurate_slots(params, grid)
     if slots is None:
         raise ValueError(
@@ -214,21 +285,25 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
     pulse_steps = round(params.pulse_duration / grid.dt)
     pulse_steps = min(max(pulse_steps, 0), grid.n_steps)
 
-    l_free = _generator(
-        hilbert.hamiltonian_with_phase(params, delta_omega, None),
-        hilbert.noise_operators(params), flavor)
-    # the coherent part is linear in H, and the drive entries of K never
-    # meet a noise entry, so the sum below equals the generator built from
-    # the driven Hamiltonian bit for bit
-    unit = np.zeros((hilbert.DIM, hilbert.DIM), dtype=np.complex128)
-    unit[hilbert.S0, hilbert.P0] = 1.0
-    k_plus, k_minus = (_generator(u, (), flavor) for u in (unit, unit.T))
-    t_mid = (np.arange(slots) + 0.5) * grid.dt
-    drive = hilbert.drive_amplitude(
-        params, hilbert.beat_frequency(params) * t_mid)[:, None, None]
-    gens = l_free + drive * k_plus + drive.conj() * k_minus
-    return StepPropagators(pulse=expm(gens * grid.dt),
-                           free=expm(l_free * grid.dt), slots=slots,
+    # an infinite drive or rate makes inf * 0 products below; _expm reports
+    # the non-finite generator as an IntegratorError instead
+    with np.errstate(invalid="ignore"):
+        l_free = _generator(
+            hilbert.hamiltonian_with_phase(params, delta_omega, None),
+            hilbert.noise_operators(params), flavor)
+        # the coherent part is linear in H, and the drive entries of K never
+        # meet a noise entry, so the sum below equals the generator built
+        # from the driven Hamiltonian bit for bit
+        unit = np.zeros((hilbert.DIM, hilbert.DIM), dtype=np.complex128)
+        unit[hilbert.S0, hilbert.P0] = 1.0
+        k_plus, k_minus = (_generator(u, (), flavor) for u in (unit, unit.T))
+        t_mid = (np.arange(slots) + 0.5) * grid.dt
+        drive = hilbert.drive_amplitude(
+            params, hilbert.beat_frequency(params) * t_mid)[:, None, None]
+        gens = l_free + drive * k_plus + drive.conj() * k_minus
+        stack = np.concatenate((gens, l_free[None])) * grid.dt
+    props = _expm(stack)
+    return StepPropagators(pulse=props[:-1], free=props[-1], slots=slots,
                            n_pulse_steps=pulse_steps)
 
 

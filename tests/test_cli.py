@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionnet import cli, hilbert, netsim, pbsm
+from ionnet import cli, hilbert, netsim
 
 FAST_CONFIG = {
     "jitter": {"k_max": 0, "span_factor": 3.0},
@@ -28,9 +28,9 @@ DETECTOR_DOC = hilbert.load_preset("detectors")
 # digest each artifact records
 FAST_SEED7_SHA256 = {
     "envelope_nodeA.csv":
-        "26d3191ad0ee2fb9f09b556631d2be90e1df21956643e8e0d6393a241ca79812",
+        "869eb2435042a6a7d3ef7694870851bde73c61f5c8be237b8b79f4ca6826c800",
     "envelope_nodeB.csv":
-        "f0479cd67cb115a6e3c0560637a5b721bc05656453263811c60e10017cb21e94",
+        "699ae163e8817e52ad8bcd8364bc3843e7b71e7e13d30394c5aff905e9b6fddb",
     "visibility.csv":
         "a9b0b7a1b8e9104eebf6e26790461129724f4244a66058287ff645b449f33953",
     "fidelity_model.csv":
@@ -575,39 +575,33 @@ class TestArtifacts:
         assert doc["fidelity"]["value"] > 0.99
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # nothing on a CLI path fits with scipy.optimize, so a fresh interpreter
-    # importing the CLI should not pay for importing it
+def test_import_leaves_scipy_unloaded():
+    # no module of the package uses scipy, so a fresh interpreter importing
+    # the CLI should not pay for importing it
     proc = run_python(
-        "-c", "import sys, ionnet.cli; sys.exit('scipy.optimize' in sys.modules)")
+        "-c", "import sys, ionnet.cli; sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
 
 
-def test_commands_without_matrix_exponential_leave_scipy_unloaded(
-        fast_config_path, tmp_path):
-    # analyze, tomography on a counts file and fidelity-model on a
-    # visibility file take no matrix exponential, so they never load scipy
-    rng = np.random.default_rng(0)
-    n = 4000  # two clicks per attempt on two different detectors
-    detector = rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1)[:, :2]
-    netsim.ClickRecords(
-        attempt=np.repeat(np.arange(n), 2),
-        detector=detector.ravel().astype(np.int16),
-        t=rng.uniform(5.5e-6, 23e-6, 2 * n),
-        origin=np.zeros(2 * n, dtype=np.int8),
-        detector_names=pbsm.DETECTOR_NAMES, n_attempts=n,
-    ).to_csv(tmp_path / "clicks.csv")
+def test_every_command_leaves_scipy_unloaded(fast_config_path, tmp_path):
+    # the matrix exponential of the model commands is numpy's, so no
+    # subcommand on any input path loads scipy
     from ionnet import empirical, tomography
     psi = empirical.bell_state(+1, 0.4)
     counts = tomography.exact_counts(np.outer(psi, psi.conj()), 1000)
     (tmp_path / "counts.json").write_text(
         json.dumps(tomography.counts_to_json(counts)))
-    (tmp_path / "vin.csv").write_text("T_us,V\n1.000,0.930\n")
     commands = [
+        ["envelope"],
+        ["visibility"],
+        ["fidelity-model"],
+        ["fidelity-model", "--visibility-csv",
+         str(tmp_path / "visibility.csv")],
+        ["simulate"],
         ["analyze", "--clicks", str(tmp_path / "clicks.csv")],
+        ["tomography", "--synthetic", "200", "--resamples", "5"],
         ["tomography", "--counts", str(tmp_path / "counts.json"),
          "--resamples", "5"],
-        ["fidelity-model", "--visibility-csv", str(tmp_path / "vin.csv")],
     ]
     script = (
         "import sys\n"
@@ -618,4 +612,5 @@ def test_commands_without_matrix_exponential_leave_scipy_unloaded(
         "                    if m.split('.')[0] == 'scipy'))\n")
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []", proc.stdout
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(commands)} []", \
+        proc.stdout

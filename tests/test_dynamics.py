@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
 from ionnet import dynamics, hilbert
 from ionnet.dynamics import TimeGrid
@@ -17,6 +17,11 @@ from test_hilbert import make_params
 # max |blocked - step loop| over max |step loop|; measured up to 1.8e-13 for
 # both nodes and all flavors over the full pulse at 1 and 0.4 ns
 _PROPAGATE_RTOL = 1e-12
+
+# max |dynamics._expm - scipy expm| over max |scipy expm| for a propagator
+# set; measured up to 1.7e-15 for both nodes and all flavors at 0.4, 1 and
+# 2 ns, and up to 1.0e-15 over 400 hypothesis nodes
+_EXPM_RTOL = 1e-13
 
 
 # -- oracles: the per-slot generator build and the one-step loop -------------
@@ -80,7 +85,8 @@ _GENERATORS = {
 }
 
 
-def per_slot_propagators(params, grid, delta_omega, flavor):
+def per_slot_propagators(params, grid, delta_omega, flavor,
+                         expm=dynamics._expm):
     """(pulse, free): one generator build and one ``expm`` per beat slot."""
     builder = _GENERATORS[flavor]
     slots = dynamics._commensurate_slots(params, grid)
@@ -91,6 +97,16 @@ def per_slot_propagators(params, grid, delta_omega, flavor):
         mats.append(expm(builder(params, delta_omega, nu * t_mid) * grid.dt))
     free = expm(builder(params, delta_omega, None) * grid.dt)
     return np.array(mats), free
+
+
+def expm_error(params, grid, delta_omega, flavor):
+    """max |step propagators - scipy's per slot| over max |scipy's|."""
+    props = dynamics.step_propagators(params, grid, delta_omega, flavor)
+    pulse, free = per_slot_propagators(params, grid, delta_omega, flavor,
+                                       expm=scipy_expm)
+    want = np.concatenate((pulse, free[None]))
+    got = np.concatenate((props.pulse, props.free[None]))
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 def step_matrix(props, n):
@@ -213,6 +229,11 @@ class TestNumericalFaults:
         with pytest.raises(IntegratorError):
             dynamics.evolve_restricted(replace(node_b, gamma_sp=np.nan), grid)
 
+    def test_infinite_drive_raises(self, node_b):
+        grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
+        with pytest.raises(IntegratorError, match="generator"):
+            dynamics.evolve_restricted(replace(node_b, omega1=np.inf), grid)
+
     def test_nan_propagator_raises(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
         props = dynamics.step_propagators(node_b, grid, 0.0, "nonhermitian")
@@ -253,6 +274,37 @@ class TestBatchedPropagators:
         assert_matches_step_loop(props, grid.n_steps)
 
 
+class TestExpm:
+    @pytest.mark.parametrize("dt_ns", (0.4, 1.0, 2.0))
+    @pytest.mark.parametrize("flavor", _FLAVORS)
+    @pytest.mark.parametrize("node", ("nodeA", "nodeB"))
+    def test_matches_scipy(self, node, flavor, dt_ns):
+        params = hilbert.node_from_preset(node)
+        grid = TimeGrid.for_node(params, t_end=0.5e-6, target_dt=dt_ns * 1e-9)
+        assert expm_error(params, grid, 0.0, flavor) <= _EXPM_RTOL
+
+    def test_zero_is_identity(self):
+        got = dynamics._expm(np.zeros((3, 16, 16), dtype=np.complex128))
+        assert np.array_equal(got, np.broadcast_to(np.eye(16), got.shape))
+
+    def test_mixed_norm_stack_equals_each_alone(self):
+        # 1-norms on both sides of every Padé bound, and past theta_13 so
+        # that some matrices are squared once and some several times
+        rng = np.random.default_rng(5)
+        mats = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
+        mats /= np.abs(mats).sum(axis=-2).max(axis=-1)[:, None, None]
+        norms = (0.01, 0.02, 0.2, 0.3, 0.9, 1.0, 2.0, 2.1, 5.0, 5.4, 11.0,
+                 30.0)
+        stack = np.concatenate([mats * n for n in norms])
+        theta = dynamics._PADE_THETA
+        assert max(norms) > 2 * theta[13] and min(norms) < theta[3]
+        got = dynamics._expm(stack)
+        for mat, exp in zip(stack, got):
+            assert np.array_equal(exp, dynamics._expm(mat))
+        assert np.abs(got - scipy_expm(stack)).max() <= _EXPM_RTOL * \
+            np.abs(got).max()
+
+
 @st.composite
 def node_params(draw):
     """Nodes with and without recycling (sp, ss) and with and without a beat.
@@ -289,6 +341,15 @@ def test_batched_propagators_equal_per_slot_build(params, offset_mhz):
         pulse, free = per_slot_propagators(params, grid, offset, flavor)
         assert np.array_equal(props.pulse, pulse), flavor
         assert np.array_equal(props.free, free), flavor
+
+
+@given(params=node_params(), offset_mhz=st.floats(-0.5, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_propagators_match_scipy_expm(params, offset_mhz):
+    grid = TimeGrid.for_node(params, t_end=0.2e-6, target_dt=1e-9)
+    for flavor in _FLAVORS:
+        assert expm_error(params, grid, mhz(offset_mhz), flavor) \
+            <= _EXPM_RTOL, flavor
 
 
 @lru_cache(maxsize=None)

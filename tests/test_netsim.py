@@ -122,7 +122,7 @@ class TestCalibration:
 # sha256 of the seed-11 herald-mode run with 13 node-A offsets below: the
 # bytes of the click columns and the herald attempts, then ``n_executed``
 THIRTEEN_OFFSETS_SHA256 = \
-    "effe3dd5dd561f7b4fc48a4c95b50cc7b999f697b1e2bd86cdcc08e97cd7f2ef"
+    "0e9f957012c7589e4f5c9a83f56cc1b15268b504211ece0a96fcc1c5154be16b"
 
 
 # sha256 of the four seed-5 runs of ``multi_batch_digest``, likewise
