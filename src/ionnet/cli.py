@@ -336,10 +336,11 @@ def _cmd_envelope(cfg: RunConfig, args) -> int:
 
 def _model_curve(cfg: RunConfig, t_list, mode: str = "full"):
     """Model V(T) of the configured nodes in the detection window."""
-    return pbsm.model_visibility(
-        cfg.node_a, cfg.node_b, t_list, mode=mode, ensemble_a=cfg.ensemble_a,
-        window=cfg.sequence.detection_window, coarse_dt=cfg.coarse_dt,
-        target_dt=cfg.target_dt)
+    model = pbsm.build_interference_model(
+        cfg.node_a, cfg.node_b, cfg.ensemble_a, mode, cfg.coarse_dt,
+        cfg.target_dt)
+    return pbsm.visibility_from_model(model, t_list,
+                                      cfg.sequence.detection_window)
 
 
 def _cmd_visibility(cfg: RunConfig, args) -> int:

@@ -33,7 +33,7 @@ from .errors import (ConfigError, NumericalConsistencyError,
                      UndefinedVisibilityError)
 from .hilbert import NodeParams
 from .pbsm import (DETECTION_WINDOW, HERALD_PORTS, DetectorTable,
-                   InterferenceModel, build_interference_model)
+                   InterferenceModel, build_interference_model, pair_products)
 from .purebranch import DEFAULT_COARSE_DT
 
 BG_SPAN = 100e-6  # background-generation span per attempt
@@ -696,11 +696,11 @@ class DetectionModel:
     cdf_a: np.ndarray  # (n_offsets, 2, n_times)
     times_b: np.ndarray
     cdf_b: np.ndarray  # (1, 2, n_times)
-    # interference lookup on the coarse grid
+    # interference lookup on the coarse grid, from ``pbsm.pair_products``
     coarse_dt: float
     interference_num: np.ndarray  # (n_offsets, 2, C, C) Re[G_A G_B^T]
-    diag_a: np.ndarray  # (n_offsets, 2, C)
-    diag_b: np.ndarray  # (2, C)
+    diag_a: np.ndarray  # (n_offsets, 2, C) Re diag G_A
+    diag_b: np.ndarray  # (2, C) Re diag G_B
     photon_scale: float
 
     def __post_init__(self):
@@ -846,13 +846,8 @@ def build_detection_model(node_a: NodeParams, node_b: NodeParams,
     n_c = model.coarse_times.size
     num = np.empty((len(model.offsets_a), 2, n_c, n_c))
     diag_a = np.empty((len(model.offsets_a), 2, n_c))
-    gv_b, gh_b = model.kernels_b
-    diag_b = np.array([gv_b.matrix.diagonal().real,
-                       gh_b.matrix.diagonal().real])
-    for k, (gv_a, gh_a) in enumerate(model.kernels_a):
-        for pol_idx, (ka, kb) in enumerate(((gv_a, gv_b), (gh_a, gh_b))):
-            num[k, pol_idx] = np.real(ka.matrix * kb.matrix.T)
-            diag_a[k, pol_idx] = ka.matrix.diagonal().real
+    for k, kernels_a in enumerate(model.kernels_a):
+        num[k], diag_a[k], diag_b = pair_products(kernels_a, model.kernels_b)
 
     return DetectionModel(
         detectors=detectors, seq=seq,

@@ -6,6 +6,10 @@ polarized photons never interfere, so their coincidence rate is a product
 of envelopes; same-polarization photons bunch, and their coincidence rate
 carries the two-time coherence kernels of both nodes.  The model visibility
 V(T) compares the two classes inside a coincidence window of width T.
+
+``pair_products`` owns the two-photon kernel products ``Re[G_A o G_B^T]``
+and kernel diagonals that the coincidence rates here and the click routing
+of ``netsim.build_detection_model`` both read.
 """
 
 from __future__ import annotations
@@ -131,8 +135,18 @@ class DetectorTable:
 
 # -- coincidence-rate arrays -------------------------------------------------
 
-def _scaled(kern: purebranch.CoherenceKernel) -> np.ndarray:
-    return 2.0 * kern.kappa * kern.matrix
+def pair_products(kernels_a, kernels_b):
+    """Unscaled two-photon products of one node-A offset, in (v, h) order.
+
+    ``num[p]`` is ``Re[G_A o G_B^T]`` for polarization p, the time-resolved
+    interference of the two nodes' photons (Legero et al., PRL 93, 070503
+    (2004)); ``diag_a[p]`` and ``diag_b[p]`` are the real kernel diagonals.
+    """
+    pairs = tuple(zip(kernels_a, kernels_b))
+    num = np.array([np.real(ka.matrix * kb.matrix.T) for ka, kb in pairs])
+    diag_a = np.array([ka.matrix.diagonal().real for ka, _ in pairs])
+    diag_b = np.array([kb.matrix.diagonal().real for _, kb in pairs])
+    return num, diag_a, diag_b
 
 
 def orthogonal_coincidence(kernels_a, kernels_b):
@@ -158,14 +172,13 @@ def parallel_coincidence(kernels_a, kernels_b):
     the two nodes' coherence kernels; identical pure photons suppress the
     rate to zero at all time pairs.
     """
-    gv_a, gh_a = kernels_a
-    gv_b, gh_b = kernels_b
+    num, diag_a, diag_b = pair_products(kernels_a, kernels_b)
     out = []
-    for kern_a, kern_b in ((gh_a, gh_b), (gv_a, gv_b)):
-        m_a, m_b = _scaled(kern_a), _scaled(kern_b)
-        d_a, d_b = m_a.diagonal().real, m_b.diagonal().real
+    for p in (1, 0):  # h, then v
+        s_a, s_b = 2.0 * kernels_a[p].kappa, 2.0 * kernels_b[p].kappa
+        d_a, d_b = s_a * diag_a[p], s_b * diag_b[p]
         base = np.outer(d_a, d_b) + np.outer(d_b, d_a)
-        det = 0.25 * (base - 2.0 * np.real(m_a * m_b.T))
+        det = 0.25 * (base - 2.0 * (s_a * s_b) * num[p])
         floor = det.min()
         # perfect bunching cancels to roundoff, so negativity is judged
         # against the no-interference level
@@ -251,6 +264,12 @@ def build_interference_model(node_a: NodeParams, node_b: NodeParams,
     idx_b = purebranch.coarse_indices(grid_b, coarse_dt)
     n_c = min(idx_a.size, idx_b.size)
     idx_a, idx_b = idx_a[:n_c], idx_b[:n_c]
+    if n_c < 2:
+        raise ConfigError(f"coarse step {coarse_dt * 1e6:g} us does not fit "
+                          f"twice in the pulse")
+    if np.any(np.diff(idx_a) == 0) or np.any(np.diff(idx_b) == 0):
+        raise ConfigError(f"coarse step {coarse_dt * 1e6:g} us is finer than "
+                          f"the fine step {target_dt * 1e9:g} ns")
     coarse_times = np.arange(n_c) * coarse_dt
 
     kernels_a = []
@@ -284,7 +303,8 @@ def visibility_from_model(model: InterferenceModel, t_list,
     """V(T) with jitter applied to the integrated rates, not the ratio.
 
     The orthogonal class counts both orders of the orthogonal pair, whose
-    rates are equal, so its integral enters twice.
+    rates are equal, so its integral enters twice.  The rates carry no
+    detector efficiency: a common efficiency cancels in the ratio.
     """
     t_list = np.asarray(t_list, dtype=float)
     n_off = len(model.offsets_a)
@@ -311,20 +331,3 @@ def visibility_from_model(model: InterferenceModel, t_list,
     if np.any(orth <= 0.0):
         raise UndefinedVisibilityError("no orthogonal coincidences in window")
     return VisibilityCurve(t_list=t_list, visibility=1.0 - par / orth)
-
-
-def model_visibility(node_a: NodeParams, node_b: NodeParams, t_list,
-                     mode: str = "full",
-                     ensemble_a: JitterEnsemble | None = None,
-                     window: tuple[float, float] = DETECTION_WINDOW,
-                     coarse_dt: float = purebranch.DEFAULT_COARSE_DT,
-                     target_dt: float = DEFAULT_TARGET_DT) -> VisibilityCurve:
-    """Model interference visibility V(T) for one noise mode.
-
-    The coincidence rates carry no detector efficiency: a common efficiency
-    cancels in the ratio, and measured curves are compared after their
-    per-detector acceptance correction (``netsim.hom_analysis``).
-    """
-    model = build_interference_model(node_a, node_b, ensemble_a, mode,
-                                     coarse_dt, target_dt)
-    return visibility_from_model(model, t_list, window)

@@ -384,6 +384,22 @@ class TestExitCodes:
         assert "cannot reach" in err and "1e-12" in err
         assert not (tmp_path / "clicks.csv").exists()
 
+    @pytest.mark.parametrize("command", ["visibility", "simulate"])
+    @pytest.mark.parametrize("integration", [
+        {"coarse_dt_us": 1000},  # one coarse point
+        {"coarse_dt_us": 0.0001, "target_dt_ns": 2},  # points share a step
+    ])
+    def test_degenerate_coarse_grid(self, tmp_path, capsys, command,
+                                    integration):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"integration": integration}))
+        code = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                        command])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"coarse step {integration['coarse_dt_us']:g} us" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("flag, value", [
         ("--synthetic", "-5"), ("--synthetic", "0"), ("--synthetic", "2.5"),
         ("--resamples", "1"), ("--t-window-us", "-1"), ("--t-window-us", "0"),

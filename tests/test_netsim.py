@@ -130,6 +130,28 @@ MULTI_BATCH_SHA256 = \
     "34be5d871c3d2d640b2174ed82a1ec547f9b5014d28f123e5dcd1190574a79fc"
 
 
+class TestDetectionModel:
+    def test_interference_arrays_are_the_pair_products(self, table):
+        node_a = hilbert.node_from_preset("nodeA")
+        node_b = hilbert.node_from_preset("nodeB")
+        ensemble = dynamics.jitter_ensemble(node_a.gamma_clj, k_max=1)
+        model = pbsm.build_interference_model(node_a, node_b, ensemble,
+                                              "full", target_dt=2e-9)
+        detection = netsim.build_detection_model(
+            node_a, node_b, table, ensemble_a=ensemble, model=model)
+        assert len(model.kernels_a) == 3
+        for k, kernels_a in enumerate(model.kernels_a):
+            num, diag_a, diag_b = pbsm.pair_products(kernels_a,
+                                                     model.kernels_b)
+            assert np.array_equal(detection.interference_num[k], num)
+            assert np.array_equal(detection.diag_a[k], diag_a)
+            assert np.array_equal(detection.diag_b, diag_b)
+            # (v, h) order
+            ka, kb = kernels_a[1], model.kernels_b[1]
+            assert np.array_equal(num[1], np.real(ka.matrix * kb.matrix.T))
+            assert np.array_equal(diag_b[1], kb.matrix.diagonal().real)
+
+
 class TestSimulation:
     def test_no_sources_no_clicks(self, table):
         model = toy_detection_model(table, tau=0.0, bg_scale=0.0)
@@ -1176,7 +1198,7 @@ def pair_records(rows):
         detector=np.array([r[1] for r in rows], dtype=np.int16),
         t=np.array([r[2] for r in rows], dtype=float),
         origin=np.full(len(rows), -1, dtype=np.int8),
-        detector_names=pbsm.DETECTOR_NAMES, n_attempts=6)
+        detector_names=("SPCM1", "SPCM2", "SNSPD1", "SNSPD2"), n_attempts=6)
 
 
 class TestPairExtraction:

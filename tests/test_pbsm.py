@@ -92,13 +92,19 @@ class TestDetectorTable:
             pbsm.DetectorTable.from_dict(doc)
 
 
+# (kappa_A, kappa_B): equal, and unequal so that a scale slip between the
+# nodes shows
+KAPPAS = pytest.mark.parametrize("kappa_a, kappa_b", [(1.0, 1.0), (0.7, 1.9)])
+
+
 class TestOrthogonalCoincidence:
-    def test_single_product_term(self):
+    @KAPPAS
+    def test_single_product_term(self, kappa_a, kappa_b):
         rng = np.random.default_rng(0)
         times, amps, _, _ = random_amplitude_set(rng)
         zero = CoherenceKernel(times, np.zeros((20, 20), complex), 1.0)
-        only_v = synthetic_kernel(times, amps)
-        only_h = synthetic_kernel(times, amps[::-1])
+        only_v = synthetic_kernel(times, amps, kappa=kappa_a)
+        only_h = synthetic_kernel(times, amps[::-1], kappa=kappa_b)
         det = pbsm.orthogonal_coincidence((only_v, zero), (zero, only_h))
         expected = 0.25 * np.outer(only_v.envelope(), only_h.envelope())
         assert np.allclose(det, expected)
@@ -140,25 +146,27 @@ class TestParallelCoincidence:
         assert np.abs(det_hh).max() < 1e-10
         assert np.abs(det_vv).max() < 1e-10
 
-    def test_disjoint_supports_no_interference(self):
+    @KAPPAS
+    def test_disjoint_supports_no_interference(self, kappa_a, kappa_b):
         times = np.linspace(0.0, 1.0, 20)
         early = np.where(times < 0.4, 1.0 + 0.0j, 0.0)
         late = np.where(times > 0.6, 1.0 + 0.0j, 0.0)
-        kern_a = synthetic_kernel(times, early)
-        kern_b = synthetic_kernel(times, late)
+        kern_a = synthetic_kernel(times, early, kappa=kappa_a)
+        kern_b = synthetic_kernel(times, late, kappa=kappa_b)
         det_hh, _ = pbsm.parallel_coincidence((kern_a, kern_a),
                                               (kern_b, kern_b))
         d_a, d_b = kern_a.envelope(), kern_b.envelope()
         product_form = 0.25 * (np.outer(d_a, d_b) + np.outer(d_b, d_a))
         assert np.allclose(det_hh, product_form)
 
-    def test_matches_literal_double_scattering_sum(self):
+    @KAPPAS
+    def test_matches_literal_double_scattering_sum(self, kappa_a, kappa_b):
         """Factorized kernel result equals the brute-force restart double sum."""
         rng = np.random.default_rng(4)
         times, a_a, w_a, sh_a = random_amplitude_set(rng)
         _, a_b, w_b, sh_b = random_amplitude_set(rng)
-        kern_a = synthetic_kernel(times, a_a, w_a, sh_a)
-        kern_b = synthetic_kernel(times, a_b, w_b, sh_b)
+        kern_a = synthetic_kernel(times, a_a, w_a, sh_a, kappa=kappa_a)
+        kern_b = synthetic_kernel(times, a_b, w_b, sh_b, kappa=kappa_b)
         det_hh, _ = pbsm.parallel_coincidence((kern_a, kern_a),
                                               (kern_b, kern_b))
 
@@ -175,7 +183,7 @@ class TestParallelCoincidence:
                     for j in range(n):
                         interf = aa[i] * ab[j] - aa[j] * ab[i]
                         literal[i, j] += wa * wb * abs(interf) ** 2
-        literal *= 0.25 * (2 * kern_a.kappa) * (2 * kern_b.kappa)
+        literal *= 0.25 * (2 * kappa_a) * (2 * kappa_b)
         assert np.abs(det_hh - literal).max() < 1e-10
 
     def test_negative_rates_rejected(self):
@@ -225,9 +233,10 @@ class TestIntegratedCoincidence:
 @pytest.fixture(scope="module")
 def pure_identical_curve():
     node_b = hilbert.node_from_preset("nodeB")
-    return pbsm.model_visibility(node_b, node_b,
-                                 np.array([0.25, 1.0, 5.0, 17.5]) * 1e-6,
-                                 mode="pure", target_dt=1e-9)
+    model = pbsm.build_interference_model(node_b, node_b, mode="pure",
+                                          target_dt=1e-9)
+    return pbsm.visibility_from_model(
+        model, np.array([0.25, 1.0, 5.0, 17.5]) * 1e-6)
 
 
 class TestModelVisibility:
@@ -350,6 +359,7 @@ class TestModelVisibility:
     def test_no_emission_raises(self):
         from test_hilbert import make_params
         dark = make_params(g1=0.0, g2=0.0)
+        model = pbsm.build_interference_model(dark, dark, mode="pure",
+                                              target_dt=1e-9)
         with pytest.raises(UndefinedVisibilityError):
-            pbsm.model_visibility(dark, dark, [0.25e-6], mode="pure",
-                                  target_dt=1e-9)
+            pbsm.visibility_from_model(model, [0.25e-6])
