@@ -25,7 +25,10 @@ evaluates the stack in batched numpy products and solves.
 density operators here and the no-noise pure state in
 :mod:`ionnet.purebranch` all run through it.  It steps one state per beat
 period and fills in the states inside each period from the period's
-cumulative step products.
+cumulative step products.  A caller names the components it reads, and only
+those leave the routine: :func:`evolve_restricted` keeps the four
+populations, all that the photon envelopes, the restart rate and the trace
+need, and the whole states serve the cross-checks alone.
 """
 
 from __future__ import annotations
@@ -90,13 +93,19 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Density-operator trajectory on a grid (``states[k]`` at ``times[k]``)."""
+    """Density-operator trajectory on a grid, row k at ``times[k]``.
+
+    ``populations`` is the real diagonal of each state, all that the
+    envelopes, the restart rate and the trace read; ``states``, the whole
+    operators, is kept only for cross-checks (``_evolve(whole=True)``).
+    """
 
     grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, d, d) complex
+    populations: np.ndarray  # (n_steps + 1, d) float
+    states: np.ndarray | None = None  # (n_steps + 1, d, d) complex
 
     def trace(self) -> np.ndarray:
-        return np.einsum("kii->k", self.states).real
+        return self.populations.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -307,8 +316,8 @@ def step_propagators(params: NodeParams, grid: TimeGrid,
                            n_pulse_steps=pulse_steps)
 
 
-def propagate(props: StepPropagators, v0: np.ndarray,
-              n_steps: int) -> np.ndarray:
+def propagate(props: StepPropagators, v0: np.ndarray, n_steps: int,
+              rows: np.ndarray | None = None) -> np.ndarray:
     """States ``v0, M_0 v0, M_1 M_0 v0, ...`` for ``n_steps`` steps, stacked.
 
     ``v0`` is a vectorized density operator or a pure amplitude vector,
@@ -318,13 +327,19 @@ def propagate(props: StepPropagators, v0: np.ndarray,
     states ``s_{p+1} = C_slots s_p`` are stepped one by one, and state j of
     every period is ``C_j s_p``, one matmul per slot written straight into
     ``out``.  The pulse remainder and the free tail are stepped singly.
-    Raises ``IntegratorError`` if any propagated state is not finite.
+    With ``rows`` (indices into a state) only those components are
+    returned, ``(n_steps + 1, len(rows))``: the period-start and stepped
+    states are still whole, and only ``out`` narrows, to ``C_j[rows] s_p``.
+    Raises ``IntegratorError`` if a period product, a period-start or
+    stepped state, or a returned component is not finite, so a fault in a
+    component that is not returned still raises.
     """
-    out = np.empty((n_steps + 1, v0.size), dtype=np.complex128)
-    out[0] = v0
+    rows = slice(None) if rows is None else rows
     pulse, slots, free = props.pulse, props.slots, props.free
     n_pulse = min(props.n_pulse_steps, n_steps)
     n_periods = n_pulse // slots
+    done = n_periods * slots
+    out = np.empty((n_steps + 1, v0[rows].size), dtype=np.complex128)
 
     # cum[j] = C_{j+1}, so cum[-1] maps one period; the period-start
     # states sit at steps 0, slots, 2 slots, ... and the last one starts
@@ -333,18 +348,21 @@ def propagate(props: StepPropagators, v0: np.ndarray,
     cum[0] = pulse[0]
     for j in range(1, slots):
         cum[j] = pulse[j] @ cum[j - 1]
-    starts = out[:n_periods * slots + 1:slots]
+    starts = np.empty((n_periods + 1, v0.size), dtype=np.complex128)
+    starts[0] = v0
     for p in range(n_periods):
         starts[p + 1] = cum[-1] @ starts[p]
-    blocks = out[:n_periods * slots].reshape(n_periods, slots, v0.size)
+    out[:done + 1:slots] = starts[:, rows]
+    blocks = out[:done].reshape(n_periods, slots, out.shape[1])
     for j in range(1, slots):
-        np.matmul(starts[:n_periods], cum[j - 1].T, out=blocks[:, j])
+        np.matmul(starts[:n_periods], cum[j - 1][rows].T, out=blocks[:, j])
 
-    v = out[n_periods * slots]
-    for n in range(n_periods * slots, n_steps):
-        v = (pulse[n % slots] if n < n_pulse else free) @ v
-        out[n + 1] = v
-    if not np.isfinite(out).all():
+    rest = np.empty((n_steps - done + 1, v0.size), dtype=np.complex128)
+    rest[0] = starts[-1]
+    for i, n in enumerate(range(done, n_steps)):
+        rest[i + 1] = (pulse[n % slots] if n < n_pulse else free) @ rest[i]
+    out[done:] = rest[:, rows]
+    if not all(np.isfinite(a).all() for a in (cum, starts, rest, out)):
         raise IntegratorError("propagated state is not finite")
     return out
 
@@ -352,25 +370,33 @@ def propagate(props: StepPropagators, v0: np.ndarray,
 # -- public evolution API ----------------------------------------------------
 
 def _evolve(params: NodeParams, grid: TimeGrid, delta_omega: float,
-            flavor: str) -> tuple[Trajectory, np.ndarray]:
-    """Trajectory from ``|S,0><S,0|`` and the change of its trace per step."""
+            flavor: str, whole: bool = True) -> tuple[Trajectory, np.ndarray]:
+    """Trajectory from ``|S,0><S,0|`` and the change of its trace per step.
+
+    Without ``whole``, :func:`propagate` returns only the populations.
+    """
     props = step_propagators(params, grid, delta_omega, flavor)
     dim = math.isqrt(props.free.shape[0])
     rho0 = np.zeros(dim * dim, dtype=np.complex128)
     rho0[0] = 1.0
-    vecs = propagate(props, rho0, grid.n_steps)
-    traj = Trajectory(grid=grid, states=vecs.reshape(-1, dim, dim))
+    rows = None if whole else np.arange(dim) * (dim + 1)  # the diagonal
+    vecs = propagate(props, rho0, grid.n_steps, rows)
+    states = vecs.reshape(-1, dim, dim) if whole else None
+    diagonal = np.einsum("kii->ki", states) if whole else vecs
+    traj = Trajectory(grid, diagonal.real.copy(), states)
     return traj, np.diff(traj.trace())
 
 
 def evolve_restricted(params: NodeParams, grid: TimeGrid,
                       delta_omega: float = 0.0) -> Trajectory:
-    """Integrate the manifold-confined equation from ``|S,0><S,0|``.
+    """Populations of the manifold-confined equation from ``|S,0><S,0|``.
 
-    The returned trajectory is unnormalized: its trace at time t is the
-    probability that none of the manifold-leaving channels has fired.
+    The coherences are propagated but not kept.  The trajectory is
+    unnormalized: its trace at time t is the probability that none of the
+    manifold-leaving channels has fired.
     """
-    traj, change = _evolve(params, grid, delta_omega, "restricted")
+    traj, change = _evolve(params, grid, delta_omega, "restricted",
+                           whole=False)
     if np.any(change > _TRACE_INCREASE_TOL):
         raise IntegratorError("restricted trace increased beyond tolerance")
     return traj
@@ -378,15 +404,15 @@ def evolve_restricted(params: NodeParams, grid: TimeGrid,
 
 def photon_envelopes(traj: Trajectory, params: NodeParams):
     """Emission-rate envelopes (p_v, p_h): 2*kappa times the photon populations."""
-    p_v = 2.0 * params.kappa * traj.states[:, hilbert.D1, hilbert.D1].real
-    p_h = 2.0 * params.kappa * traj.states[:, hilbert.DP1, hilbert.DP1].real
+    p_v = 2.0 * params.kappa * traj.populations[:, hilbert.D1]
+    p_h = 2.0 * params.kappa * traj.populations[:, hilbert.DP1]
     return p_v, p_h
 
 
 def scattering_rate(traj: Trajectory, params: NodeParams) -> np.ndarray:
     """Rate of recycling events back to ``|S,0>`` along the trajectory."""
-    return (2.0 * params.gamma_sp * traj.states[:, hilbert.P0, hilbert.P0].real
-            + 2.0 * params.gamma_ss * traj.states[:, hilbert.S0, hilbert.S0].real)
+    return (2.0 * params.gamma_sp * traj.populations[:, hilbert.P0]
+            + 2.0 * params.gamma_ss * traj.populations[:, hilbert.S0])
 
 
 def averaged_curves(params: NodeParams, grid: TimeGrid,

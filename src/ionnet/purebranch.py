@@ -17,7 +17,9 @@ from the quantum regression theorem, ``G(t, t') = <out| U(t, t') rho(t')
 |out>``: a 4x4 restart density ``rho`` accumulated block by block from the
 per-block restart Gramians, carried forward by the block products.  The
 intra-block backward products behind both run on real 8x8 matrices, which
-numpy multiplies in batches far faster than 4x4 complex ones.
+numpy multiplies in batches far faster than 4x4 complex ones.  The
+restricted run keeps only its populations, and the step midpoint columns
+overwrite the backward columns in place.
 """
 
 from __future__ import annotations
@@ -185,7 +187,10 @@ def exact_coherence_kernels(params: NodeParams, grid: TimeGrid,
     s = np.clip(step, 0, None)
     weight = np.where(inside, 0.5 * (scattering[s] + scattering[s + 1])
                       * grid.dt, 0.0).T  # (n_c, n_pos)
-    mid = 0.5 * (cols[:, :-1] + cols[:, 1:])
+    # midpoints in place over cols, which nothing reads after this
+    mid = cols[:, :-1]
+    mid += cols[:, 1:]
+    mid *= 0.5
     # sum_k w m m^T of the real columns [Re; Im] holds Re S_b in its two
     # diagonal blocks and Im S_b in its off-diagonal ones
     m = (mid * weight[:, :, None]).transpose(0, 2, 1) @ mid

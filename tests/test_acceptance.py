@@ -97,7 +97,7 @@ def test_criterion_01_two_level_rabi_oracle():
     t = grid.times()
     rabi = np.sqrt(omega ** 2 + delta ** 2)
     expected = (omega ** 2 / rabi ** 2) * np.sin(rabi * t / 2.0) ** 2
-    err = float(np.abs(traj.states[:, 1, 1].real - expected).max())
+    err = float(np.abs(traj.populations[:, 1] - expected).max())
     elapsed = time.monotonic() - start
     _report(1, "two-level Rabi oracle",
             err < 1e-6 and elapsed < 1.0,

@@ -191,7 +191,7 @@ class TestRestrictedEvolution:
         t = grid.times()
         w = np.sqrt(omega ** 2 + delta ** 2)
         expected = (omega ** 2 / w ** 2) * np.sin(w * t / 2.0) ** 2
-        assert np.abs(traj.states[:, 1, 1].real - expected).max() < 1e-6
+        assert np.abs(traj.populations[:, 1] - expected).max() < 1e-6
 
     def test_initial_trace_is_one(self, node_b_run):
         _, _, traj = node_b_run
@@ -207,11 +207,29 @@ class TestRestrictedEvolution:
         # checked at the 2e-3 level on a drained total of ~1
         p, grid, traj = node_b_run
         p_v, p_h = dynamics.photon_envelopes(traj, p)
-        d_loss = 2.0 * (p.gamma_dp + p.gamma_dprime_p) * traj.states[:, 1, 1].real
+        d_loss = 2.0 * (p.gamma_dp + p.gamma_dprime_p) * traj.populations[:, 1]
         drained = np.trapezoid(p_v + p_h + d_loss, grid.times())
         assert traj.trace()[-1] < 1.0
         assert drained > 0.9
         assert traj.trace()[-1] == pytest.approx(1.0 - drained, abs=2e-3)
+
+    @pytest.mark.parametrize("dt_ns", (0.4, 1.0, 2.0))
+    @pytest.mark.parametrize("jitter_units", (0.0, 3.0))
+    @pytest.mark.parametrize("node", ("nodeA", "nodeB"))
+    def test_populations_equal_whole_state_diagonal(self, node, jitter_units,
+                                                    dt_ns):
+        params = hilbert.node_from_preset(node)
+        offset = jitter_units * hilbert.node_from_preset("nodeA").gamma_clj
+        grid = TimeGrid.for_node(params, target_dt=dt_ns * 1e-9)
+        traj = dynamics.evolve_restricted(params, grid, offset)
+        props = dynamics.step_propagators(params, grid, offset, "restricted")
+        rho0 = np.zeros(props.free.shape[0], dtype=np.complex128)
+        rho0[0] = 1.0
+        whole = dynamics.propagate(props, rho0, grid.n_steps).reshape(
+            -1, hilbert.RESTRICTED_DIM, hilbert.RESTRICTED_DIM)
+        assert traj.states is None
+        assert np.array_equal(traj.populations,
+                              np.einsum("kii->ki", whole).real)
 
     def test_convergence_in_dt(self, node_b):
         totals = []
@@ -243,6 +261,28 @@ class TestNumericalFaults:
             dynamics.propagate(replace(props, pulse=pulse),
                                hilbert.ground_state(hilbert.RESTRICTED_DIM),
                                grid.n_steps)
+
+    @pytest.mark.parametrize("where", ("period", "tail"))
+    def test_nan_in_a_dropped_component_raises(self, node_b, where):
+        # a NaN in row 1 (the S0-P0 coherence) of the last step matrix
+        # reaches only that component of the last state: one whole period
+        # puts it in the period-start state, one free step after it in a
+        # stepped state; the returned populations stay finite
+        grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
+        props = dynamics.step_propagators(node_b, grid, 0.0, "restricted")
+        pulse, free = props.pulse.copy(), props.free.copy()
+        if where == "period":
+            pulse[-1, 1, 0] = np.nan
+        else:
+            free[1, 0] = np.nan
+        props = replace(props, pulse=pulse, free=free,
+                        n_pulse_steps=props.slots)
+        rho0 = np.zeros(free.shape[0], dtype=np.complex128)
+        rho0[0] = 1.0
+        diagonal = np.arange(hilbert.RESTRICTED_DIM) * 5
+        n_steps = props.slots + (where == "tail")
+        with pytest.raises(IntegratorError):
+            dynamics.propagate(props, rho0, n_steps, diagonal)
 
 
 class TestBatchedPropagators:
@@ -386,6 +426,44 @@ def test_blocked_propagation_matches_step_loop(node, flavor, periods,
     assert_matches_step_loop(replace(props, n_pulse_steps=n_pulse), n_steps)
 
 
+@given(node=st.sampled_from(("nodeA", "nodeB", "no_beat")),
+       flavor=st.sampled_from(_FLAVORS), periods=st.integers(0, 3),
+       remainder=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       tail=st.one_of(st.just(0), st.integers(1, 300)), data=st.data())
+@settings(max_examples=40, deadline=None)
+# fewer steps than one period
+@example(node="nodeA", flavor="restricted", periods=0, remainder=0.4, tail=0,
+         data=None)
+# an exact multiple of a period
+@example(node="nodeB", flavor="full", periods=2, remainder=0.0, tail=0,
+         data=None)
+# a pulse remainder and a free tail
+@example(node="nodeA", flavor="nonhermitian", periods=1, remainder=0.7,
+         tail=25, data=None)
+def test_kept_rows_match_the_whole_run(node, flavor, periods, remainder, tail,
+                                       data):
+    props = _short_propagators(node, flavor)
+    n_pulse = periods * props.slots + int(remainder * props.slots)
+    props = replace(props, n_pulse_steps=n_pulse)
+    n_steps = max(1, n_pulse + tail)
+    size = props.free.shape[0]
+    rows = np.arange(0, size, 5) if data is None else np.array(data.draw(
+        st.lists(st.integers(0, size - 1), min_size=1, max_size=size,
+                 unique=True)))
+    v0 = np.zeros(size, dtype=np.complex128)
+    v0[0] = 1.0
+    whole = dynamics.propagate(props, v0, n_steps)[:, rows]
+    got = dynamics.propagate(props, v0, n_steps, rows)
+    assert got.shape == whole.shape
+    # period starts and stepped states are taken from whole states; the
+    # narrowed in-period product may round differently in the last bit
+    done = min(n_pulse, n_steps) // props.slots * props.slots
+    assert np.array_equal(got[:done + 1:props.slots],
+                          whole[:done + 1:props.slots])
+    assert np.array_equal(got[done:], whole[done:])
+    assert np.abs(got - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
 def test_no_beat_has_one_slot():
     assert _short_propagators("no_beat", "restricted").slots == 1
 
@@ -405,7 +483,7 @@ class TestFullEvolution:
 
     def test_restricted_matches_full_in_manifold(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=5e-6, target_dt=1e-9)
-        restricted = dynamics.evolve_restricted(node_b, grid)
+        restricted, _ = dynamics._evolve(node_b, grid, 0.0, "restricted")
         full = evolve_full(node_b, grid)
         # the manifold block of the full equation separates from the
         # recycled-into-absorbing part only through the recycling terms of
