@@ -12,9 +12,11 @@ tomography      maximum-likelihood state reconstruction and uncertainties
 All artifacts start with header lines recording the resolved-config hash and
 the seed, so a fixed seed reproduces byte-identical outputs.
 
-A tomography flag out of range (``--synthetic`` < 1, ``--resamples`` < 2,
-``--t-window-us`` <= 0) exits 2, as any bad command line does; an input
-path that cannot be read, or an ``--out`` that cannot be written, exits 3.
+A flag out of range (``--seed`` or ``--attempts`` < 0, ``--synthetic`` < 1,
+``--resamples`` < 2, ``--t-window-us`` <= 0), or ``tomography`` given both
+``--counts`` and ``--synthetic``, exits 2, as any bad command line does; an
+input path that cannot be read, or an ``--out`` that cannot be written,
+exits 3.
 So does a click file that ``analyze`` cannot take as a run's record: a bad
 row or header value (see ``netsim.ClickRecords``), or more attempts
 executed than requested.
@@ -512,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ionnet",
         description="Two-node trapped-ion network simulator and analysis")
     parser.add_argument("--config", help="run-configuration JSON")
-    parser.add_argument("--seed", type=int, help="master seed (overrides config)")
+    parser.add_argument("--seed", type=_checked(*_SCALARS["seed"]),
+                        help="master seed (overrides config)")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -526,17 +529,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use measured V(T) from a CSV (T_us,V)")
 
     p_sim = sub.add_parser("simulate", help="generate click records")
-    p_sim.add_argument("--attempts", type=int, help="number of attempts")
+    p_sim.add_argument("--attempts", help="number of attempts",
+                       type=_checked(*_SCALARS["simulate.n_attempts"]))
 
     p_ana = sub.add_parser("analyze", help="analyze click records")
     p_ana.add_argument("--clicks", required=True, help="click CSV path")
 
     p_tom = sub.add_parser("tomography", help="state reconstruction")
-    p_tom.add_argument("--counts", help="counts JSON path")
-    p_tom.add_argument("--synthetic",
-                       type=_checked(int, lambda v: v >= 1, ">= 1"),
-                       help="generate synthetic counts with this many shots "
-                            "per setting from the empirical-model state")
+    source = p_tom.add_mutually_exclusive_group()
+    source.add_argument("--counts", help="counts JSON path")
+    source.add_argument("--synthetic",
+                        type=_checked(int, lambda v: v >= 1, ">= 1"),
+                        help="generate synthetic counts with this many shots "
+                             "per setting from the empirical-model state")
     p_tom.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p_tom.add_argument("--phi", type=float)
     p_tom.add_argument("--optimize-phase", action="store_true")

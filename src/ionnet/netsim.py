@@ -1243,9 +1243,15 @@ def _truncate_blocks(clicks: ClickRecords, table: DetectorTable,
                    herald_mode=True)
 
 
+def _bins_within(centers: np.ndarray, t_win: float, delta: float):
+    """Bins of width ``delta`` whose centers lie within ``T - delta/2``."""
+    return np.abs(centers) <= t_win - delta / 2 + 1e-15
+
+
 @dataclass(frozen=True)
 class HomAnalysis:
     tau_centers: np.ndarray
+    bin_width: float
     n_parallel_raw: np.ndarray
     n_perp_raw: np.ndarray
     n_parallel: np.ndarray  # background-subtracted, efficiency-corrected
@@ -1258,8 +1264,8 @@ class HomAnalysis:
 
     def visibility_sigma(self, index: int) -> float:
         """Propagated one-sigma statistical error of visibility at one T."""
-        delta = self.tau_centers[1] - self.tau_centers[0]
-        sel = np.abs(self.tau_centers) <= self.t_list[index] - delta / 2 + 1e-15
+        sel = _bins_within(self.tau_centers, self.t_list[index],
+                           self.bin_width)
         par = self.n_parallel[sel].sum()
         perp = self.n_perp[sel].sum()
         var_par = self.n_parallel_var[sel].sum()
@@ -1366,7 +1372,7 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
     vis = np.full(t_list.size, np.nan)
     t_eff = np.zeros(t_list.size)
     for i, t_win in enumerate(t_list):
-        sel = np.abs(centers) <= t_win - delta / 2 + 1e-15
+        sel = _bins_within(centers, t_win, delta)
         if not np.any(sel):
             continue
         t_eff[i] = np.abs(centers[sel]).max() + delta / 2
@@ -1375,11 +1381,11 @@ def hom_analysis(clicks: ClickRecords, table: DetectorTable,
             vis[i] = 1.0 - n_par[sel].sum() / denom
     if np.all(np.isnan(vis)):
         raise UndefinedVisibilityError("no orthogonal coincidences in any window")
-    return HomAnalysis(tau_centers=centers, n_parallel_raw=n_par_raw,
-                       n_perp_raw=n_perp_raw, n_parallel=n_par,
-                       n_perp=n_perp, n_parallel_var=n_par_var,
-                       n_perp_var=n_perp_var, t_list=t_list,
-                       t_effective=t_eff, visibility=vis)
+    return HomAnalysis(tau_centers=centers, bin_width=delta,
+                       n_parallel_raw=n_par_raw, n_perp_raw=n_perp_raw,
+                       n_parallel=n_par, n_perp=n_perp,
+                       n_parallel_var=n_par_var, n_perp_var=n_perp_var,
+                       t_list=t_list, t_effective=t_eff, visibility=vis)
 
 
 # -- success metrics -------------------------------------------------------------

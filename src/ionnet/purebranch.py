@@ -17,9 +17,9 @@ from the quantum regression theorem, ``G(t, t') = <out| U(t, t') rho(t')
 |out>``: a 4x4 restart density ``rho`` accumulated block by block from the
 per-block restart Gramians, carried forward by the block products.  The
 intra-block backward products behind both run on real 8x8 matrices, which
-numpy multiplies in batches far faster than 4x4 complex ones.  The
-restricted run keeps only its populations, and the step midpoint columns
-overwrite the backward columns in place.
+numpy multiplies in batches far faster than 4x4 complex ones.  Both node
+runs return plain arrays, and the step midpoint columns overwrite the
+backward columns in place.
 """
 
 from __future__ import annotations
@@ -40,18 +40,6 @@ DEFAULT_COARSE_DT = 0.25e-6  # s, step of the coarse kernel grid
 
 
 @dataclass(frozen=True)
-class PureTrajectory:
-    """Unnormalized pure-state trajectory of the no-noise branch."""
-
-    grid: TimeGrid
-    psi: np.ndarray  # (n_steps + 1, 4) complex
-    delta_omega: float
-
-    def norms_squared(self) -> np.ndarray:
-        return np.einsum("ki,ki->k", self.psi.conj(), self.psi).real
-
-
-@dataclass(frozen=True)
 class CoherenceKernel:
     """Two-time coherence of one polarization's emitted photon.
 
@@ -69,35 +57,38 @@ class CoherenceKernel:
 
 
 def propagate_no_noise(params: NodeParams, grid: TimeGrid,
-                       delta_omega: float = 0.0) -> PureTrajectory:
-    """Propagate ``|S,0>`` under the non-Hermitian no-noise generator.
+                       delta_omega: float = 0.0) -> np.ndarray:
+    """Amplitudes of ``|S,0>`` under the non-Hermitian no-noise generator.
 
-    The step matrices and the period-blocked propagation are those of
-    :func:`ionnet.dynamics.step_propagators` and
+    Returns the unnormalized ``(n_steps + 1, 4)`` complex amplitudes, row k
+    at ``grid.times()[k]``.  The step matrices and the period-blocked
+    propagation are those of :func:`ionnet.dynamics.step_propagators` and
     :func:`ionnet.dynamics.propagate`.  The squared norm is the probability
-    that no jump of any kind has occurred; it never increases.
+    that no jump of any kind has occurred; raises ``IntegratorError`` if it
+    grows by more than 1e-8 in a step.
     """
     props = step_propagators(params, grid, delta_omega, "nonhermitian")
-    psi0 = hilbert.ground_state(RESTRICTED_DIM)
-    traj = PureTrajectory(grid=grid, psi=propagate(props, psi0, grid.n_steps),
-                          delta_omega=delta_omega)
-    if np.any(np.diff(traj.norms_squared()) > _NORM_INCREASE_TOL):
+    psi = propagate(props, hilbert.ground_state(RESTRICTED_DIM), grid.n_steps)
+    norms = np.einsum("ki,ki->k", psi.conj(), psi).real
+    if np.any(np.diff(norms) > _NORM_INCREASE_TOL):
         raise IntegratorError("no-noise branch norm increased beyond tolerance")
-    return traj
+    return psi
 
 
-def build_amplitudes(traj: PureTrajectory, params: NodeParams):
+def build_amplitudes(psi: np.ndarray, grid: TimeGrid, params: NodeParams,
+                     delta_omega: float):
     """Photon amplitudes (alpha, beta) of a start at t = 0.
 
-    The phase factor converts the rotating-frame photon-level amplitude
-    into the amplitude of the emitted field relative to the reference cavity
-    frequency; at zero jitter and the shipped resonance calibration both
-    amplitudes are slowly varying.
+    ``psi`` is the :func:`propagate_no_noise` array for ``grid`` and the
+    cavity offset ``delta_omega``.  The phase factor converts the
+    rotating-frame photon-level amplitude into the amplitude of the emitted
+    field relative to the reference cavity frequency; at zero jitter and
+    the shipped resonance calibration both amplitudes are slowly varying.
     """
-    _, eps_v, eps_h = hilbert.frame_energies(params, traj.delta_omega)
-    t = traj.grid.times()
-    alpha = np.exp(1j * eps_v * t) * traj.psi[:, D1]
-    beta = np.exp(1j * eps_h * t) * traj.psi[:, DP1]
+    _, eps_v, eps_h = hilbert.frame_energies(params, delta_omega)
+    t = grid.times()
+    alpha = np.exp(1j * eps_v * t) * psi[:, D1]
+    beta = np.exp(1j * eps_h * t) * psi[:, DP1]
     return alpha, beta
 
 
@@ -237,15 +228,15 @@ def node_kernels(params: NodeParams, grid: TimeGrid, delta_omega: float,
     kernels and the envelopes ``2 kappa |a|^2``.
     """
     if include_scattering:
-        traj = evolve_restricted(params, grid, delta_omega)
+        populations = evolve_restricted(params, grid, delta_omega)
         kernels = exact_coherence_kernels(params, grid, delta_omega,
-                                          scattering_rate(traj, params),
+                                          scattering_rate(populations, params),
                                           coarse_idx)
-        return kernels, photon_envelopes(traj, params)
+        return kernels, photon_envelopes(populations, params)
     t_c = grid.times()[coarse_idx]
     kernels, envelopes = [], []
-    for amp in build_amplitudes(propagate_no_noise(params, grid, delta_omega),
-                                params):
+    psi = propagate_no_noise(params, grid, delta_omega)
+    for amp in build_amplitudes(psi, grid, params, delta_omega):
         a_c = amp[coarse_idx]
         kernels.append(CoherenceKernel(times=t_c,
                                        matrix=np.outer(a_c, a_c.conj()),

@@ -16,7 +16,7 @@ from ionnet import tomography as tomo
 from ionnet.dynamics import TimeGrid
 from ionnet.hilbert import mhz
 
-from test_dynamics import evolve_full, step_matrix
+from test_dynamics import step_matrix, whole_states
 from test_pbsm import integrated_coincidence
 
 SWEEP = np.arange(0.25e-6, 17.5e-6 + 1e-9, 0.25e-6)
@@ -93,11 +93,11 @@ def test_criterion_01_two_level_rabi_oracle():
         gamma_dprime_p=0.0, gamma_ss=0.0, gamma_clj=0.0,
         pulse_duration=100e-6, detuning_convention="unprimed")
     grid = TimeGrid(0.5e-9, 20_000)
-    traj = dynamics.evolve_restricted(params, grid)
+    pops = dynamics.evolve_restricted(params, grid)
     t = grid.times()
     rabi = np.sqrt(omega ** 2 + delta ** 2)
     expected = (omega ** 2 / rabi ** 2) * np.sin(rabi * t / 2.0) ** 2
-    err = float(np.abs(traj.populations[:, 1] - expected).max())
+    err = float(np.abs(pops[:, 1] - expected).max())
     elapsed = time.monotonic() - start
     _report(1, "two-level Rabi oracle",
             err < 1e-6 and elapsed < 1.0,
@@ -198,8 +198,8 @@ def _jump_survival_mc(params, grid, n_traj, seed):
 def test_criterion_02_trace_and_branch_consistency(node_b):
     start = time.monotonic()
     grid = TimeGrid.for_node(node_b, target_dt=1e-9)
-    full = evolve_full(node_b, grid)
-    trace_drift = float(np.abs(full.trace() - 1.0).max())
+    full = whole_states(node_b, grid, "full")
+    trace_drift = float(np.abs(np.einsum("kii->k", full).real - 1.0).max())
 
     restricted = dynamics.evolve_restricted(node_b, grid)
     mc_grid = TimeGrid.for_node(node_b, target_dt=4e-9)
@@ -208,7 +208,8 @@ def test_criterion_02_trace_and_branch_consistency(node_b):
     checkpoints = np.array([5.0, 10.0, 20.0, 35.0, 50.0]) * 1e-6
     pulls = []
     for t_check in checkpoints:
-        p_model = float(np.interp(t_check, grid.times(), restricted.trace()))
+        p_model = float(np.interp(t_check, grid.times(),
+                                   restricted.sum(axis=1)))
         p_mc = float(np.interp(t_check, mc_grid.times(), survival))
         sigma = max(np.sqrt(p_model * (1.0 - p_model) / n_traj), 1e-4)
         pulls.append((p_mc - p_model) / sigma)
@@ -228,9 +229,9 @@ def test_criterion_03_envelope_kernel_cross_validation(node_a, node_b):
     worst = 0.0
     for params in (node_a, node_b):
         grid = TimeGrid.for_node(params)
-        traj = dynamics.evolve_restricted(params, grid)
-        envelopes = dynamics.photon_envelopes(traj, params)
-        scattering = dynamics.scattering_rate(traj, params)
+        pops = dynamics.evolve_restricted(params, grid)
+        envelopes = dynamics.photon_envelopes(pops, params)
+        scattering = dynamics.scattering_rate(pops, params)
         idx = purebranch.coarse_indices(grid)
         kernels = purebranch.exact_coherence_kernels(params, grid, 0.0,
                                                      scattering, idx)
@@ -249,8 +250,8 @@ def test_criterion_04_scattering_counts(node_a, node_b):
     for name, params, target in (("nodeA", node_a, 5.3),
                                  ("nodeB", node_b, 2.1)):
         grid = TimeGrid.for_node(params, target_dt=1e-9)
-        traj = dynamics.evolve_restricted(params, grid)
-        rate = dynamics.scattering_rate(traj, params)
+        pops = dynamics.evolve_restricted(params, grid)
+        rate = dynamics.scattering_rate(pops, params)
         count = float(np.sum(rate[:-1]) * grid.dt)
         results[name] = (count, target)
     ok = all(abs(count - target) <= 0.1 * target

@@ -283,6 +283,20 @@ class TestExitCodes:
         code = run_cli(["--out", str(tmp_path), "tomography"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--attempts", "-5"],
+        ["--seed", "-1", "envelope", "--node", "b"],
+        ["tomography", "--counts", "counts.json", "--synthetic", "10"],
+    ])
+    def test_bad_flag(self, tmp_path, capsys, argv):
+        # a bad command line exits 2 before any config is read or file
+        # written; the same values in a config file exit 3
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--out", str(tmp_path), *argv])
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("entry, reason", (
         ([1, -2, 0, 0], "bad counts"), ([0, 0, 0, 0], "no counts"),
         ([2.5, 1, 1, 1], "integers"), (["3", 1, 1, 1], "bad counts")))

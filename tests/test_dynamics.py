@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -54,13 +55,21 @@ def _full_generator(params, delta_omega, beat_phase):
     return gen
 
 
-def evolve_full(params, grid):
-    """The trace-preserving six-level trajectory from ``|S,0><S,0|``, the
-    cross-check of the restricted equation; its trace may move by at most
-    1e-8 per step."""
-    traj, change = dynamics._evolve(params, grid, 0.0, "full")
-    assert np.abs(change).max() <= 1e-8, "full-equation trace drifted"
-    return traj
+def whole_states(params, grid, flavor, delta_omega=0.0):
+    """Whole density operators ``(n_steps + 1, d, d)`` from ``|S,0><S,0|``
+    under the ``full`` or ``restricted`` propagators, the cross-checks'
+    reference.  The trace of the trace-preserving full equation may move by
+    at most 1e-8 per step."""
+    props = dynamics.step_propagators(params, grid, delta_omega, flavor)
+    dim = math.isqrt(props.free.shape[0])
+    rho0 = np.zeros(dim * dim, dtype=np.complex128)
+    rho0[0] = 1.0
+    states = dynamics.propagate(props, rho0, grid.n_steps).reshape(
+        -1, dim, dim)
+    if flavor == "full":
+        change = np.diff(np.einsum("kii->ki", states).real.sum(axis=1))
+        assert np.abs(change).max() <= 1e-8, "full-equation trace drifted"
+    return states
 
 
 def decay_diagonal(params):
@@ -147,8 +156,8 @@ def node_b():
 @pytest.fixture(scope="module")
 def node_b_run(node_b):
     grid = TimeGrid.for_node(node_b, target_dt=1e-9)
-    traj = dynamics.evolve_restricted(node_b, grid)
-    return node_b, grid, traj
+    pops = dynamics.evolve_restricted(node_b, grid)
+    return node_b, grid, pops
 
 
 class TestTimeGrid:
@@ -187,31 +196,31 @@ class TestRestrictedEvolution:
                         pulse_duration=100e-6,
                         detuning_convention="unprimed")
         grid = TimeGrid(0.5e-9, 20_000)
-        traj = dynamics.evolve_restricted(p, grid)
+        pops = dynamics.evolve_restricted(p, grid)
         t = grid.times()
         w = np.sqrt(omega ** 2 + delta ** 2)
         expected = (omega ** 2 / w ** 2) * np.sin(w * t / 2.0) ** 2
-        assert np.abs(traj.populations[:, 1] - expected).max() < 1e-6
+        assert np.abs(pops[:, 1] - expected).max() < 1e-6
 
     def test_initial_trace_is_one(self, node_b_run):
-        _, _, traj = node_b_run
-        assert traj.trace()[0] == pytest.approx(1.0, abs=1e-12)
+        _, _, pops = node_b_run
+        assert pops.sum(axis=1)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_non_increasing(self, node_b_run):
-        _, _, traj = node_b_run
-        assert np.all(np.diff(traj.trace()) <= 1e-9)
+        _, _, pops = node_b_run
+        assert np.all(np.diff(pops.sum(axis=1)) <= 1e-9)
 
     def test_loss_budget_oracle(self, node_b_run):
         # d(trace)/dt = -(p_v + p_h + loss to the absorbing D levels); the
         # sampled integrand misses sub-step micro-ripple, so the budget is
         # checked at the 2e-3 level on a drained total of ~1
-        p, grid, traj = node_b_run
-        p_v, p_h = dynamics.photon_envelopes(traj, p)
-        d_loss = 2.0 * (p.gamma_dp + p.gamma_dprime_p) * traj.populations[:, 1]
+        p, grid, pops = node_b_run
+        p_v, p_h = dynamics.photon_envelopes(pops, p)
+        d_loss = 2.0 * (p.gamma_dp + p.gamma_dprime_p) * pops[:, 1]
         drained = np.trapezoid(p_v + p_h + d_loss, grid.times())
-        assert traj.trace()[-1] < 1.0
+        assert pops.sum(axis=1)[-1] < 1.0
         assert drained > 0.9
-        assert traj.trace()[-1] == pytest.approx(1.0 - drained, abs=2e-3)
+        assert pops.sum(axis=1)[-1] == pytest.approx(1.0 - drained, abs=2e-3)
 
     @pytest.mark.parametrize("dt_ns", (0.4, 1.0, 2.0))
     @pytest.mark.parametrize("jitter_units", (0.0, 3.0))
@@ -221,22 +230,16 @@ class TestRestrictedEvolution:
         params = hilbert.node_from_preset(node)
         offset = jitter_units * hilbert.node_from_preset("nodeA").gamma_clj
         grid = TimeGrid.for_node(params, target_dt=dt_ns * 1e-9)
-        traj = dynamics.evolve_restricted(params, grid, offset)
-        props = dynamics.step_propagators(params, grid, offset, "restricted")
-        rho0 = np.zeros(props.free.shape[0], dtype=np.complex128)
-        rho0[0] = 1.0
-        whole = dynamics.propagate(props, rho0, grid.n_steps).reshape(
-            -1, hilbert.RESTRICTED_DIM, hilbert.RESTRICTED_DIM)
-        assert traj.states is None
-        assert np.array_equal(traj.populations,
-                              np.einsum("kii->ki", whole).real)
+        pops = dynamics.evolve_restricted(params, grid, offset)
+        whole = whole_states(params, grid, "restricted", offset)
+        assert np.array_equal(pops, np.einsum("kii->ki", whole).real)
 
     def test_convergence_in_dt(self, node_b):
         totals = []
         for target in (1e-9, 0.5e-9):
             grid = TimeGrid.for_node(node_b, target_dt=target)
-            traj = dynamics.evolve_restricted(node_b, grid)
-            p_v, p_h = dynamics.photon_envelopes(traj, node_b)
+            pops = dynamics.evolve_restricted(node_b, grid)
+            p_v, p_h = dynamics.photon_envelopes(pops, node_b)
             totals.append(np.sum((p_v + p_h)[:-1]) * grid.dt)
         assert abs(totals[1] - totals[0]) / totals[1] < 1e-4
 
@@ -251,6 +254,20 @@ class TestNumericalFaults:
         grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
         with pytest.raises(IntegratorError, match="generator"):
             dynamics.evolve_restricted(replace(node_b, omega1=np.inf), grid)
+
+    def test_trace_increase_raises(self, node_b, monkeypatch):
+        real = dynamics.step_propagators
+
+        def grown(*args):
+            props = real(*args)
+            return replace(props, pulse=props.pulse * (1 + 1e-3),
+                           free=props.free * (1 + 1e-3))
+
+        monkeypatch.setattr(dynamics, "step_propagators", grown)
+        grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
+        message = "restricted trace increased beyond tolerance"
+        with pytest.raises(IntegratorError, match=message):
+            dynamics.evolve_restricted(node_b, grid)
 
     def test_nan_propagator_raises(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
@@ -471,52 +488,52 @@ def test_no_beat_has_one_slot():
 class TestFullEvolution:
     def test_trace_preserved(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=10e-6, target_dt=1e-9)
-        traj = evolve_full(node_b, grid)
-        assert np.abs(traj.trace() - 1.0).max() < 1e-8
+        states = whole_states(node_b, grid, "full")
+        assert np.abs(np.einsum("kii->k", states).real - 1.0).max() < 1e-8
 
     def test_absorbing_levels_monotone(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=10e-6, target_dt=1e-9)
-        traj = evolve_full(node_b, grid)
-        absorbed = (traj.states[:, hilbert.D0, hilbert.D0].real
-                    + traj.states[:, hilbert.DP0, hilbert.DP0].real)
+        states = whole_states(node_b, grid, "full")
+        absorbed = (states[:, hilbert.D0, hilbert.D0].real
+                    + states[:, hilbert.DP0, hilbert.DP0].real)
         assert np.all(np.diff(absorbed) >= -1e-12)
 
     def test_restricted_matches_full_in_manifold(self, node_b):
         grid = TimeGrid.for_node(node_b, t_end=5e-6, target_dt=1e-9)
-        restricted, _ = dynamics._evolve(node_b, grid, 0.0, "restricted")
-        full = evolve_full(node_b, grid)
+        restricted = whole_states(node_b, grid, "restricted")
+        full = whole_states(node_b, grid, "full")
         # the manifold block of the full equation separates from the
         # recycled-into-absorbing part only through the recycling terms of
         # sp/ss, which both equations share, so the blocks must agree
-        assert np.abs(full.states[:, :4, :4] - restricted.states).max() < 1e-9
+        assert np.abs(full[:, :4, :4] - restricted).max() < 1e-9
 
 
 class TestEnvelopesAndRates:
     def test_zero_coupling_zero_envelopes(self):
         p = make_params(g1=0.0, g2=0.0)
         grid = TimeGrid.for_node(p, t_end=5e-6, target_dt=1e-9)
-        traj = dynamics.evolve_restricted(p, grid)
-        p_v, p_h = dynamics.photon_envelopes(traj, p)
+        pops = dynamics.evolve_restricted(p, grid)
+        p_v, p_h = dynamics.photon_envelopes(pops, p)
         assert np.abs(p_v).max() == 0.0 and np.abs(p_h).max() == 0.0
 
     def test_emission_probability_bounded(self, node_b_run):
-        p, grid, traj = node_b_run
-        p_v, p_h = dynamics.photon_envelopes(traj, p)
+        p, grid, pops = node_b_run
+        p_v, p_h = dynamics.photon_envelopes(pops, p)
         assert np.all(p_v >= 0) and np.all(p_h >= 0)
         assert np.sum((p_v + p_h)[:-1]) * grid.dt <= 1.0
 
     def test_scattering_zero_without_rates(self):
         p = make_params(gamma_sp=0.0, gamma_ss=0.0)
         grid = TimeGrid.for_node(p, t_end=5e-6, target_dt=1e-9)
-        traj = dynamics.evolve_restricted(p, grid)
-        assert np.abs(dynamics.scattering_rate(traj, p)).max() == 0.0
+        pops = dynamics.evolve_restricted(p, grid)
+        assert np.abs(dynamics.scattering_rate(pops, p)).max() == 0.0
 
     def test_detected_rate_scale_node_b(self, node_b_run):
         # node B's measured overall detection efficiency, 0.095, times the
         # emission probability approximates the summed measured detection
         # probabilities (one shared efficiency scale)
-        p, grid, traj = node_b_run
-        p_v, p_h = dynamics.photon_envelopes(traj, p)
+        p, grid, pops = node_b_run
+        p_v, p_h = dynamics.photon_envelopes(pops, p)
         detected = 0.095 * np.sum((p_v + p_h)[:-1]) * grid.dt
         assert detected == pytest.approx(0.097, rel=0.20)
 
@@ -541,8 +558,8 @@ class TestJitter:
         grid = TimeGrid.for_node(node_b, t_end=10e-6, target_dt=1e-9)
         ens = dynamics.jitter_ensemble(0.0)
         avg_v, avg_h, _ = dynamics.averaged_curves(node_b, grid, ens)
-        traj = dynamics.evolve_restricted(node_b, grid)
-        p_v, p_h = dynamics.photon_envelopes(traj, node_b)
+        pops = dynamics.evolve_restricted(node_b, grid)
+        p_v, p_h = dynamics.photon_envelopes(pops, node_b)
         assert np.array_equal(avg_v, p_v) and np.array_equal(avg_h, p_h)
 
     def test_average_is_convex_combination(self, node_b):

@@ -1290,6 +1290,25 @@ class TestHomAnalysis:
         with pytest.raises(UndefinedVisibilityError):
             netsim.hom_analysis(clicks, table, t_list=[17.5e-6])
 
+    def test_one_bin_histogram(self, table):
+        # a 40 us bin is wider than the 17.5 us window, so tau = 0 is the
+        # only bin, and the error at T = 20 us sums that bin alone
+        clean = scaled_background_table(table, 0.0)
+        rows = []
+        for i, (det_u, det_r) in enumerate([("SNSPD1", "SPCM2")] * 3
+                                           + [("SNSPD2", "SPCM2")]):
+            rows.append((i, det_u, 10e-6))
+            rows.append((i, det_r, 10.2e-6))
+        clicks = make_clicks(rows, clean, 4)
+        hom = netsim.hom_analysis(clicks, clean, delta=40e-6,
+                                  t_list=[20e-6])
+        assert hom.tau_centers.tolist() == [0.0]
+        par, perp = hom.n_parallel[0], hom.n_perp[0]
+        assert hom.visibility[0] == pytest.approx(1.0 - par / perp)
+        assert hom.visibility_sigma(0) == pytest.approx(np.sqrt(
+            hom.n_parallel_var[0] / perp ** 2
+            + (par / perp ** 2) ** 2 * hom.n_perp_var[0]))
+
     def test_bin_selection_matches_convention(self, table):
         rows = []
         for i, tau_us in enumerate((0.1, 0.4, 0.9, 1.4)):

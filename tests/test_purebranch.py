@@ -11,7 +11,7 @@ from ionnet.dynamics import TimeGrid
 from ionnet.errors import IntegratorError
 from ionnet.hilbert import mhz
 
-from test_dynamics import decay_diagonal, step_matrix
+from test_dynamics import decay_diagonal, step_matrix, whole_states
 from test_hilbert import make_params
 
 
@@ -90,6 +90,10 @@ def kernel_cases(draw):
     return params, grid, delta_omega, scattering, coarse
 
 
+def norms_squared(psi):
+    return np.einsum("ki,ki->k", psi.conj(), psi).real
+
+
 @pytest.fixture(scope="module")
 def node_b():
     return hilbert.node_from_preset("nodeB")
@@ -98,8 +102,8 @@ def node_b():
 @pytest.fixture(scope="module")
 def node_b_pure(node_b):
     grid = TimeGrid.for_node(node_b, target_dt=1e-9)
-    ptraj = purebranch.propagate_no_noise(node_b, grid)
-    return node_b, grid, ptraj
+    psi = purebranch.propagate_no_noise(node_b, grid)
+    return node_b, grid, psi
 
 
 class TestNoNoiseBranch:
@@ -107,12 +111,26 @@ class TestNoNoiseBranch:
         p = make_params(kappa=0.0, gamma_sp=0.0, gamma_dp=0.0,
                         gamma_dprime_p=0.0, gamma_ss=0.0)
         grid = TimeGrid.for_node(p, t_end=10e-6, target_dt=1e-9)
-        ptraj = purebranch.propagate_no_noise(p, grid)
-        assert np.abs(ptraj.norms_squared() - 1.0).max() < 1e-8
+        psi = purebranch.propagate_no_noise(p, grid)
+        assert np.abs(norms_squared(psi) - 1.0).max() < 1e-8
 
     def test_norm_non_increasing(self, node_b_pure):
-        _, _, ptraj = node_b_pure
-        assert np.all(np.diff(ptraj.norms_squared()) <= 1e-12)
+        _, _, psi = node_b_pure
+        assert np.all(np.diff(norms_squared(psi)) <= 1e-12)
+
+    def test_norm_increase_raises(self, node_b, monkeypatch):
+        real = purebranch.step_propagators
+
+        def grown(*args):
+            props = real(*args)
+            return replace(props, pulse=props.pulse * (1 + 1e-3),
+                           free=props.free * (1 + 1e-3))
+
+        monkeypatch.setattr(purebranch, "step_propagators", grown)
+        grid = TimeGrid.for_node(node_b, t_end=1e-6, target_dt=1e-9)
+        message = "no-noise branch norm increased beyond tolerance"
+        with pytest.raises(IntegratorError, match=message):
+            purebranch.propagate_no_noise(node_b, grid)
 
     def test_norm_decay_identity(self):
         # d||psi||^2/dt = -<psi| sum L^dag L |psi>, checked by central
@@ -124,11 +142,10 @@ class TestNoNoiseBranch:
                         gamma_dp=mhz(0.1), gamma_dprime_p=mhz(0.1),
                         gamma_ss=mhz(0.05), detuning_convention="unprimed")
         grid = TimeGrid(0.05e-9, 40_000)  # 2 us
-        ptraj = purebranch.propagate_no_noise(p, grid)
+        psi = purebranch.propagate_no_noise(p, grid)
         decay = decay_diagonal(p)[:4]
-        norms = ptraj.norms_squared()
-        expected = -np.einsum("ki,i,ki->k", ptraj.psi.conj(), decay,
-                              ptraj.psi).real
+        norms = norms_squared(psi)
+        expected = -np.einsum("ki,i,ki->k", psi.conj(), decay, psi).real
         numeric = (norms[2:] - norms[:-2]) / (2.0 * grid.dt)
         scale = np.abs(expected).max()
         assert np.abs(numeric - expected[1:-1]).max() < 1e-6 * scale
@@ -137,10 +154,10 @@ class TestNoNoiseBranch:
         doc_free = dict(gamma_sp=0.0, gamma_ss=0.0)
         p = hilbert.NodeParams(**{**node_b.__dict__, **doc_free})
         grid = TimeGrid.for_node(p, t_end=20e-6, target_dt=1e-9)
-        traj, _ = dynamics._evolve(p, grid, 0.0, "restricted")
-        ptraj = purebranch.propagate_no_noise(p, grid)
-        ketbra = np.einsum("ki,kj->kij", ptraj.psi, ptraj.psi.conj())
-        assert np.abs(ketbra - traj.states).max() < 1e-8
+        states = whole_states(p, grid, "restricted")
+        psi = purebranch.propagate_no_noise(p, grid)
+        ketbra = np.einsum("ki,kj->kij", psi, psi.conj())
+        assert np.abs(ketbra - states).max() < 1e-8
 
 
 class TestAmplitudes:
@@ -148,27 +165,27 @@ class TestAmplitudes:
         p = make_params(g1=0.0, g2=0.0)
         grid = TimeGrid.for_node(p, t_end=5e-6, target_dt=1e-9)
         alpha, beta = purebranch.build_amplitudes(
-            purebranch.propagate_no_noise(p, grid), p)
+            purebranch.propagate_no_noise(p, grid), grid, p, 0.0)
         assert np.abs(alpha).max() == 0.0
         assert np.abs(beta).max() == 0.0
 
 
 class TestKernels:
     def test_rank_one_without_scattering(self, node_b_pure):
-        p, grid, ptraj = node_b_pure
+        p, grid, psi = node_b_pure
         idx = purebranch.coarse_indices(grid)
         (g_v, _), _ = purebranch.node_kernels(p, grid, 0.0, idx,
                                               include_scattering=False)
-        alpha, _ = purebranch.build_amplitudes(ptraj, p)
+        alpha, _ = purebranch.build_amplitudes(psi, grid, p, 0.0)
         a_c = alpha[idx]
         assert np.allclose(g_v.matrix, np.outer(a_c, a_c.conj()), atol=1e-15)
         eigs = np.linalg.eigvalsh(g_v.matrix)
         assert eigs[:-1].max() < 1e-12 * eigs[-1]
 
     def test_hermitian(self, node_b_pure):
-        p, grid, ptraj = node_b_pure
-        traj = dynamics.evolve_restricted(p, grid)
-        p_s = dynamics.scattering_rate(traj, p)
+        p, grid, psi = node_b_pure
+        pops = dynamics.evolve_restricted(p, grid)
+        p_s = dynamics.scattering_rate(pops, p)
         idx = purebranch.coarse_indices(grid)
         g_v, g_h = purebranch.exact_coherence_kernels(p, grid, 0.0, p_s, idx)
         for kern in (g_v, g_h):
@@ -180,9 +197,9 @@ class TestKernels:
     def test_diagonal_matches_envelope(self):
         p = hilbert.node_from_preset("nodeB")
         grid = TimeGrid.for_node(p)  # package-default step
-        traj = dynamics.evolve_restricted(p, grid)
-        p_v, p_h = dynamics.photon_envelopes(traj, p)
-        p_s = dynamics.scattering_rate(traj, p)
+        pops = dynamics.evolve_restricted(p, grid)
+        p_v, p_h = dynamics.photon_envelopes(pops, p)
+        p_s = dynamics.scattering_rate(pops, p)
         idx = purebranch.coarse_indices(grid)
         g_v, g_h = purebranch.exact_coherence_kernels(p, grid, 0.0, p_s, idx)
         for kern, env in ((g_v, p_v), (g_h, p_h)):
@@ -190,9 +207,9 @@ class TestKernels:
             assert err < 1e-3
 
     def test_scattering_reduces_purity(self, node_b_pure):
-        p, grid, ptraj = node_b_pure
-        traj = dynamics.evolve_restricted(p, grid)
-        p_s = dynamics.scattering_rate(traj, p)
+        p, grid, psi = node_b_pure
+        pops = dynamics.evolve_restricted(p, grid)
+        p_s = dynamics.scattering_rate(pops, p)
         idx = purebranch.coarse_indices(grid)
         g_v, _ = purebranch.exact_coherence_kernels(p, grid, 0.0, p_s, idx)
         assert np.sum(p_s[:-1]) * grid.dt > 0
@@ -324,11 +341,11 @@ def residual_chirp(params, target_dt, t_end=30e-6):
     is immune to unwrap glitches where an amplitude rings near zero.
     """
     grid = TimeGrid.for_node(params, t_end=t_end, target_dt=target_dt)
-    traj = purebranch.propagate_no_noise(params, grid)
+    psi = purebranch.propagate_no_noise(params, grid)
     t = grid.times()
     sel = (t > 0.1 * t_end) & (t < 0.95 * t_end)
     rates = []
-    for amp in purebranch.build_amplitudes(traj, params):
+    for amp in purebranch.build_amplitudes(psi, grid, params, 0.0):
         steps = amp[sel][1:] * amp[sel][:-1].conj()
         weights = np.abs(steps)
         rates.append(float((np.angle(steps) * weights).sum() / weights.sum()
