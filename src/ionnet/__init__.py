@@ -8,18 +8,18 @@ this holds for the ``ionnet`` command and for programs that import ionnet
 before numpy; a program that imported numpy first keeps the pools it has.
 
 BLAS stays at one thread, but ``netsim.simulate_attempts`` and the click
-file's ``ClickRecords.to_csv`` and ``ClickRecords.from_csv`` use up to two
-Python worker threads, one per usable CPU, for their numpy work; the
-threads end before the call returns, and its output does not depend on
-them.  A ``simulate_attempts`` worker draws and simulates a batch of
-attempts from that batch's own random stream, spawned from the seed, and
-the calling thread puts the batches in order.  A ``to_csv`` worker
-formats a chunk of rows, which the calling thread writes in order.  A
-``from_csv`` worker reads a block of the body from the file itself and
-parses it; the calling thread reads the header and puts the blocks' rows
-in order.  It reads the whole file at once, as text, where the header
-lacks the detector list or the origin column, or any row is outside the
-writer's grammar.
+file's ``clickfile.ClickRecords.to_csv`` and ``ClickRecords.from_csv`` use
+up to two Python worker threads, one per usable CPU, for their numpy work
+(``clickfile._in_order``); the threads end before the call returns, and its
+output does not depend on them.  A ``simulate_attempts`` worker draws and
+simulates a batch of attempts from that batch's own random stream, spawned
+from the seed, and the calling thread puts the batches in order.  A
+``to_csv`` worker formats a chunk of rows, which the calling thread writes
+in order.  A ``from_csv`` worker reads a block of the body from the file
+itself and parses it; the calling thread reads the header and puts the
+blocks' rows in order.  It reads the whole file at once, as text, where the
+header lacks the detector list or the origin column, or any row is outside
+the writer's grammar.
 """
 
 import os

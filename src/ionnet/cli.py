@@ -18,7 +18,7 @@ A flag out of range (``--seed`` or ``--attempts`` < 0, ``--synthetic`` < 1,
 input path that cannot be read, or an ``--out`` that cannot be written,
 exits 3.
 So does a click file that ``analyze`` cannot take as a run's record: a bad
-row or header value (see ``netsim.ClickRecords``), or more attempts
+row or header value (see ``clickfile.ClickRecords``), or more attempts
 executed than requested.
 
 Config reference
@@ -61,7 +61,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, empirical, hilbert, netsim, pbsm, tomography
+from . import (clickfile, dynamics, empirical, hilbert, netsim, pbsm,
+               tomography)
 from .errors import ConfigError, IonnetError, PresetNotFoundError
 
 EXIT_OK = 0
@@ -300,15 +301,17 @@ def _command_inputs(args) -> dict:
     return {}
 
 
-def _headers(cfg: RunConfig, extra=()):
-    return [f"config_sha256={cfg.digest}", f"seed={cfg.seed}", *extra]
+def _headers(cfg: RunConfig):
+    return [f"config_sha256={cfg.digest}", f"seed={cfg.seed}"]
 
 
 def _write_rows(path, cfg: RunConfig, columns: str, rows) -> None:
-    """A CSV of header lines, the column line and the rows."""
+    """A CSV of header lines, the column line and the rows; says it wrote
+    ``path``."""
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in _headers(cfg))
         fh.writelines(f"{line}\n" for line in (columns, *rows))
+    print(f"wrote {path}")
 
 
 def _out_path(args, name: str) -> Path:
@@ -332,7 +335,6 @@ def _cmd_envelope(cfg: RunConfig, args) -> int:
         _write_rows(path, cfg, "t_us,p_v,p_h,P_s",
                     (f"{t:.6f},{pv:.9e},{ph:.9e},{ps:.9e}" for t, pv, ph, ps
                      in zip(grid.times() * 1e6, p_v, p_h, p_s)))
-        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -353,14 +355,13 @@ def _cmd_visibility(cfg: RunConfig, args) -> int:
                 (f"{t_win * 1e6:.3f}," + ",".join(
                     f"{curves[mode].visibility[i]:.9f}" for mode in pbsm.MODES)
                  for i, t_win in enumerate(cfg.t_sweep)))
-    print(f"wrote {path}")
     return EXIT_OK
 
 
 def _read_visibility_csv(path):
     """(T in s, V) from the first two columns of a ``T_us,V`` CSV."""
     t_list, vis = [], []
-    for number, line in netsim.data_rows(path):
+    for number, line in clickfile.data_rows(path):
         try:
             t_us, v = line.split(",")[:2]
             t_list.append(float(t_us) * 1e-6)
@@ -393,7 +394,6 @@ def _cmd_fidelity_model(cfg: RunConfig, args) -> int:
                 (f"{t_win * 1e6:.3f}," + ",".join(
                     f"{curve[i]:.9f}" for curve in curves.values())
                  for i, t_win in enumerate(t_list)))
-    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -422,9 +422,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
         cfg.sequence, _detection_model(cfg), opts["n_attempts"],
         seed=cfg.seed, herald_mode=opts["herald_mode"])
     path = _out_path(args, "clicks.csv")
-    clicks.to_csv(path, header_lines=_headers(
-        cfg, extra=[f"n_executed={log.n_executed}",
-                    f"herald_mode={log.herald_mode}"]))
+    clicks.to_csv(path, header_lines=_headers(cfg))
     print(f"wrote {path}")
     print(f"attempts executed: {log.n_executed}")
     _print_metrics(cfg, clicks, log)
@@ -432,7 +430,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig, args) -> int:
-    clicks = netsim.ClickRecords.from_csv(args.clicks)
+    clicks = clickfile.ClickRecords.from_csv(args.clicks)
     if clicks.n_executed > clicks.n_attempts:
         raise ConfigError(
             f"{args.clicks}: header line '# n_executed={clicks.n_executed}' "
@@ -452,8 +450,6 @@ def _cmd_analyze(cfg: RunConfig, args) -> int:
                 (f"{t_win * 1e6:.3f},{hom.t_effective[i] * 1e6:.3f},"
                  f"{hom.visibility[i]:.6f}"
                  for i, t_win in enumerate(hom.t_list)))
-    print(f"wrote {hist_path}")
-    print(f"wrote {vis_path}")
     # the run as ``simulate`` logged it
     _print_metrics(cfg, clicks,
                    netsim.attempt_log(clicks, cfg.detectors, cfg.sequence))

@@ -340,6 +340,22 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
 
+    def test_bin_wider_than_every_window(self, tmp_path, capsys):
+        # orthogonal pairs, but a 40 us bin fits inside no T of the sweep
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"analysis": {"bin_us": 40}}))
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text("# detectors=SPCM1,SPCM2,SNSPD1,SNSPD2\n"
+                          "attempt,detector,t_us,origin\n" + "".join(
+                              f"{i},SNSPD1,10.000000,photon\n"
+                              f"{i},SPCM2,10.200000,photon\n"
+                              for i in range(50)))
+        code = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                        "analyze", "--clicks", str(clicks)])
+        assert code == cli.EXIT_CONFIG
+        assert "HOM bin width 40 us" in capsys.readouterr().err
+        assert not (tmp_path / "hom_histogram.csv").exists()
+
     @pytest.mark.parametrize("header", [
         "# herald_mode=true", "# herald_mode=", "# n_attempts=-5",
         "# n_executed=-3", "# n_attempts=4\n# n_executed=5",

@@ -14,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ionnet import cli, dynamics, hilbert, netsim, pbsm
+from ionnet import cli, clickfile, dynamics, hilbert, netsim, pbsm
 from ionnet.errors import (ConfigError, NumericalConsistencyError,
                            UndefinedVisibilityError)
 from ionnet.netsim import ClickRecords, SequenceConfig
-from test_cli import HERALD_CONFIG, HERALD_SEED7_CLICKS_SHA256
+from test_cli import HERALD_CONFIG, HERALD_SEED7_CLICKS_SHA256, run_python
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +293,8 @@ def to_csv_oracle(clicks, path, header_lines=()):
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
+        fh.write(f"# n_executed={clicks.n_executed}\n")
+        fh.write(f"# herald_mode={clicks.herald_mode}\n")
         fh.write(f"# n_attempts={clicks.n_attempts}\n")
         fh.write(f"# detectors={','.join(clicks.detector_names)}\n")
         fh.write("attempt,detector,t_us,origin\n")
@@ -300,7 +302,7 @@ def to_csv_oracle(clicks, path, header_lines=()):
             fh.write(f"{clicks.attempt[i]},"
                      f"{clicks.detector_names[clicks.detector[i]]},"
                      f"{clicks.t[i] * 1e6:.6f},"
-                     f"{netsim.ORIGIN_NAMES[int(clicks.origin[i])]}\n")
+                     f"{clickfile.ORIGIN_NAMES[int(clicks.origin[i])]}\n")
 
 
 def from_csv_oracle(path):
@@ -534,10 +536,9 @@ class TestClickRecords:
         model = toy_detection_model(table, tau=0.5)
         clicks, _ = netsim.simulate_attempts(SequenceConfig(), model, 2000,
                                              seed=6)
+        clicks = replace(clicks, n_executed=1500, herald_mode=True)
         path = tmp_path / "clicks.csv"
-        clicks.to_csv(path, header_lines=["config_sha256=abc",
-                                          "n_executed=1500",
-                                          "herald_mode=True"])
+        clicks.to_csv(path, header_lines=["config_sha256=abc"])
         loaded = ClickRecords.from_csv(path)
         assert loaded.n_attempts == clicks.n_attempts
         assert loaded.n_executed == 1500 and loaded.herald_mode is True
@@ -545,6 +546,30 @@ class TestClickRecords:
         assert np.array_equal(loaded.detector, clicks.detector)
         assert np.abs(loaded.t - clicks.t).max() < 1e-12
         assert np.array_equal(loaded.origin, clicks.origin)
+
+    def test_module_loads_no_physics(self):
+        # the format is read and written without the simulator and the
+        # node models
+        proc = run_python("-c", "import sys, ionnet.clickfile; "
+                          "print(*sorted(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "ionnet.clickfile" in loaded
+        assert not loaded & {f"ionnet.{name}" for name in (
+            "netsim", "pbsm", "dynamics", "purebranch", "hilbert")}
+
+    def test_run_fields_round_trip_without_header_lines(self, tmp_path):
+        # the writer records every field of the record
+        clicks = ClickRecords(
+            attempt=np.array([0, 3, 3]), detector=np.array([1, 0, 1],
+                                                           dtype=np.int16),
+            t=np.array([1e-6, 2e-6, 3e-6]),
+            origin=np.array([0, 1, -1], dtype=np.int8),
+            detector_names=("SNSPD1", "SNSPD2"), n_attempts=10,
+            n_executed=8, herald_mode=True)
+        path = tmp_path / "clicks.csv"
+        clicks.to_csv(path)
+        assert_same_records(ClickRecords.from_csv(path), clicks)
 
     @pytest.mark.parametrize("cleaned", [False, True])
     def test_csv_without_detectors_header(self, cleaned, tmp_path):
@@ -643,7 +668,7 @@ class TestClickRecords:
         path = tmp_path / "clicks.csv"
         clicks.to_csv(path)
         assert path.stat().st_size > 3 * 4096
-        monkeypatch.setattr(netsim, "_READ_BLOCK", block)
+        monkeypatch.setattr(clickfile, "_READ_BLOCK", block)
         loads = []
         if near:
             lines = path.read_text().split("\n")
@@ -678,7 +703,7 @@ class TestClickRecords:
         # a word load that started before the file would wrap to its end
         path = tmp_path / "clicks.csv"
         path.write_text(text)
-        monkeypatch.setattr(netsim, "_READ_BLOCK", block)
+        monkeypatch.setattr(clickfile, "_READ_BLOCK", block)
         monkeypatch.setattr(np, "loadtxt", None)
         assert_same_records(ClickRecords.from_csv(path),
                             from_csv_oracle(path))
@@ -772,12 +797,12 @@ class TestClickRecords:
 
 
 class TestWorkerThreads:
-    """``netsim._in_order`` on one worker thread and on two: the same
+    """``clickfile._in_order`` on one worker thread and on two: the same
     bytes, errors raised from a worker, and no thread left running."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pinned_runs(self, workers, table, tmp_path, monkeypatch):
-        monkeypatch.setattr(netsim, "_WORKERS", workers)
+        monkeypatch.setattr(clickfile, "_WORKERS", workers)
         assert thirteen_offsets_run(table)[1] == THIRTEEN_OFFSETS_SHA256
         cfg = tmp_path / "herald.json"
         cfg.write_text(json.dumps(HERALD_CONFIG))
@@ -787,7 +812,7 @@ class TestWorkerThreads:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             HERALD_SEED7_CLICKS_SHA256
         # a read of many blocks
-        monkeypatch.setattr(netsim, "_READ_BLOCK", 1 << 16)
+        monkeypatch.setattr(clickfile, "_READ_BLOCK", 1 << 16)
         assert path.stat().st_size > 3 << 16
         assert_same_records(ClickRecords.from_csv(path), from_csv_oracle(path))
         # runs of many batches
@@ -800,7 +825,7 @@ class TestWorkerThreads:
         model = toy_detection_model(table, tau=0.0, bg_scale=20.0)
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(netsim, "_WORKERS", workers)
+            monkeypatch.setattr(clickfile, "_WORKERS", workers)
             runs.append(netsim.simulate_attempts(
                 SequenceConfig(), model, 30_000, seed=3)[0])
         assert_same_records(runs[1], runs[0])
@@ -820,9 +845,9 @@ class TestWorkerThreads:
         # a run of many batches, written in many chunks and read in many
         # blocks, on one thread and on two.  The batches are recorded as the
         # worker hands them over; joined in order, they make the clicks.
-        for name, value in (("_BATCH", 3_000), ("_WRITE_CHUNK", 256),
-                            ("_READ_BLOCK", 1 << 12)):
-            monkeypatch.setattr(netsim, name, value)
+        monkeypatch.setattr(netsim, "_BATCH", 3_000)
+        monkeypatch.setattr(clickfile, "_WRITE_CHUNK", 256)
+        monkeypatch.setattr(clickfile, "_READ_BLOCK", 1 << 12)
         in_order = netsim._in_order
         batches = []
 
@@ -835,7 +860,7 @@ class TestWorkerThreads:
         model = toy_detection_model(table, tau=0.4, bg_scale=200.0)
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(netsim, "_WORKERS", workers)
+            monkeypatch.setattr(clickfile, "_WORKERS", workers)
             batches.clear()
             before = threading.active_count()
             clicks, log = netsim.simulate_attempts(
@@ -868,7 +893,7 @@ class TestWorkerThreads:
 
     def test_worker_error_leaves_no_thread(self, table, monkeypatch):
         # |x| = 1.5 for every pair, from the third batch on
-        monkeypatch.setattr(netsim, "_WORKERS", 2)
+        monkeypatch.setattr(clickfile, "_WORKERS", 2)
         monkeypatch.setattr(netsim, "_BATCH", 1_000)
         model = toy_detection_model(table, tau=0.9, bg_scale=0.0)
         doctored = replace(model,
@@ -893,8 +918,8 @@ class TestWorkerThreads:
     def test_cleaned_body_leaves_no_thread(self, tmp_path, monkeypatch):
         # a comment line in a late block sends the body to line-by-line
         # cleaning after earlier blocks were read as words on the workers
-        monkeypatch.setattr(netsim, "_WORKERS", 2)
-        monkeypatch.setattr(netsim, "_READ_BLOCK", 256)
+        monkeypatch.setattr(clickfile, "_WORKERS", 2)
+        monkeypatch.setattr(clickfile, "_READ_BLOCK", 256)
         rows = [f"{i},SNSPD{i % 2 + 1},{i % 50}.250000,photon"
                 for i in range(400)]
         rows.insert(350, "# a comment")
@@ -902,9 +927,9 @@ class TestWorkerThreads:
         path.write_text("# detectors=SNSPD1,SNSPD2\n"
                         "attempt,detector,t_us,origin\n"
                         + "\n".join(rows) + "\n")
-        word_rows = netsim._word_rows
+        word_rows = clickfile._word_rows
         parsed = []
-        monkeypatch.setattr(netsim, "_word_rows", lambda *args: (
+        monkeypatch.setattr(clickfile, "_word_rows", lambda *args: (
             parsed.append(args[2]) or word_rows(*args)))
         before = threading.active_count()
         back = ClickRecords.from_csv(path)
@@ -914,7 +939,7 @@ class TestWorkerThreads:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_in_order_holds_two_items_per_worker(self, workers, monkeypatch):
-        monkeypatch.setattr(netsim, "_WORKERS", workers)
+        monkeypatch.setattr(clickfile, "_WORKERS", workers)
         pulled = []
 
         def items():
@@ -923,7 +948,7 @@ class TestWorkerThreads:
                 yield i
 
         before = threading.active_count()
-        for i, result in enumerate(netsim._in_order(lambda x: -x, items())):
+        for i, result in enumerate(clickfile._in_order(lambda x: -x, items())):
             assert result == -i
             assert len(pulled) <= i + 2 * workers
         assert len(pulled) == 200 and threading.active_count() == before
@@ -933,7 +958,7 @@ class TestWorkerThreads:
         # blocks from 1 byte, most shorter than a row, to more than the
         # body; one row is longer than the look-ahead, so the worker reading
         # its block reads on until the row ends
-        monkeypatch.setattr(netsim, "_WORKERS", workers)
+        monkeypatch.setattr(clickfile, "_WORKERS", workers)
         monkeypatch.setattr(np, "loadtxt", None)
         rng = np.random.default_rng(5)
         n = 150
@@ -944,13 +969,13 @@ class TestWorkerThreads:
             detector=detector, t=rng.random(n) * 1e-4,
             origin=rng.integers(-1, 2, n).astype(np.int8),
             detector_names=("SNSPD_LONG_1", "D",
-                            "L" * (3 * netsim._LOOK_AHEAD)),
+                            "L" * (3 * clickfile._LOOK_AHEAD)),
             n_attempts=10 ** 12)
         path = tmp_path / "clicks.csv"
         clicks.to_csv(path)
         want = from_csv_oracle(path)
         for block in (1, 2, 7, 40, 300, 1000, 1 << 20):
-            monkeypatch.setattr(netsim, "_READ_BLOCK", block)
+            monkeypatch.setattr(clickfile, "_READ_BLOCK", block)
             before = threading.active_count()
             assert_same_records(ClickRecords.from_csv(path), want)
             assert threading.active_count() == before
@@ -967,8 +992,8 @@ class TestWorkerThreads:
     @pytest.mark.parametrize("malformed_first", [False, True])
     def test_late_irregular_block_reads_whole_body(
             self, workers, late, malformed_first, tmp_path, monkeypatch):
-        monkeypatch.setattr(netsim, "_WORKERS", workers)
-        monkeypatch.setattr(netsim, "_READ_BLOCK", 256)
+        monkeypatch.setattr(clickfile, "_WORKERS", workers)
+        monkeypatch.setattr(clickfile, "_READ_BLOCK", 256)
         lines = [f"{i},{'AB'[i % 2]},{i % 50}.250000,photon"
                  for i in range(300)]
         bad = "x3,A,1.000000,photon"
@@ -1289,6 +1314,24 @@ class TestHomAnalysis:
         clicks = make_clicks(rows, table, 1)
         with pytest.raises(UndefinedVisibilityError):
             netsim.hom_analysis(clicks, table, t_list=[17.5e-6])
+
+    def test_bin_wider_than_every_window_raises(self, table):
+        # 50 orthogonal pairs, but a 40 us bin fits inside no T of 17.5 us
+        # or less; a 0.5 us bin gives V
+        clean = scaled_background_table(table, 0.0)
+        rows = []
+        for i in range(50):
+            rows.append((i, "SNSPD1", 10e-6))
+            rows.append((i, "SPCM2", 10.2e-6))
+        clicks = make_clicks(rows, clean, 50)
+        with pytest.raises(ConfigError, match=(
+                r"^HOM bin width 40 us fits no tau bin inside any window T; "
+                r"the largest T is 17\.5 us$")):
+            netsim.hom_analysis(clicks, clean, delta=40e-6,
+                                t_list=[5e-6, 17.5e-6])
+        hom = netsim.hom_analysis(clicks, clean, delta=0.5e-6,
+                                  t_list=[5e-6, 17.5e-6])
+        assert hom.visibility == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_one_bin_histogram(self, table):
         # a 40 us bin is wider than the 17.5 us window, so tau = 0 is the
